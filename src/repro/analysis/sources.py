@@ -33,17 +33,21 @@ def detections_from_archive(
     path (default) or the object-row reference path.  ``None`` defers
     to :func:`~repro.core.detector.columnar_scan_enabled` — i.e. the
     ``REPRO_OBJECT_SCAN`` escape hatch.  Output is identical either
-    way.
+    way.  The reader is closed when the stream ends, including when the
+    consumer stops early and the generator is closed.
     """
     reader = ArchiveReader(archive_dir)
-    if columnar is None:
-        columnar = columnar_scan_enabled()
-    if columnar:
-        for columns in reader.iter_day_columns():
-            yield detect_day_columns(columns, reader)
-        return
-    for record in reader.iter_days():
-        yield detect_day(record, reader)
+    try:
+        if columnar is None:
+            columnar = columnar_scan_enabled()
+        if columnar:
+            for columns in reader.iter_day_columns():
+                yield detect_day_columns(columns, reader)
+            return
+        for record in reader.iter_days():
+            yield detect_day(record, reader)
+    finally:
+        reader.close()
 
 
 def detections_from_mrt_files(

@@ -261,7 +261,13 @@ class _Snapshot:
     results: object
 
 
-@guarded_by("_lock", "_snapshot_cache", "_verdict_cache", "_index_cache")
+@guarded_by(
+    "_lock",
+    "_snapshot_cache",
+    "_verdict_cache",
+    "_evaluation_cache",
+    "_index_cache",
+)
 class ServeApp:
     """The daemon's synchronous core: shared state + request routing.
 
@@ -291,6 +297,7 @@ class ServeApp:
         self._lock = threading.RLock()
         self._snapshot_cache: _Snapshot | None = None
         self._verdict_cache: tuple[int, dict] | None = None
+        self._evaluation_cache: tuple[int, object] | None = None
         self._index_cache: tuple[int, object] | None = None
         self._registry = None
         self._injected: list = []
@@ -382,6 +389,30 @@ class ServeApp:
                     self.engine.finalize(registry=self._registry),
                 )
                 self._verdict_cache = cache
+            return cache
+
+    def current_evaluation(self) -> tuple[int, object]:
+        """``(days fed, EvaluationResult)`` at the latest day boundary.
+
+        Scored once per day count from :meth:`current_verdicts`, so
+        every ``/v1/evaluation`` request between two folds renders the
+        same result object.
+        """
+        from repro.analysis.evaluation import evaluate_verdicts
+
+        with self._lock:
+            days, verdicts = self.current_verdicts()
+            cache = self._evaluation_cache
+            if cache is None or cache[0] != days:
+                cache = (
+                    days,
+                    evaluate_verdicts(
+                        verdicts,
+                        injected=self._injected,
+                        organic=self._organic,
+                    ),
+                )
+                self._evaluation_cache = cache
             return cache
 
     def current_index(self):
@@ -627,8 +658,6 @@ class ServeApp:
         )
 
     def _handle_evaluation(self, query: dict) -> Response:
-        from repro.analysis.evaluation import evaluate_verdicts
-
         format = query.get("format", "json")
         if format not in ("ascii", "csv", "json"):
             return Response.error(
@@ -636,10 +665,7 @@ class ServeApp:
                 f"evaluation has no {format!r} renderer; available "
                 f"formats: ascii, csv, json",
             )
-        days, verdicts = self.current_verdicts()
-        result = evaluate_verdicts(
-            verdicts, injected=self._injected, organic=self._organic
-        )
+        days, result = self.current_evaluation()
         return Response.text(
             render(result, "evaluation", format),
             content_type=_CONTENT_TYPES[format],

@@ -283,16 +283,19 @@ class MoasService:
             from repro.scenario.archive import ArchiveReader
 
             reader = ArchiveReader(directory)
-            registry = reader.registry
-            if reader.has_incidents():
-                injected = [
-                    IncidentLabel.from_dict(row)
-                    for row in reader.incident_labels()
-                ]
-            if (Path(directory) / "ground_truth.json").is_file():
-                organic = reader.ground_truth()
-            if roa_table is None and reader.has_roas():
-                roa_table = RoaTable.from_rows(reader.roas())
+            try:
+                registry = reader.registry
+                if reader.has_incidents():
+                    injected = [
+                        IncidentLabel.from_dict(row)
+                        for row in reader.incident_labels()
+                    ]
+                if (Path(directory) / "ground_truth.json").is_file():
+                    organic = reader.ground_truth()
+                if roa_table is None and reader.has_roas():
+                    roa_table = RoaTable.from_rows(reader.roas())
+            finally:
+                reader.close()
 
         with self._lock:
             shard_specs = [state.shard for state in self._states]

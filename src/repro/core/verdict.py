@@ -27,6 +27,7 @@ ground truth.
 from __future__ import annotations
 
 import datetime
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -193,6 +194,18 @@ class _Evidence:
     first_day: datetime.date | None = None
     last_day: datetime.date | None = None
     rpki_state: ValidationState | None = None
+    #: The last conflict folded for this prefix (held weakly, so
+    #: nothing is pinned) and its Section V class vote (``None`` for a
+    #: conflict without path information).  The columnar detector hands
+    #: back the same object while a conflict is unchanged, so a
+    #: recurring conflict is classified once.  Pure memoization: never
+    #: compared, never checkpointed, empty after :meth:`from_state`.
+    last_conflict: weakref.ref | None = field(
+        default=None, compare=False, repr=False
+    )
+    last_vote: ConflictClass | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class VerdictEngine:
@@ -207,7 +220,14 @@ class VerdictEngine:
     evidence so checkpointed sessions can resume mid-study.
     """
 
-    __slots__ = ("config", "shard", "roa_table", "_evidence", "_total_days")
+    __slots__ = (
+        "config",
+        "shard",
+        "roa_table",
+        "_evidence",
+        "_total_days",
+        "_registry_shapes",
+    )
 
     def __init__(
         self,
@@ -224,6 +244,10 @@ class VerdictEngine:
         self.roa_table = roa_table
         self._evidence: dict[Prefix, _Evidence] = {}
         self._total_days = 0
+        #: ``(registry, owner map, structural tags)`` for the last
+        #: registry object :meth:`finalize` saw; the registry is held
+        #: so the identity check can never match a recycled id.
+        self._registry_shapes: tuple | None = None
 
     @property
     def total_days(self) -> int:
@@ -255,7 +279,6 @@ class VerdictEngine:
             evidence.last_ordinal = ordinal
             evidence.last_day = detection.day
             evidence.days += 1
-            evidence.origins.update(conflict.origins)
             if roa_table is not None:
                 evidence.rpki_state = roa_table.fold_episode_state(
                     evidence.rpki_state,
@@ -263,19 +286,30 @@ class VerdictEngine:
                     conflict.origins,
                     day=detection.day,
                 )
-            evidence.max_width = max(
-                evidence.max_width, len(conflict.origins)
-            )
-            if not evidence.private_asn:
-                evidence.private_asn = any(
-                    is_private_asn(origin) for origin in conflict.origins
+            last = evidence.last_conflict
+            if last is not None and last() is conflict:
+                # The last conflict folded for this prefix, again:
+                # its origins, width and private-ASN flag are in.
+                vote = evidence.last_vote
+            else:
+                evidence.origins.update(conflict.origins)
+                evidence.max_width = max(
+                    evidence.max_width, len(conflict.origins)
                 )
-            # Section V class vote for the day; conflicts without path
-            # information simply contribute no vote.
-            try:
-                evidence.class_votes[classify_conflict(conflict)] += 1
-            except ValueError:
-                pass
+                if not evidence.private_asn:
+                    evidence.private_asn = any(
+                        is_private_asn(origin) for origin in conflict.origins
+                    )
+                # Section V class vote; conflicts without path
+                # information simply contribute no vote.
+                try:
+                    vote = classify_conflict(conflict)
+                except ValueError:
+                    vote = None
+                evidence.last_conflict = weakref.ref(conflict)
+                evidence.last_vote = vote
+            if vote is not None:
+                evidence.class_votes[vote] += 1
 
     # -- shard recombination -------------------------------------------------
 
@@ -451,15 +485,22 @@ class VerdictEngine:
         from announced-space structure — including prefixes that never
         produced a same-prefix MOAS conflict at all — and perpetrators
         are attributed as "origins that are not the registered owner".
+
+        The registry is treated as immutable: its owner map and shapes
+        are derived once per registry object and reused by every later
+        call with that same object.
         """
         owners: dict[Prefix, int] = {}
         structural: dict[Prefix, str] = {}
         if registry is not None:
-            structural = _structural_tags(registry)
-            owners = {
-                entry.prefix: entry.owner
-                for entry in registry
-            }
+            shapes = self._registry_shapes
+            if shapes is None or shapes[0] is not registry:
+                shapes = self._registry_shapes = (
+                    registry,
+                    {entry.prefix: entry.owner for entry in registry},
+                    _structural_tags(registry),
+                )
+            _registry, owners, structural = shapes
         verdicts: dict[Prefix, Verdict] = {}
         for prefix, evidence in self._evidence.items():
             tags = self._episode_tags(prefix, evidence)

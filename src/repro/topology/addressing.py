@@ -117,8 +117,19 @@ class AddressPlan:
         return self._pools["class_c"]
 
     def allocate(self, length: int) -> Prefix:
-        """A fresh, globally-disjoint prefix of exactly ``length``."""
-        return self._pool_for(length).allocate(length)
+        """A fresh, globally-disjoint prefix of exactly ``length``.
+
+        The legacy class A pool holds only sixteen /8s; once it is
+        spent, /8 requests spill into the classless A pool, so large
+        worlds keep generating instead of raising
+        :class:`PoolExhaustedError`.
+        """
+        try:
+            return self._pool_for(length).allocate(length)
+        except PoolExhaustedError:
+            if length > 8:
+                raise
+        return self._pools["classless_a"].allocate(length)
 
     def allocate_random_length(self) -> Prefix:
         """A fresh prefix with length drawn from the era distribution."""

@@ -14,6 +14,7 @@ Example counts come from the hypothesis profile (``dev`` for tier-1,
 marked ``slow``.
 """
 
+import dataclasses
 import datetime
 import importlib
 import json
@@ -27,6 +28,7 @@ from repro.core.verdict import VerdictEngine
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import Roa, RoaTable
 from repro.netbase.sharding import ShardSpec
+from tests.core.test_verdict import ReferenceFold, roundtrip
 
 #: Every shard-combinable state class in the project.  `repro check`'s
 #: merge-algebra rule reads this tuple statically: a class that defines
@@ -231,6 +233,137 @@ class TestVerdictEnginePartitions:
             for shard in ShardSpec.partition(count, scheme)
         ]
         assert VerdictEngine.merged(engines).finalize() == serial
+
+
+#: Small enough that transit hops often hit another origin, so all three
+#: Section V classes (and unclassifiable conflicts) turn up.
+asns = st.integers(1, 8)
+
+
+@st.composite
+def conflict_variants(draw):
+    """``(origins, paths_by_origin)`` of one conflict; paths may be absent."""
+    origins = draw(
+        st.frozensets(st.one_of(asns, st.just(64512)), min_size=2, max_size=4)
+    )
+    if draw(st.integers(0, 3)) == 0:
+        return origins, ()
+    paths = []
+    for origin in sorted(origins):
+        hops = draw(st.lists(st.lists(asns, max_size=3), max_size=2))
+        paths.append((origin, tuple((*path, origin) for path in hops)))
+    return origins, tuple(paths)
+
+
+#: One prefix's move on one day (see :func:`play`) and a variant pick.
+moves = st.tuples(
+    st.sampled_from(["absent", "same", "twin", "switch", "new"]),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def conflict_plans(draw):
+    """Per-prefix conflict variants plus each day's move for each prefix."""
+    chosen = draw(st.lists(prefixes, min_size=1, max_size=4, unique=True))
+    chosen.sort(key=lambda prefix: prefix.sort_key())
+    variants = [
+        (prefix, draw(st.lists(conflict_variants(), min_size=1, max_size=3)))
+        for prefix in chosen
+    ]
+    days = draw(
+        st.lists(
+            st.lists(moves, min_size=len(chosen), max_size=len(chosen)),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    return variants, days
+
+
+def play(plan):
+    """Yield a plan's detections, keeping only live conflicts referenced.
+
+    Each prefix has a current object, maybe an equal twin of it, and
+    maybe a spare.  Per day: ``absent`` leaves the prefix out; ``same``
+    shows the current object again; ``twin`` shows an equal but distinct
+    copy of it; ``switch`` swaps the current object with the spare
+    (made from the picked variant if there is none), so two distinct
+    objects can alternate; ``new`` drops every object of the prefix,
+    which die, for a fresh one of the picked variant.  Consumers must
+    drop each detection before asking for the next.
+    """
+    variants, days = plan
+    #: prefix -> [current, twin or None, spare or None]
+    live: dict[Prefix, list] = {}
+    for index, day_moves in enumerate(days):
+        today = []
+        for (prefix, options), (move, pick) in zip(variants, day_moves):
+            if move == "absent":
+                continue
+            origins, paths = options[pick % len(options)]
+            entry = live.get(prefix)
+            if move == "switch" and entry is not None:
+                if entry[2] is None:
+                    entry[2] = DailyConflict(prefix, origins, paths)
+                entry[:] = [entry[2], None, entry[0]]
+            elif move == "new" or entry is None:
+                if entry is not None:
+                    entry.clear()  # the replaced objects die here
+                entry = live[prefix] = [
+                    DailyConflict(prefix, origins, paths), None, None
+                ]
+            if move == "twin":
+                if entry[1] is None:
+                    entry[1] = dataclasses.replace(entry[0])
+                today.append(entry[1])
+            else:
+                today.append(entry[0])
+        yield DayDetection(
+            day=START + datetime.timedelta(days=index),
+            conflicts=tuple(today),
+            prefixes_scanned=len(today) + 3,
+            as_set_excluded=0,
+        )
+
+
+def evidence_by_prefix(state: dict) -> dict:
+    return {(network, length): row for network, length, row in state["evidence"]}
+
+
+class TestVerdictEngineIdentityMemo:
+    """The engine classifies distinct objects once, yet equals the
+    per-conflict-day reference fold on any stream of recurring, twin,
+    alternating, replaced and pathless conflicts."""
+
+    @given(conflict_plans(), roa_tables(), partitions, st.integers(0, 14))
+    def test_engine_equals_per_conflict_day_reference(
+        self, plan, table, partition, restore_day
+    ):
+        count, scheme = partition
+        reference = ReferenceFold(roa_table=table)
+        serial = VerdictEngine(roa_table=table)
+        shards = [
+            VerdictEngine(shard=shard, roa_table=table)
+            for shard in ShardSpec.partition(count, scheme)
+        ]
+        for index, detection in enumerate(play(plan)):
+            if index == restore_day:  # resume mid-stream, memo empty
+                serial = roundtrip(serial)
+                shards = [roundtrip(engine) for engine in shards]
+            for fold in (reference, serial, *shards):
+                fold.feed_day(detection)
+            del detection  # let replaced conflicts die before the next day
+        expected = reference.state_dict()
+        assert serial.state_dict() == expected
+        assert roundtrip(serial).state_dict() == expected
+        verdicts = reference.finalize()
+        assert serial.finalize() == verdicts
+        merged = VerdictEngine.merged(shards)
+        assert evidence_by_prefix(merged.state_dict()) == evidence_by_prefix(
+            expected
+        )
+        assert merged.finalize() == verdicts
 
 
 class TestMergeAlgebraRegistry:

@@ -25,6 +25,7 @@ from repro.api.serve import (
     AlertHub,
     BackgroundServer,
     Response,
+    ServeApp,
     ServeConfig,
 )
 from repro.api.service import MoasService
@@ -491,6 +492,43 @@ class TestServeIntegration:
                 url + "/v1/figure/summary?format=json"
             )
             assert status == 200
+
+
+class TestEvaluationCache:
+    """``/v1/evaluation`` is scored once per day boundary."""
+
+    def test_scored_once_per_day_count(
+        self, serve_archive, serve_detections, monkeypatch
+    ):
+        from repro.analysis import evaluation
+
+        calls = []
+        real = evaluation.evaluate_verdicts
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate_verdicts", counting)
+        app = ServeApp(MoasService(), archive=serve_archive)
+        for detection in serve_detections[:20]:
+            app.fold_detection(detection)
+        first = app.handle("GET", "/v1/evaluation?format=json")
+        second = app.handle("GET", "/v1/evaluation?format=json")
+        app.handle("GET", "/v1/evaluation?format=ascii")
+        assert first.status == 200
+        assert first.headers["X-Repro-Days"] == "20"
+        assert second.body == first.body
+        assert len(calls) == 1
+
+        app.fold_detection(serve_detections[20])
+        third = app.handle("GET", "/v1/evaluation?format=json")
+        assert len(calls) == 2
+        assert third.headers["X-Repro-Days"] == "21"
+        fresh = ServeApp(MoasService(), archive=serve_archive)
+        for detection in serve_detections[:21]:
+            fresh.fold_detection(detection)
+        assert fresh.handle("GET", "/v1/evaluation?format=json") == third
 
 
 class TestServeConfig:

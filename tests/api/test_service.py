@@ -356,3 +356,60 @@ class TestCheckpointAtomicity:
             if entry.name != "manifest.json"
         }
         assert shard_files == set(manifest["shard_files"])
+
+
+class TestArchiveReadersClosed:
+    """Every ArchiveReader the batch path opens is closed on return."""
+
+    @pytest.fixture(scope="class")
+    def v2_archive(self, api_archive, tmp_path_factory):
+        from repro.scenario.archive import convert_archive
+
+        directory = tmp_path_factory.mktemp("readers") / "v2"
+        convert_archive(api_archive, directory, format="v2")
+        return directory
+
+    @pytest.fixture
+    def readers(self, monkeypatch):
+        """``(format at open, reader)`` for every reader opened, plus a
+        list of the readers closed."""
+        from repro.scenario.archive import ArchiveReader
+
+        opened, closed = [], []
+        real_init, real_close = ArchiveReader.__init__, ArchiveReader.close
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            opened.append((self.format, self))
+
+        def close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(ArchiveReader, "__init__", init)
+        monkeypatch.setattr(ArchiveReader, "close", close)
+        return opened, closed
+
+    @staticmethod
+    def assert_all_closed(opened, closed):
+        assert opened
+        assert all(form == "v2" for form, _reader in opened)
+        for _form, reader in opened:
+            assert any(reader is done for done in closed)
+            assert reader.format == "v1"  # the day-store mapping is gone
+
+    def test_feed_and_evaluate_close_their_readers(self, v2_archive, readers):
+        service = MoasService(workers=1)
+        service.feed(v2_archive)
+        report = service.evaluate(v2_archive)
+        assert service.days_fed > 0 and report.verdicts
+        self.assert_all_closed(*readers)
+
+    def test_early_stop_closes_the_stream_reader(self, v2_archive, readers):
+        from repro.analysis.sources import detections_from_archive
+
+        stream = detections_from_archive(v2_archive)
+        next(stream)
+        next(stream)
+        stream.close()
+        self.assert_all_closed(*readers)

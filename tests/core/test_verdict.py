@@ -1,9 +1,15 @@
 """Tests for the unified per-episode verdict engine."""
 
 import datetime
+import gc
+import json
+import weakref
+from collections import Counter
 
 import pytest
 
+from repro.core import verdict as verdict_module
+from repro.core.classifier import classify_conflict
 from repro.core.detector import DailyConflict, DayDetection
 from repro.core.verdict import (
     KIND_ORGANIC,
@@ -19,6 +25,7 @@ from repro.core.verdict import (
     VerdictConfig,
     VerdictEngine,
 )
+from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
 from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import (
@@ -28,6 +35,117 @@ from repro.scenario.archive import (
 )
 
 DAY0 = datetime.date(1998, 1, 1)
+
+
+class ReferenceFold:
+    """The per-conflict-day verdict fold, kept here as the test oracle.
+
+    Classifies every conflict-day afresh and memoizes nothing.  Its
+    :meth:`state_dict` is the payload :meth:`VerdictEngine.state_dict`
+    must equal after the same days, and :meth:`finalize` judges that
+    evidence through a fresh engine.
+    """
+
+    def __init__(self, *, shard=None, roa_table=None):
+        self.shard = shard
+        self.roa_table = roa_table
+        self.total_days = 0
+        self.evidence: dict[Prefix, dict] = {}
+
+    def feed_day(self, detection: DayDetection) -> None:
+        self.total_days += 1
+        for daily in detection.conflicts:
+            prefix = daily.prefix
+            if self.shard is not None and not self.shard.contains(prefix):
+                continue
+            row = self.evidence.get(prefix)
+            if row is None:
+                row = self.evidence[prefix] = {
+                    "first_ordinal": self.total_days,
+                    "days": 0,
+                    "origins": set(),
+                    "max_width": 0,
+                    "class_votes": Counter(),
+                    "private_asn": False,
+                    "first_day": detection.day,
+                    "rpki_state": None,
+                }
+            row["last_ordinal"] = self.total_days
+            row["last_day"] = detection.day
+            row["days"] += 1
+            row["origins"] |= daily.origins
+            row["max_width"] = max(row["max_width"], len(daily.origins))
+            row["private_asn"] = row["private_asn"] or any(
+                is_private_asn(origin) for origin in daily.origins
+            )
+            try:
+                row["class_votes"][classify_conflict(daily).value] += 1
+            except ValueError:
+                pass
+            if self.roa_table is not None:
+                row["rpki_state"] = self.roa_table.fold_episode_state(
+                    row["rpki_state"], prefix, daily.origins, day=detection.day
+                )
+
+    def state_dict(self) -> dict:
+        return {
+            "config": VerdictConfig().to_dict(),
+            "shard": self.shard.to_dict() if self.shard is not None else None,
+            "total_days": self.total_days,
+            "roas": (
+                [roa.to_dict() for roa in self.roa_table]
+                if self.roa_table is not None
+                else None
+            ),
+            "evidence": [
+                [
+                    prefix.network,
+                    prefix.length,
+                    {
+                        "first_ordinal": row["first_ordinal"],
+                        "last_ordinal": row["last_ordinal"],
+                        "days": row["days"],
+                        "origins": sorted(row["origins"]),
+                        "max_width": row["max_width"],
+                        "class_votes": dict(sorted(row["class_votes"].items())),
+                        "private_asn": row["private_asn"],
+                        "first_day": row["first_day"].isoformat(),
+                        "last_day": row["last_day"].isoformat(),
+                        "rpki_state": (
+                            row["rpki_state"].value
+                            if row["rpki_state"] is not None
+                            else None
+                        ),
+                    },
+                ]
+                for prefix, row in self.evidence.items()
+            ],
+        }
+
+    def finalize(self, registry=None):
+        return VerdictEngine.from_state(self.state_dict()).finalize(
+            registry=registry
+        )
+
+
+def roundtrip(engine: VerdictEngine) -> VerdictEngine:
+    """``engine`` through a JSON checkpoint and back."""
+    return VerdictEngine.from_state(
+        json.loads(json.dumps(engine.state_dict()))
+    )
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Record every call to ``repro.core.verdict.<name>``."""
+    calls = []
+    real = getattr(verdict_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verdict_module, name, wrapper)
+    return calls
 
 
 def conflict(prefix: str, *origins: int, paths=None) -> DailyConflict:
@@ -239,3 +357,107 @@ class TestShardMerge:
         right = VerdictEngine(VerdictConfig(short_days=9))
         with pytest.raises(ValueError, match="configs"):
             left.merge(right)
+
+
+ORIG_TRAN_PATHS = {1: ((9, 2, 1),), 2: ((9, 2),)}  # origin 2 transits for 1
+
+
+def feed_all(folds, conflicts, start=0):
+    """Feed one detection per conflict (day ``start`` on) to every fold."""
+    for offset, daily in enumerate(conflicts, start):
+        day = detection(offset, daily)
+        for fold in folds:
+            fold.feed_day(day)
+
+
+class TestIdentityMemo:
+    """Each distinct conflict object is classified once per engine."""
+
+    def test_recurring_object_classified_once(self, monkeypatch):
+        calls = counting(monkeypatch, "classify_conflict")
+        recurring = conflict("10.0.0.0/8", 1, 2, paths=ORIG_TRAN_PATHS)
+        engine, reference = VerdictEngine(), ReferenceFold()
+        feed_all((engine, reference), [recurring] * 30)
+        assert len(calls) == 1
+        assert engine.state_dict() == reference.state_dict()
+
+    def test_restored_engine_classifies_once_more(self, monkeypatch):
+        recurring = conflict("10.0.0.0/8", 1, 2, paths=ORIG_TRAN_PATHS)
+        engine, reference = VerdictEngine(), ReferenceFold()
+        feed_all((engine, reference), [recurring] * 20)
+        calls = counting(monkeypatch, "classify_conflict")
+        restored = roundtrip(engine)
+        feed_all((restored, reference), [recurring] * 10, start=20)
+        assert len(calls) == 1
+        assert restored.state_dict() == reference.state_dict()
+        verdict = restored.finalize()[Prefix.parse("10.0.0.0/8")]
+        assert verdict.days_observed == 30
+        assert TAG_ORIG_TRAN_AS in verdict.tags
+
+    def test_equal_but_distinct_objects_each_vote(self, monkeypatch):
+        calls = counting(monkeypatch, "classify_conflict")
+        first = conflict("10.0.0.0/8", 1, 2)
+        twin = conflict("10.0.0.0/8", 1, 2)
+        assert first == twin and first is not twin
+        engine, reference = VerdictEngine(), ReferenceFold()
+        feed_all((engine, reference), [first, twin] * 3)
+        assert len(calls) == 6  # the last object differs every day
+        assert engine.state_dict() == reference.state_dict()
+
+    def test_replacement_object_is_classified_afresh(self):
+        engine, reference = VerdictEngine(), ReferenceFold()
+        old = conflict("10.0.0.0/8", 1, 2, paths=ORIG_TRAN_PATHS)
+        probe = weakref.ref(old)
+        feed_all((engine, reference), [old] * 3)
+        del old
+        gc.collect()
+        assert probe() is None  # the engine pins no conflict
+        # A new object, likely at the dead one's address, of another
+        # class: its votes must count as that class.
+        feed_all((engine, reference), [conflict("10.0.0.0/8", 1, 2)] * 5, 3)
+        assert engine.state_dict() == reference.state_dict()
+        verdict = engine.finalize()[Prefix.parse("10.0.0.0/8")]
+        assert "distinct-paths" in verdict.tags
+
+    def test_pathless_conflict_casts_no_vote(self, monkeypatch):
+        calls = counting(monkeypatch, "classify_conflict")
+        pathless = conflict("10.0.0.0/8", 1, 2, paths={})
+        engine, reference = VerdictEngine(), ReferenceFold()
+        feed_all((engine, reference), [pathless] * 5)
+        assert len(calls) == 1
+        assert engine.state_dict() == reference.state_dict()
+        assert engine.state_dict()["evidence"][0][2]["class_votes"] == {}
+
+
+class TestRegistryShapes:
+    """finalize derives a registry's owners and shapes once per object."""
+
+    REGISTRY = [
+        RegistryEntry(Prefix.parse("20.0.0.0/8"), 7, 0, 0),
+        RegistryEntry(Prefix.parse("20.1.0.0/16"), 666, 40, 0),
+    ]
+
+    def test_same_registry_object_derived_once(self, monkeypatch):
+        calls = counting(monkeypatch, "_structural_tags")
+        engine = VerdictEngine()
+        engine.feed_day(detection(0, conflict("20.0.0.0/8", 7, 666)))
+        first = engine.finalize(registry=self.REGISTRY)
+        assert engine.finalize(registry=self.REGISTRY) == first
+        assert len(calls) == 1
+        assert first[Prefix.parse("20.0.0.0/8")].perpetrators == {666}
+        assert first[Prefix.parse("20.1.0.0/16")].kind == "subprefix_hijack"
+
+    def test_new_registry_object_derived_again(self, monkeypatch):
+        calls = counting(monkeypatch, "_structural_tags")
+        engine = VerdictEngine()
+        engine.feed_day(detection(0, conflict("20.0.0.0/8", 7, 666)))
+        engine.finalize(registry=self.REGISTRY)
+        # The aggregate changes hands: the /16 is now its owner's own.
+        transferred = [
+            RegistryEntry(Prefix.parse("20.0.0.0/8"), 666, 0, 0),
+            RegistryEntry(Prefix.parse("20.1.0.0/16"), 666, 40, 0),
+        ]
+        verdicts = engine.finalize(registry=transferred)
+        assert len(calls) == 2
+        assert verdicts[Prefix.parse("20.0.0.0/8")].perpetrators == {7}
+        assert Prefix.parse("20.1.0.0/16") not in verdicts

@@ -77,6 +77,20 @@ class TestAddressPlan:
         for left, right in zip(ordered, ordered[1:]):
             assert not left.overlaps(right), f"{left} overlaps {right}"
 
+    def test_slash8_requests_outlive_the_class_a_pool(self):
+        # 16.0.0.0/4 holds sixteen /8s; large worlds need more.
+        plan = AddressPlan(RngStreams(1))
+        # The spill must respect the classless A pool's own cursor.
+        classless = plan.allocate(12)
+        blocks = [plan.allocate(8) for _ in range(20)]
+        assert all(block.length == 8 for block in blocks)
+        class_a = Prefix.parse("16.0.0.0/4")
+        assert all(class_a.contains(block) for block in blocks[:16])
+        assert not any(class_a.overlaps(block) for block in blocks[16:])
+        ordered = sorted([classless, *blocks], key=lambda p: p.sort_key())
+        for left, right in zip(ordered, ordered[1:]):
+            assert not left.overlaps(right), f"{left} overlaps {right}"
+
     def test_ixp_block_never_allocated(self):
         ixp_block = Prefix.parse("198.32.0.0/16")
         plan = AddressPlan(RngStreams(2))
