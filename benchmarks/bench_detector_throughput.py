@@ -7,11 +7,12 @@ Two benches share this module:
   stays in the range that makes the 1279-day study tractable and that
   cost scales roughly linearly.
 - ``test_columnar_vs_object_day_scan`` re-encodes the session archive
-  in both day-store formats and races the object-row scan against the
-  columnar hot path, twice per format: the raw decode→detect scan and
-  the full serial ``analyze`` fold.  The two paths must produce equal
-  detections and equal :class:`StudyResults` before any number is
-  reported.  Everything lands in ``BENCH_detect.json`` (override with
+  in both day-store formats and races the columnar scan against the
+  reference ``detect_day`` over object day records, twice per format:
+  the raw decode→detect scan and the full serial ``analyze`` fold.
+  The two paths must produce equal detections and equal
+  :class:`StudyResults` before any number is reported.  Everything
+  lands in ``BENCH_detect.json`` (override with
   ``REPRO_BENCH_DETECT_OUT``), and the run fails when the v2 columnar
   scan speedup drops below ``REPRO_BENCH_MIN_DETECT_SPEEDUP`` (default
   3x — the CI floor; locally the scan runs ~4x and analyze ~3x).
@@ -27,7 +28,7 @@ import pytest
 
 from repro.analysis.sources import detections_from_archive
 from repro.api import MoasService
-from repro.core.detector import detect_snapshot
+from repro.core.detector import detect_day, detect_snapshot
 from repro.netbase.aspath import ASPath
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import PeerId, RibSnapshot, Route
@@ -91,14 +92,29 @@ def test_detector_throughput(benchmark, num_prefixes):
     assert 1 / per_route > 100_000
 
 
+def _object_detections(directory: str):
+    """The reference stream: ``detect_day`` over object day records."""
+    reader = ArchiveReader(directory)
+    try:
+        for record in reader.iter_days():
+            yield detect_day(record, reader)
+    finally:
+        reader.close()
+
+
+def _detections(directory: str, columnar: bool):
+    """The production columnar stream, or the object reference stream."""
+    if columnar:
+        return detections_from_archive(directory)
+    return _object_detections(directory)
+
+
 def _time_scan(directory: str, columnar: bool) -> float:
     """Best wall clock of one full decode→detect sweep (fresh reader)."""
     best = float("inf")
     for _ in range(PASSES):
         started = time.perf_counter()
-        for _detection in detections_from_archive(
-            directory, columnar=columnar
-        ):
+        for _detection in _detections(directory, columnar):
             pass
         best = min(best, time.perf_counter() - started)
     return best
@@ -110,7 +126,7 @@ def _time_analyze(directory: str, columnar: bool) -> float:
     for _ in range(PASSES):
         service = MoasService()
         started = time.perf_counter()
-        service.feed(detections_from_archive(directory, columnar=columnar))
+        service.feed(_detections(directory, columnar))
         service.results()
         best = min(best, time.perf_counter() - started)
     return best
@@ -133,12 +149,8 @@ def test_columnar_vs_object_day_scan(paper_archive, tmp_path_factory):
     # The two scan paths must be indistinguishable before they are
     # comparable — detections and full StudyResults, on both formats.
     for directory in directories.values():
-        object_detections = list(
-            detections_from_archive(directory, columnar=False)
-        )
-        columnar_detections = list(
-            detections_from_archive(directory, columnar=True)
-        )
+        object_detections = list(_detections(directory, columnar=False))
+        columnar_detections = list(_detections(directory, columnar=True))
         assert columnar_detections == object_detections
         object_service = MoasService()
         object_service.feed(object_detections)
@@ -194,7 +206,8 @@ def test_columnar_vs_object_day_scan(paper_archive, tmp_path_factory):
     )
 
     # The acceptance bar: the columnar v2 scan must beat the object
-    # path by the pinned factor (numbers are recorded above either way).
+    # reference by the pinned factor (numbers are recorded above
+    # either way).
     assert speedups["v2_scan_speedup"] >= MIN_SCAN_SPEEDUP, (
         f"columnar v2 scan only {speedups['v2_scan_speedup']:.2f}x "
         f"faster than the object path (floor {MIN_SCAN_SPEEDUP}x)"

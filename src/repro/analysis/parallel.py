@@ -35,12 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.pipeline import StudyPipeline, StudyState
-from repro.core.detector import (
-    DayDetection,
-    columnar_scan_enabled,
-    detect_day,
-    detect_day_columns,
-)
+from repro.core.detector import DayDetection, detect_day_columns
 from repro.netbase.sharding import ShardSpec
 from repro.util.workers import resolve_workers
 
@@ -82,19 +77,13 @@ def _detect_archive_range(
 ) -> list[DayDetection]:
     """Detect over observed days ``[start, stop)`` of a CDS archive.
 
-    Uses the columnar batch scan (each day decoded as flat arrays,
-    scanned run-wise) unless ``REPRO_OBJECT_SCAN`` forces the object
-    path; both produce identical detections.
+    Each day is decoded as a columnar batch and scanned run-wise by
+    :func:`~repro.core.detector.detect_day_columns`.
     """
     reader = _cached_reader(directory)
-    if columnar_scan_enabled():
-        return [
-            detect_day_columns(columns, reader)
-            for columns in reader.iter_day_columns(start, stop)
-        ]
     return [
-        detect_day(record, reader)
-        for record in reader.iter_days(start, stop)
+        detect_day_columns(columns, reader)
+        for columns in reader.iter_day_columns(start, stop)
     ]
 
 
@@ -106,20 +95,12 @@ def _detect_archive_byte_range(
     The offset-range work unit for indexed (v2) day stores: the
     coordinator reads the footer index once and hands each worker a
     byte span, so no worker ever scans — or even considers — another
-    worker's chunk.  Columnar by default, like
-    :func:`_detect_archive_range`.
+    worker's chunk.  Scanned columnar, like :func:`_detect_archive_range`.
     """
     reader = _cached_reader(directory)
-    if columnar_scan_enabled():
-        return [
-            detect_day_columns(columns, reader)
-            for columns in reader.iter_day_columns_at(
-                start_offset, stop_offset
-            )
-        ]
     return [
-        detect_day(record, reader)
-        for record in reader.iter_days_at(start_offset, stop_offset)
+        detect_day_columns(columns, reader)
+        for columns in reader.iter_day_columns_at(start_offset, stop_offset)
     ]
 
 

@@ -4,11 +4,10 @@
 with data instead of folklore: it re-runs the feed serially in-process,
 splitting wall clock into the three stages every study pays —
 
-- **decode**: turning archive bytes into day batches (columnar
-  :class:`~repro.scenario.archive.DayColumns` by default, object
-  :class:`~repro.scenario.archive.DayRecord` rows under
-  ``REPRO_OBJECT_SCAN=1``);
-- **detect**: the per-day MOAS conflict scan;
+- **decode**: turning archive bytes into columnar
+  :class:`~repro.scenario.archive.DayColumns` day batches;
+- **detect**: the per-day MOAS conflict scan
+  (:func:`~repro.core.detector.detect_day_columns`);
 - **fold**: folding each :class:`~repro.core.detector.DayDetection`
   into the session's per-shard study state.
 
@@ -28,11 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
-from repro.core.detector import (
-    columnar_scan_enabled,
-    detect_day,
-    detect_day_columns,
-)
+from repro.core.detector import detect_day_columns
 from repro.scenario.archive import ArchiveReader
 
 #: Stage names, in pipeline order (also the report's row order).
@@ -43,7 +38,6 @@ STAGES = ("decode", "detect", "fold")
 class StageProfile:
     """Wall-clock breakdown of one profiled serial analyze feed."""
 
-    scan_path: str  # "columnar" or "object"
     days: int = 0
     rows: int = 0
     conflicts: int = 0
@@ -68,7 +62,7 @@ class StageProfile:
         """The human-readable per-stage summary the CLI prints."""
         total = self.total_seconds
         lines = [
-            f"profile: serial feed, {self.scan_path} scan — "
+            "profile: serial feed, columnar scan — "
             f"{self.days} day(s), {self.rows} row(s), "
             f"{self.conflicts} conflict-day(s)",
             f"  {'stage':<8} {'seconds':>9} {'share':>7} {'ms/day':>9}",
@@ -99,7 +93,6 @@ def profile_feed(
     archive_dir: Path | str,
     *,
     skip_seen: bool = False,
-    columnar: bool | None = None,
     top: int = 12,
 ) -> StageProfile:
     """Feed ``archive_dir`` into ``service`` serially, timing each stage.
@@ -110,8 +103,8 @@ def profile_feed(
     and in-process — stage attribution across pool workers would be
     meaningless.  ``skip_seen`` mirrors ``feed(..., skip_seen=True)``
     (already-covered days are decoded and detected, but not folded);
-    ``columnar`` overrides the scan-path choice; ``top`` bounds the
-    hotspot listing.  Requires a CDS archive directory.
+    ``top`` bounds the hotspot listing.  Requires a CDS archive
+    directory.
     """
     directory = Path(archive_dir)
     if not (directory / "manifest.json").is_file():
@@ -119,18 +112,11 @@ def profile_feed(
             f"--profile requires a CDS archive directory; no "
             f"manifest.json under {directory}"
         )
-    if columnar is None:
-        columnar = columnar_scan_enabled()
-    profile = StageProfile(scan_path="columnar" if columnar else "object")
+    profile = StageProfile()
     reader = ArchiveReader(directory)
     profiler = cProfile.Profile()
     try:
-        if columnar:
-            batches = reader.iter_day_columns()
-            detect = detect_day_columns
-        else:
-            batches = reader.iter_days()
-            detect = detect_day
+        batches = reader.iter_day_columns()
         profiler.enable()
         try:
             while True:
@@ -140,12 +126,10 @@ def profile_feed(
                 if batch is None:
                     break
                 profile.decode_seconds += decoded - started
-                detection = detect(batch, reader)
+                detection = detect_day_columns(batch, reader)
                 detected = perf_counter()
                 profile.detect_seconds += detected - decoded
-                profile.rows += (
-                    batch.num_rows if columnar else len(batch.rows)
-                )
+                profile.rows += batch.num_rows
                 profile.conflicts += detection.num_conflicts
                 if (
                     skip_seen

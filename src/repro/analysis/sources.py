@@ -13,8 +13,6 @@ from pathlib import Path
 
 from repro.core.detector import (
     DayDetection,
-    columnar_scan_enabled,
-    detect_day,
     detect_day_columns,
     detect_snapshot,
 )
@@ -22,30 +20,18 @@ from repro.mrt.reader import read_rib_snapshot
 from repro.scenario.archive import ArchiveReader
 
 
-def detections_from_archive(
-    archive_dir: Path | str,
-    *,
-    columnar: bool | None = None,
-) -> Iterator[DayDetection]:
+def detections_from_archive(archive_dir: Path | str) -> Iterator[DayDetection]:
     """Stream daily detections from a CDS archive directory.
 
-    ``columnar`` picks the scan implementation: the batch/array hot
-    path (default) or the object-row reference path.  ``None`` defers
-    to :func:`~repro.core.detector.columnar_scan_enabled` — i.e. the
-    ``REPRO_OBJECT_SCAN`` escape hatch.  Output is identical either
-    way.  The reader is closed when the stream ends, including when the
-    consumer stops early and the generator is closed.
+    Each day is decoded as a columnar batch and scanned by
+    :func:`~repro.core.detector.detect_day_columns`.  The reader is
+    closed when the stream ends, including when the consumer stops
+    early and the generator is closed.
     """
     reader = ArchiveReader(archive_dir)
     try:
-        if columnar is None:
-            columnar = columnar_scan_enabled()
-        if columnar:
-            for columns in reader.iter_day_columns():
-                yield detect_day_columns(columns, reader)
-            return
-        for record in reader.iter_days():
-            yield detect_day(record, reader)
+        for columns in reader.iter_day_columns():
+            yield detect_day_columns(columns, reader)
     finally:
         reader.close()
 

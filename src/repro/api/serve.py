@@ -71,6 +71,10 @@ _CONTENT_TYPES = {
     "json": "application/json",
 }
 
+#: Seconds a stopping daemon waits for its open connections to close
+#: before cancelling the handlers still running.
+_DRAIN_GRACE = 5.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -146,7 +150,7 @@ class AlertHub:
     by the daemon after each day folds, subscribers are per-connection
     ``asyncio.Queue`` objects, and a bounded ring buffer keeps the most
     recent events so late subscribers can ``?replay=N`` what they
-    missed.
+    missed.  :meth:`close` ends every stream with a ``None`` marker.
     """
 
     def __init__(self, history: int = 512) -> None:
@@ -179,6 +183,11 @@ class AlertHub:
     def unsubscribe(self, queue: asyncio.Queue) -> None:
         """Drop a subscriber registered with :meth:`subscribe`."""
         self._subscribers.discard(queue)
+
+    def close(self) -> None:
+        """End every subscriber's stream (daemon shutdown)."""
+        for queue in self._subscribers:
+            queue.put_nowait(None)
 
     def replay(self, count: int) -> list[tuple[int, dict]]:
         """The last ``count`` buffered ``(event id, payload)`` events."""
@@ -714,6 +723,8 @@ class ServeDaemon:
         self.port: int | None = None
         self._stop_event: asyncio.Event | None = None
         self._server: asyncio.Server | None = None
+        #: Open connections: client handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     @property
     def url(self) -> str:
@@ -732,7 +743,9 @@ class ServeDaemon:
         ``on_ready`` (optional) is called with the daemon once the
         listener is bound and the port is known — before the initial
         feed completes, because serving during ingestion is the point.
-        A final checkpoint is written on the way out when configured.
+        On the way out the listener closes, open connections drain
+        (:meth:`_drain_connections`), ingestion stops and a final
+        checkpoint is written when configured.
         """
         self._stop_event = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -751,9 +764,11 @@ class ServeDaemon:
             on_ready(self)
         ingest_task = asyncio.create_task(self._ingest())
         try:
-            async with self._server:
-                await self._stop_event.wait()
+            await self._stop_event.wait()
         finally:
+            self._server.close()
+            await self._drain_connections()
+            await self._server.wait_closed()
             ingest_task.cancel()
             try:
                 await ingest_task
@@ -764,6 +779,23 @@ class ServeDaemon:
                     None, self._write_checkpoint
                 )
             print("[serve] stopped", flush=True)
+
+    async def _drain_connections(self) -> None:
+        """End SSE streams, close every client, await their handlers.
+
+        A handler still running when ``asyncio.run`` tears the loop
+        down is cancelled wherever it waits — possibly inside its own
+        ``writer.wait_closed()``, which Python 3.11's stream protocol
+        then logs as an error.  Closing the connections first lets
+        every handler finish on its own, within :data:`_DRAIN_GRACE`.
+        """
+        self.hub.close()
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections), timeout=_DRAIN_GRACE
+            )
 
     # -- ingestion -----------------------------------------------------------
 
@@ -903,6 +935,10 @@ class ServeDaemon:
     async def _handle_client(self, reader, writer) -> None:
         """One connection: serve requests until close (keep-alive)."""
         loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        # The done callback receives the task: forget it however it ends.
+        task.add_done_callback(self._connections.pop)
         try:
             while True:
                 request = await self._read_request(reader)
@@ -976,13 +1012,16 @@ class ServeDaemon:
             await writer.drain()
             while True:
                 try:
-                    event_id, payload = await asyncio.wait_for(
+                    event = await asyncio.wait_for(
                         queue.get(), timeout=self.config.sse_keepalive
                     )
                 except asyncio.TimeoutError:
                     writer.write(b": keepalive\n\n")
                     await writer.drain()
                     continue
+                if event is None:
+                    return  # the hub closed: daemon shutdown
+                event_id, payload = event
                 writer.write(_sse_event(event_id, payload))
                 await writer.drain()
         finally:

@@ -20,7 +20,6 @@
 from repro.core.classifier import ConflictClass, classify_conflict, classify_pair
 from repro.core.detector import (
     DailyConflict,
-    columnar_scan_enabled,
     detect_day,
     detect_day_columns,
     detect_snapshot,
@@ -38,7 +37,6 @@ from repro.core.stats import (
     prefix_length_distribution,
     yearly_medians,
 )
-from repro.core.validator import ConflictValidator, ValidatorConfig
 from repro.core.verdict import Verdict, VerdictConfig, VerdictEngine
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "classify_conflict",
     "classify_pair",
     "DailyConflict",
-    "columnar_scan_enabled",
     "detect_day",
     "detect_day_columns",
     "detect_snapshot",
@@ -60,8 +57,6 @@ __all__ = [
     "DaySnapshotAlerter",
     "MoasAlert",
     "StreamingMoasDetector",
-    "ConflictValidator",
-    "ValidatorConfig",
     "Verdict",
     "VerdictConfig",
     "VerdictEngine",

@@ -12,14 +12,14 @@ tables (e.g. parsed from MRT archives) and the sparse CDS day records,
 which carry per-peer origins for event-touched prefixes and imply the
 registry owner for the rest.
 
-CDS days scan in one of two equivalent forms: :func:`detect_day` over
-object :class:`~repro.scenario.archive.DayRecord` rows (the reference
-implementation) and :func:`detect_day_columns` over flat
-:class:`~repro.scenario.archive.DayColumns` batches — the production
-hot path, which works run-wise on whole-day arrays and only
+CDS days are scanned by :func:`detect_day_columns` over
+:class:`~repro.scenario.archive.DayColumns` batches — the one
+production scan, which works run-wise on whole-day arrays and only
 materializes per-row structures for prefixes that actually conflict.
-The two are differentially tested to produce identical output;
-``REPRO_OBJECT_SCAN=1`` forces the object path everywhere.
+:func:`detect_day` over object :class:`~repro.scenario.archive.DayRecord`
+rows is the reference implementation: the property suites and the
+detect benchmark compare the columnar scan against it, and it is the
+path for the rare day whose rows repeat a prefix id across runs.
 
 All detectors take an optional :class:`~repro.netbase.sharding.ShardSpec`
 that restricts the scan to one slice of the prefix space.  Per-shard
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import datetime
 import operator
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -217,38 +216,14 @@ def detect_day(
     )
 
 
-def columnar_scan_enabled() -> bool:
-    """Whether the analysis layers should scan columnar day batches.
-
-    On by default; set ``REPRO_OBJECT_SCAN=1`` to force the object-row
-    path everywhere (the escape hatch the differential suites use to
-    time and cross-check the two implementations).
-    """
-    return os.environ.get("REPRO_OBJECT_SCAN", "").lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-#: Per-reader caches of run key -> (prefix sort key, DailyConflict),
-#: used by the flat-columns scan.  On a v2 store a conflicting run is
-#: one interned row group that recurs day after day while its event is
-#: live; its conflict record is identical every such day, so it is
-#: built once — sort key and all — and reused (conflict-heavy days
-#: cost O(runs), not O(rows)).  Keyed weakly so dropping a reader
-#: drops its cache.
-_CONFLICT_TEMPLATES: "weakref.WeakKeyDictionary[ArchiveReader, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
 #: Per-reader caches of whole-group scan outcomes, used by the segment
 #: scan.  An interned row group's conflicts are a pure function of its
 #: rows and the reader's registry masks, independent of which day
 #: references it — except for the ``pid >= alive`` liveness filter, so
 #: each entry records the minimum alive count it is valid for:
 #: ``group_id`` (or ``(group_id, shard)``) -> ``(min_alive, pairs)``.
-#: In the steady state a day scan is one dict hit per group.
+#: In the steady state a day scan is one dict hit per group.  Flat
+#: columns have no group identity and never enter the cache.
 _GROUP_OUTCOMES: "weakref.WeakKeyDictionary[ArchiveReader, dict]" = (
     weakref.WeakKeyDictionary()
 )
@@ -271,21 +246,33 @@ def detect_day_columns(
     scan outcome (usually "no conflicts") cached per reader, so a
     group that recurs across days is scanned exactly once.  On a v2
     store the scan walks the decoder's zero-copy per-group segments
-    directly, so the flat concatenated columns are never even built.
+    directly, so the flat concatenated columns are never even built;
+    flat columns (v1 stores, eagerly built or already-materialized
+    batches) go through the same loop as one uncached segment.
 
     Output is identical to ``detect_day(columns.to_record(), ...)`` for
     every input; the rare day whose rows are not grouped by prefix
-    (duplicate prefix ids across non-adjacent runs — legal in the
-    format, never produced by our writer) falls back to the object path
-    wholesale to keep that guarantee.
+    (duplicate prefix ids across non-adjacent runs — legal in both
+    formats, never produced by our writer) falls back to the object
+    path wholesale to keep that guarantee.
     """
     alive = columns.alive_count
     scanned_profile, as_set_profile = reader.shard_profile(shard)
     segments = columns.segments
-    if segments is not None:
-        pairs = _scan_segments(segments, reader, shard, alive)
-    else:
-        pairs = _scan_flat(columns, reader, shard, alive)
+    if segments is None:
+        segments = [
+            (
+                None,
+                (
+                    columns.prefix_ids,
+                    columns.peer_asns,
+                    columns.origins,
+                    columns.path_ids,
+                ),
+                (columns.run_starts, columns.run_pids, columns.run_single),
+            )
+        ]
+    pairs = _scan_segments(segments, reader, shard, alive)
     if pairs is None:
         # A prefix's rows span non-adjacent runs; the run-wise scan
         # would see partial origin sets (two individually single-origin
@@ -311,14 +298,16 @@ def _scan_segments(
     shard: ShardSpec | None,
     alive: int,
 ) -> list[tuple] | None:
-    """Run-wise scan over zero-copy v2 segments; ``None`` -> fallback.
+    """Run-wise scan over ``(group_id, columns, runs)`` segments.
 
     Each segment is one interned row group scanned in place with local
     indices, so no per-day concatenation or rebasing happens at all —
     and each group's scan outcome is cached on the reader (see
     :data:`_GROUP_OUTCOMES`), so a group that recurs across days is
-    scanned once and thereafter costs one dict hit.  Returns
-    ``(prefix sort key, conflict)`` pairs, unsorted.
+    scanned once and thereafter costs one dict hit.  A segment whose
+    ``group_id`` is ``None`` (flat columns) is scanned every time.
+    Returns ``(prefix sort key, conflict)`` pairs, unsorted, or
+    ``None`` when a prefix id repeats across runs (object fallback).
     """
     total_runs = 0
     pids: set[int] = set()
@@ -341,16 +330,19 @@ def _scan_segments(
     path_of = None
     for segment in segments:
         group_id = segment[0]
-        key = group_id if shard is None else (group_id, shard)
-        entry = get_outcome(key)
-        if entry is not None and alive >= entry[0]:
-            pairs.extend(entry[1])
-            continue
+        key = None
+        if group_id is not None:
+            key = group_id if shard is None else (group_id, shard)
+            entry = get_outcome(key)
+            if entry is not None and alive >= entry[0]:
+                pairs.extend(entry[1])
+                continue
         g_starts, g_pids, g_single = segment[2]
         if 0 not in g_single:
             # Every run is single-origin: conflict-free at any alive
             # count, since the liveness filter can only remove runs.
-            outcomes[key] = (0, ())
+            if key is not None:
+                outcomes[key] = (0, ())
             continue
         g_origin = segment[1][2]
         g_path = segment[1][3]
@@ -394,75 +386,9 @@ def _scan_segments(
             group_pairs.append(
                 (prefix.sort_key(), _conflict(prefix, origin_paths))
             )
-        if not filtered:
+        if key is not None and not filtered:
             outcomes[key] = (max_pid + 1, tuple(group_pairs))
         pairs.extend(group_pairs)
-    return pairs
-
-
-def _scan_flat(
-    columns: DayColumns,
-    reader: ArchiveReader,
-    shard: ShardSpec | None,
-    alive: int,
-) -> list[tuple] | None:
-    """Run-wise scan over flat columns; ``None`` -> object fallback.
-
-    The materialized-columns twin of :func:`_scan_segments`, used for
-    v1 stores and eagerly built :class:`DayColumns`.
-    """
-    run_pids = columns.run_pids
-    num_runs = len(run_pids)
-    pairs: list[tuple] = []
-    if not num_runs:
-        return pairs
-    if len(set(run_pids)) != num_runs:
-        return None
-    if 0 not in columns.run_single:
-        return pairs
-    as_set = reader.as_set_mask()
-    in_shard = reader.shard_mask(shard)
-    registry = reader.registry
-    path_of = reader.path
-    run_starts = columns.run_starts
-    run_single = columns.run_single
-    run_keys = columns.run_keys
-    origins = columns.origins
-    path_ids = columns.path_ids
-    num_rows = len(origins)
-    templates = _CONFLICT_TEMPLATES.get(reader)
-    if templates is None:
-        templates = _CONFLICT_TEMPLATES[reader] = {}
-    for run in range(num_runs):
-        if run_single[run]:
-            continue
-        pid = run_pids[run]
-        if pid >= alive:
-            continue
-        if as_set[pid]:
-            continue  # already counted via the cumulative profile
-        if in_shard is not None and not in_shard[pid]:
-            continue
-        key = run_keys[run] if run_keys is not None else -1
-        if key >= 0:
-            cached = templates.get(key)
-            if cached is not None:
-                pairs.append(cached)
-                continue
-        start = run_starts[run]
-        stop = run_starts[run + 1] if run + 1 < num_runs else num_rows
-        origin_paths: dict[int, set[tuple[int, ...]]] = {}
-        for index in range(start, stop):
-            origin = origins[index]
-            bucket = origin_paths.get(origin)
-            if bucket is None:
-                origin_paths[origin] = bucket = set()
-            bucket.add(path_of(path_ids[index]))
-        prefix = registry[pid].prefix
-        entry = (prefix.sort_key(), _conflict(prefix, origin_paths))
-        if key >= 0:
-            templates[key] = entry
-        pairs.append(entry)
     return pairs
 
 

@@ -219,16 +219,16 @@ class DayColumns:
 
     ``run_single[r]`` is 1 when run ``r`` provably carries a single
     distinct origin (the detector's fast path skips it without looking
-    at the rows).  ``run_keys[r]`` is a reader-stable cache key for the
-    run (the v2 interned group id when the run is exactly one group) or
-    ``-1`` when the run has no stable identity; v1 stores carry no
-    interning, so their ``run_keys`` is ``None``.
+    at the rows).
 
     On a v2 store the flat columns are *lazy*: the decoder hands over
     zero-copy references to the per-group columns it already holds
     (``segments``), and the concatenated arrays materialize only if
     something actually reads them — the detector scans the segments in
-    place, so on the hot path nothing does.
+    place (caching each interned group's outcome), so on the hot path
+    nothing does.  Flat columns (v1 stores, eager construction, or a
+    batch whose segments were already materialized) carry no group
+    identity; the detector scans them as one uncached segment.
     """
 
     __slots__ = (
@@ -243,7 +243,6 @@ class DayColumns:
         "_run_starts",
         "_run_pids",
         "_run_single",
-        "_run_keys",
         "_segments",
     )
 
@@ -261,7 +260,6 @@ class DayColumns:
         run_starts: array | None = None,
         run_pids: array | None = None,
         run_single: bytearray | None = None,
-        run_keys: list[int] | None = None,
         segments: list[tuple] | None = None,
     ) -> None:
         self.day = day
@@ -277,14 +275,13 @@ class DayColumns:
             self._run_starts = run_starts
             self._run_pids = run_pids
             self._run_single = run_single
-            self._run_keys = run_keys
 
     def _materialize(self) -> None:
         """Flatten pending per-group segments into the flat columns."""
         segments = self._segments
         if len(segments) == 1:
             # Zero-copy: a one-group day *is* its group's columns.
-            group_id, (g_prefix, g_peer, g_origin, g_path), (
+            _group_id, (g_prefix, g_peer, g_origin, g_path), (
                 g_starts,
                 g_pids,
                 g_single,
@@ -296,9 +293,6 @@ class DayColumns:
             self._run_starts = g_starts
             self._run_pids = g_pids
             self._run_single = g_single
-            self._run_keys = (
-                [group_id] if len(g_pids) == 1 else [-1] * len(g_pids)
-            )
             self._segments = None
             return
         prefix_ids = array("I")
@@ -308,9 +302,8 @@ class DayColumns:
         run_starts = array("I")
         run_pids = array("I")
         run_single = bytearray()
-        run_keys: list[int] = []
         base = 0
-        for group_id, (g_prefix, g_peer, g_origin, g_path), (
+        for _group_id, (g_prefix, g_peer, g_origin, g_path), (
             g_starts,
             g_pids,
             g_single,
@@ -322,13 +315,6 @@ class DayColumns:
                 run_starts.extend(g_starts)
             run_pids.extend(g_pids)
             run_single.extend(g_single)
-            if len(g_pids) == 1:
-                # The common case: one interned group == one prefix run,
-                # so the group id is a stable identity for the run's
-                # row content across days (and readers of this store).
-                run_keys.append(group_id)
-            else:
-                run_keys.extend([-1] * len(g_pids))
             prefix_ids.extend(g_prefix)
             peer_asns.extend(g_peer)
             origins.extend(g_origin)
@@ -341,7 +327,6 @@ class DayColumns:
         self._run_starts = run_starts
         self._run_pids = run_pids
         self._run_single = run_single
-        self._run_keys = run_keys
         self._segments = None
 
     @property
@@ -385,12 +370,6 @@ class DayColumns:
         if self._segments is not None:
             self._materialize()
         return self._run_single
-
-    @property
-    def run_keys(self) -> list[int] | None:
-        if self._segments is not None:
-            self._materialize()
-        return self._run_keys
 
     @property
     def segments(self) -> list[tuple] | None:
@@ -1150,16 +1129,6 @@ class _V2DayStore:
         for ordinal in range(start, stop):
             yield self.decode_frame(ordinal)
 
-    def iter_days_at(
-        self, start_offset: int, stop_offset: int
-    ) -> Iterator[DayRecord]:
-        """Decode the frames whose offsets lie in ``[start, stop)``."""
-        first = bisect.bisect_left(self.offsets, start_offset)
-        for ordinal in range(first, self.num_days):
-            if self.offsets[ordinal] >= stop_offset:
-                return
-            yield self.decode_frame(ordinal)
-
     def iter_day_columns(
         self, start: int, stop: int | None
     ) -> Iterator[DayColumns]:
@@ -1170,7 +1139,7 @@ class _V2DayStore:
     def iter_day_columns_at(
         self, start_offset: int, stop_offset: int
     ) -> Iterator[DayColumns]:
-        """Columnar twin of :meth:`iter_days_at`."""
+        """Decode the frames whose offsets lie in ``[start, stop)``."""
         first = bisect.bisect_left(self.offsets, start_offset)
         for ordinal in range(first, self.num_days):
             if self.offsets[ordinal] >= stop_offset:
@@ -1188,7 +1157,7 @@ class ArchiveReader:
     """
 
     # "__weakref__" stays in the slot list: the detector's per-reader
-    # template/outcome caches key WeakKeyDictionaries by reader.
+    # outcome cache keys a WeakKeyDictionary by reader.
     __slots__ = (
         "directory",
         "manifest",
@@ -1372,7 +1341,6 @@ class ArchiveReader:
             run_starts=run_starts,
             run_pids=run_pids,
             run_single=run_single,
-            run_keys=None,  # v1 has no interned groups to key on
         )
 
     def _iter_days_v1(
@@ -1433,26 +1401,16 @@ class ArchiveReader:
                     ),
                 )
 
-    def iter_days_at(
-        self, start_offset: int, stop_offset: int
-    ) -> Iterator[DayRecord]:
-        """Decode the v2 frames in byte range ``[start, stop)``.
-
-        The offset-range flavor of :meth:`iter_days`, consumed by the
-        parallel executor's work units (offsets come from
-        :func:`read_day_index`).  v1 stores have no byte index —
-        :class:`ArchiveError`.
-        """
-        if self._v2 is None:
-            raise ArchiveError(
-                "byte-offset iteration requires a v2 day store"
-            )
-        return self._v2.iter_days_at(start_offset, stop_offset)
-
     def iter_day_columns_at(
         self, start_offset: int, stop_offset: int
     ) -> Iterator[DayColumns]:
-        """Columnar twin of :meth:`iter_days_at` (v2 stores only)."""
+        """Decode the v2 frames in byte range ``[start, stop)``.
+
+        The offset-range flavor of :meth:`iter_day_columns`, consumed
+        by the parallel executor's work units (offsets come from
+        :func:`read_day_index`).  v1 stores have no byte index —
+        :class:`ArchiveError`.
+        """
         if self._v2 is None:
             raise ArchiveError(
                 "byte-offset iteration requires a v2 day store"

@@ -501,7 +501,7 @@ _SLOTS_EXEMPT_BASES = {
     "TypedDict",
 }
 
-_DEFAULT_HOT_FUNCTIONS = ("_scan_segments", "_scan_flat", "detect_day_columns")
+_DEFAULT_HOT_FUNCTIONS = ("_scan_segments", "detect_day_columns")
 
 
 def _base_name(node: ast.expr) -> str | None:

@@ -21,6 +21,7 @@ from repro.analysis.pipeline import StudyPipeline
 from repro.api.renderers import render
 from repro.api.service import MoasService
 from repro.api.sources import ArchiveSource
+from repro.core.detector import detect_day
 from repro.scenario.archive import ArchiveReader, convert_archive
 from repro.scenario.incidents import IncidentScript
 from repro.scenario.world import ScenarioConfig, simulate_study
@@ -119,26 +120,23 @@ class TestStudyResultsEquivalence:
 
 
 class TestScanPathEquivalence:
-    """The object-row reference scan is interchangeable with columnar.
+    """The object-row reference scan agrees with the columnar golden.
 
-    ``golden_results`` comes from the default (columnar) path; forcing
-    the ``REPRO_OBJECT_SCAN`` escape hatch must reproduce it exactly on
-    both formats at every layout — workers inherit the environment, so
-    the toggle reaches the parallel scan paths too.
+    ``golden_results`` comes from the production (columnar) scan; the
+    reference :func:`~repro.core.detector.detect_day` over
+    ``iter_days()``, folded serially, must reproduce it exactly on both
+    formats.
     """
 
-    @pytest.mark.parametrize("workers,shards", LAYOUTS)
     def test_object_path_matches_columnar_golden(
-        self, pipeline, archives, golden_results, workers, shards, monkeypatch
+        self, pipeline, archives, golden_results
     ):
-        monkeypatch.setenv("REPRO_OBJECT_SCAN", "1")
         for name in ("v1", "v2"):
+            reader = ArchiveReader(archives[name])
             results = pipeline.run(
-                ArchiveSource(archives[name]),
-                workers=workers,
-                shards=shards,
+                detect_day(record, reader) for record in reader.iter_days()
             )
-            assert results == golden_results
+            assert results == golden_results, name
 
 
 class TestVerdictAndEvaluationEquivalence:

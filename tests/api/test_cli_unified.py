@@ -103,43 +103,27 @@ class TestAnalyze:
         self, cli_archive, tmp_path, capsys
     ):
         """--profile appends the decode/detect/fold wall-clock table."""
+        plain_dir = tmp_path / "plain"
+        assert main(["analyze", str(cli_archive), str(plain_dir)]) == 0
+        capsys.readouterr()
         out_dir = tmp_path / "profiled"
         code = main(
             ["analyze", str(cli_archive), str(out_dir), "--profile"]
         )
         assert code == 0
         printed = capsys.readouterr().out
-        # The normal report still comes out in full...
+        # The normal report still comes out in full, unchanged...
         assert "MOAS study summary" in printed
         for name in ANALYSIS_FILES:
-            assert (out_dir / name).exists(), f"{name} missing"
+            assert (out_dir / name).read_bytes() == (
+                plain_dir / name
+            ).read_bytes(), f"{name} differs"
         # ...followed by the per-stage summary and cProfile hotspots.
         assert "profile: serial feed, columnar scan" in printed
         for stage in ("decode", "detect", "fold"):
             assert stage in printed
         assert "throughput:" in printed
         assert "cumulative" in printed  # the cProfile hotspot listing
-
-    def test_analyze_profile_object_scan_results_identical(
-        self, cli_archive, tmp_path, capsys, monkeypatch
-    ):
-        """The escape hatch profiles the object path, same figures."""
-        columnar_dir = tmp_path / "columnar"
-        assert (
-            main(["analyze", str(cli_archive), str(columnar_dir)]) == 0
-        )
-        capsys.readouterr()
-        monkeypatch.setenv("REPRO_OBJECT_SCAN", "1")
-        object_dir = tmp_path / "object"
-        code = main(
-            ["analyze", str(cli_archive), str(object_dir), "--profile"]
-        )
-        assert code == 0
-        assert "profile: serial feed, object scan" in capsys.readouterr().out
-        for name in ANALYSIS_FILES:
-            assert (object_dir / name).read_bytes() == (
-                columnar_dir / name
-            ).read_bytes(), f"{name} differs"
 
     def test_analyze_profile_requires_cds_archive(self, tmp_path, capsys):
         """--profile over an MRT directory fails with a clean message."""

@@ -9,8 +9,10 @@ header names.
 
 from __future__ import annotations
 
+import asyncio
 import datetime
 import json
+import logging
 import shutil
 import socket
 import threading
@@ -22,6 +24,7 @@ import pytest
 
 from repro.api.renderers import render
 from repro.api.serve import (
+    _DRAIN_GRACE,
     AlertHub,
     BackgroundServer,
     Response,
@@ -492,6 +495,77 @@ class TestServeIntegration:
                 url + "/v1/figure/summary?format=json"
             )
             assert status == 200
+
+
+def asyncio_errors(caplog) -> list[logging.LogRecord]:
+    """ERROR records the asyncio logger emitted during the test."""
+    return [
+        record
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+
+
+class TestShutdownDrain:
+    """``stop()`` drains open connections before the loop shuts down."""
+
+    def test_closing_client_is_not_cancelled_in_wait_closed(
+        self, serve_archive, monkeypatch, caplog
+    ):
+        """A handler still closing its writer finishes, unlogged."""
+        real_wait_closed = asyncio.StreamWriter.wait_closed
+
+        async def slow_wait_closed(writer):
+            await asyncio.sleep(0.5)
+            return await real_wait_closed(writer)
+
+        monkeypatch.setattr(
+            asyncio.StreamWriter, "wait_closed", slow_wait_closed
+        )
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        server = BackgroundServer(ServeConfig(archive=serve_archive, port=0))
+        url = server.start()
+        try:
+            status, _, body = http_get(url + "/healthz")
+        finally:
+            server.stop()
+        assert (status, body) == (200, b"ok\n")
+        assert not server._thread.is_alive()
+        assert asyncio_errors(caplog) == []
+
+    def test_idle_and_streaming_clients_do_not_delay_stop(
+        self, serve_archive, caplog
+    ):
+        """Keep-alive and SSE clients are closed, not waited out."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        server = BackgroundServer(ServeConfig(archive=serve_archive, port=0))
+        url = server.start()
+        host, port = url.replace("http://", "").split(":")
+        idle = socket.create_connection((host, int(port)), timeout=30)
+        stream = socket.create_connection((host, int(port)), timeout=30)
+        try:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 200")
+            stream.sendall(
+                b"GET /v1/alerts HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += stream.recv(65536)
+            assert b"text/event-stream" in head
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+            # Both connections were closed by the daemon.
+            assert idle.recv(65536) == b""
+            while stream.recv(65536):
+                pass
+        finally:
+            idle.close()
+            stream.close()
+        assert not server._thread.is_alive()
+        assert elapsed < _DRAIN_GRACE / 2
+        assert asyncio_errors(caplog) == []
 
 
 class TestEvaluationCache:

@@ -4,8 +4,9 @@ For any randomly generated world — empty days, single-peer days,
 AS_SET-flagged registries, conflicting origins, both archive formats —
 the columnar decode must reproduce the object rows exactly and
 :func:`detect_day_columns` must agree with :func:`detect_day` on every
-shard of every scheme.  Unsorted same-prefix rows (which v2 interns as
-duplicate-pid groups) must take the object fallback and still agree.
+shard of every scheme, whether it scans v2 segments or flat columns.
+Unsorted same-prefix rows (which v2 interns as duplicate-pid groups)
+must take the object fallback and still agree.
 The study-level twin of this guarantee (StudyResults across
 workers x shards layouts) lives in
 ``tests/analysis/test_format_equivalence.py``.
@@ -16,7 +17,11 @@ import datetime
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.detector import detect_day, detect_day_columns
+from repro.core.detector import (
+    _GROUP_OUTCOMES,
+    detect_day,
+    detect_day_columns,
+)
 from repro.netbase.prefix import Prefix
 from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import (
@@ -172,7 +177,12 @@ def test_columnar_decode_equals_rows(tmp_path_factory, path_pool, day_specs):
 def test_columnar_detect_equals_object(
     tmp_path_factory, path_pool, day_specs, as_set
 ):
-    """detect_day_columns == detect_day on every shard of every scheme."""
+    """detect_day_columns == detect_day on every shard of every scheme.
+
+    Each layout is scanned three times: twice as decoded (the second
+    pass hits the v2 outcome cache) and once with every batch's flat
+    view read first, so the scan gets flat columns on v2 too.
+    """
     base = tmp_path_factory.mktemp("prop-detect")
     for format in ("v1", "v2"):
         records = build(base / format, format, path_pool, day_specs, as_set)
@@ -187,6 +197,12 @@ def test_columnar_detect_equals_object(
                     for columns in reader.iter_day_columns()
                 ]
                 assert detections == expected, (format, shard, repeat)
+            flat = []
+            for columns in reader.iter_day_columns():
+                assert len(columns.prefix_ids) == columns.num_rows
+                assert columns.segments is None
+                flat.append(detect_day_columns(columns, reader, shard))
+            assert flat == expected, (format, shard, "flat")
 
 
 @settings(
@@ -215,6 +231,41 @@ def test_unsorted_rows_fall_back_and_agree(
         assert detections == [
             detect_day(record, reader) for record in records
         ]
+
+
+def test_only_interned_groups_enter_the_outcome_cache(tmp_path):
+    """Flat columns are scanned uncached; v2 segments fill the cache.
+
+    Flat columns have no group identity, so a cache entry stored for
+    them would answer every later flat day of the reader from one
+    stale day's conflicts.
+    """
+    path_pool = [(701, 100), (1239, 200), (701, 300)]
+    day_specs = (
+        [
+            ((701, 1239), [(0, 701, 100, 0), (0, 1239, 200, 1)]),
+            ((701, 1239), [(1, 701, 300, 2), (1, 1239, 200, 1)]),
+            ((701,), [(2, 701, 300, 2)]),
+        ],
+        True,
+    )
+    for format in ("v1", "v2"):
+        records = build(tmp_path / format, format, path_pool, day_specs)
+        for flat_first in (False, True):
+            reader = ArchiveReader(tmp_path / format)
+            detections = []
+            for columns in reader.iter_day_columns():
+                if flat_first:
+                    assert len(columns.prefix_ids) == columns.num_rows
+                detections.append(detect_day_columns(columns, reader))
+            assert detections == [
+                detect_day(record, reader) for record in records
+            ], (format, flat_first)
+            outcomes = _GROUP_OUTCOMES.get(reader)
+            if format == "v2" and not flat_first:
+                assert outcomes and None not in outcomes
+            else:
+                assert not outcomes, (format, flat_first)
 
 
 def test_max_length_path_survives_columnar_detect(tmp_path):
@@ -321,8 +372,8 @@ def test_eager_columns_detect_like_reader_columns(tmp_path):
     """Hand-built eager ``DayColumns`` scan identically to decoded ones.
 
     The eager constructor is the v1 decode shape (flat arrays, no
-    segments, no run keys); building one by hand pins the constructor
-    contract the scan relies on.
+    segments); building one by hand pins the constructor contract the
+    scan relies on.
     """
     from array import array
 

@@ -188,14 +188,18 @@ class TestWriterReaderV2:
         reader = ArchiveReader(tmp_path / "v2")
         assert reader.day_offsets() == tuple(offsets)
         bounds = offsets + [frames_end]
-        assert list(reader.iter_days_at(bounds[1], bounds[3])) == days[1:3]
-        assert list(reader.iter_days_at(bounds[0], bounds[1])) == days[:1]
+        for start, stop, expected in (
+            (1, 3, days[1:3]),
+            (0, 1, days[:1]),
+        ):
+            batches = reader.iter_day_columns_at(bounds[start], bounds[stop])
+            assert [columns.to_record() for columns in batches] == expected
 
     def test_byte_iteration_rejected_on_v1(self, tmp_path):
         build_archive(tmp_path / "v1", "v1")
         reader = ArchiveReader(tmp_path / "v1")
         with pytest.raises(ArchiveError, match="v2"):
-            reader.iter_days_at(0, 100)
+            reader.iter_day_columns_at(0, 100)
         with pytest.raises(ArchiveError, match="v2"):
             reader.day_offsets()
         with pytest.raises(ArchiveError, match="v2"):
