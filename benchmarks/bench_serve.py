@@ -2,8 +2,12 @@
 
 Boots the serve daemon over a canned-incident world, holds it in its
 ingestion phase (throttled fold loop), and drives N concurrent clients
-through the figure endpoints — the paper-repro equivalent of a
-monitoring dashboard fan-out hitting a feed that is still ingesting.
+through the figure endpoints and the per-prefix history, episode and
+verdict routes — the paper-repro equivalent of a monitoring dashboard
+fan-out hitting a feed that is still ingesting.  The history and
+episode requests name a prefix that conflicts on the archive's first
+day, and the clients start once the daemon has folded that day, so
+every request has an answer.
 
 Gates (env-tunable; generous defaults so CI variance never flakes,
 order-of-magnitude regressions always fail):
@@ -26,9 +30,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import closing
 from pathlib import Path
 
 from repro.api.serve import BackgroundServer, ServeConfig
+from repro.api.sources import open_source
 from repro.scenario.incidents import IncidentScript
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
@@ -48,7 +54,8 @@ CALENDAR = StudyCalendar(
     datetime.date(1997, 11, 8), datetime.date(1998, 2, 15)
 )  # 100 days
 
-#: The request mix: every response format, light and heavy figures.
+#: The request mix: every response format, light and heavy figures;
+#: :func:`prefix_targets` adds the routes that name a prefix.
 TARGETS = (
     "/v1/figure/figure1?format=csv",
     "/v1/figure/figure2?format=ascii",
@@ -56,6 +63,15 @@ TARGETS = (
     "/v1/figure/episodes?format=json",
     "/v1/status",
 )
+
+
+def prefix_targets(prefix) -> tuple[str, ...]:
+    """The history, episode and verdict requests of the mix."""
+    return (
+        f"/v1/history/{prefix}",
+        f"/v1/episodes/{prefix}",
+        "/v1/verdicts?min_suspicion=0.6",
+    )
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
@@ -80,6 +96,9 @@ def test_serve_latency_under_concurrent_load(tmp_path_factory):
             incidents=IncidentScript.canned(CALENDAR.num_days),
         ),
     )
+    with closing(open_source(directory).detections()) as detections:
+        prefix = next(detections).conflicts[0].prefix
+    targets = TARGETS + prefix_targets(prefix)
 
     # Pace ingestion so the measurement window overlaps live folding:
     # 100 days spread across the whole run keeps the daemon in its
@@ -97,7 +116,7 @@ def test_serve_latency_under_concurrent_load(tmp_path_factory):
     def client(index: int, url: str) -> None:
         count = 0
         while not stop.is_set():
-            target = TARGETS[(index + count) % len(TARGETS)]
+            target = targets[(index + count) % len(targets)]
             count += 1
             started = time.perf_counter()
             try:
@@ -124,6 +143,13 @@ def test_serve_latency_under_concurrent_load(tmp_path_factory):
                     failures.append(f"{target}: HTTP {status}")
 
     with BackgroundServer(config) as url:
+        while True:
+            with urllib.request.urlopen(
+                url + "/v1/status", timeout=30
+            ) as response:
+                if json.loads(response.read())["days_fed"] >= 1:
+                    break
+            time.sleep(0.005)
         threads = [
             threading.Thread(target=client, args=(index, url))
             for index in range(CLIENTS)

@@ -55,7 +55,7 @@ from __future__ import annotations
 import datetime
 import struct
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -194,7 +194,8 @@ class EpisodeIndex:
     """The prefix→episode-history store (in memory or on disk).
 
     Build one from fold outputs (:meth:`build` /
-    :meth:`from_records`), persist with :meth:`save`, reopen with
+    :meth:`from_records`), derive a later fold's from it
+    (:meth:`rederived`), persist with :meth:`save`, reopen with
     :meth:`load`.  Storage is columnar: parallel per-record columns
     sorted by ``Prefix.sort_key()``, so :meth:`lookup` is a bisect and
     :meth:`active_count` is two bisects — never a scan.
@@ -255,39 +256,19 @@ class EpisodeIndex:
         sorted input is what makes every lookup a bisect.
         """
         index = cls(days_indexed=days_indexed, last_day=last_day)
+        columns = index._record_columns()
         previous = -1
         for record in records:
-            prefix = record.prefix
-            key = (prefix.network << 6) | prefix.length
+            row = _row(record)
+            key = row[0]
             if key <= previous:
                 raise ValueError(
                     f"index records must be sorted by prefix with no "
-                    f"duplicates; {prefix} is out of order"
+                    f"duplicates; {record.prefix} is out of order"
                 )
             previous = key
-            index._keys.append(key)
-            index._first_ords.append(record.first_day.toordinal())
-            index._last_ords.append(record.last_day.toordinal())
-            index._days_observed.append(record.days_observed)
-            index._widths.append(record.max_origins_single_day)
-            index._origin_sets.append(tuple(record.origins))
-            flags = _FLAG_ONGOING if record.ongoing else 0
-            if record.rpki_state is not None:
-                flags |= _FLAG_RPKI
-            index._rpki_states.append(record.rpki_state)
-            if record.verdict_kind is not None:
-                flags |= _FLAG_VERDICT
-                index._verdicts.append(
-                    (
-                        record.verdict_kind,
-                        tuple(record.verdict_tags),
-                        tuple(record.perpetrators),
-                        record.suspicion,
-                    )
-                )
-            else:
-                index._verdicts.append(None)
-            index._flags.append(flags)
+            for column, value in zip(columns, row):
+                column.append(value)
         index._finish()
         return index
 
@@ -303,52 +284,68 @@ class EpisodeIndex:
         a verdict index fine — the verdict slice is just absent.
         """
         verdicts = verdicts or {}
-        rpki_states = results.rpki_episode_states
-        last_day = (
-            results.daily_series[-1][0] if results.daily_series else None
+        return cls.from_records(
+            (
+                _index_record(results, verdicts, prefix)
+                for prefix in sorted(
+                    results.episodes, key=lambda p: p.sort_key()
+                )
+            ),
+            days_indexed=results.total_days,
+            last_day=_last_day(results),
         )
 
-        def records() -> Iterator[IndexRecord]:
-            for prefix in sorted(
-                results.episodes, key=lambda p: p.sort_key()
-            ):
-                episode = results.episodes[prefix]
-                verdict = verdicts.get(prefix)
-                yield IndexRecord(
-                    prefix=prefix,
-                    first_day=episode.first_day,
-                    last_day=episode.last_day,
-                    days_observed=episode.days_observed,
-                    origins=tuple(sorted(episode.origins_ever)),
-                    max_origins_single_day=(
-                        episode.max_origins_single_day
-                    ),
-                    ongoing=episode.ongoing,
-                    rpki_state=rpki_states.get(prefix),
-                    verdict_kind=(
-                        verdict.kind if verdict is not None else None
-                    ),
-                    verdict_tags=(
-                        tuple(sorted(verdict.tags))
-                        if verdict is not None
-                        else ()
-                    ),
-                    suspicion=(
-                        verdict.suspicion
-                        if verdict is not None
-                        else None
-                    ),
-                    perpetrators=(
-                        tuple(sorted(verdict.perpetrators))
-                        if verdict is not None
-                        else ()
-                    ),
-                )
+    def rederived(
+        self, results, verdicts: dict, prefixes: Iterable[Prefix]
+    ) -> "EpisodeIndex":
+        """A new index: this one with ``prefixes`` indexed afresh.
 
-        return cls.from_records(
-            records(),
-            days_indexed=results.total_days,
-            last_day=last_day,
+        ``results`` and ``verdicts`` are what :meth:`build` would take
+        for the new index, and ``prefixes`` must name every episode
+        whose record differs from this index's: a changed record
+        replaces its row, a new one is inserted, each found by a bisect
+        into the key column and the sorted first/last-day columns.
+        The columns are copied first, so this index is never mutated
+        and a reader still holding it keeps a consistent view.  The
+        result equals :meth:`build` over the same inputs.
+        """
+        index = EpisodeIndex(
+            days_indexed=results.total_days, last_day=_last_day(results)
+        )
+        columns = index._record_columns()
+        for column, source in zip(columns, self._record_columns()):
+            column.extend(source)
+        keys = index._keys
+        firsts = index._sorted_firsts = list(self._sorted_firsts)
+        lasts = index._sorted_lasts = list(self._sorted_lasts)
+        for prefix in sorted(prefixes, key=lambda p: p.sort_key()):
+            row = _row(_index_record(results, verdicts, prefix))
+            key = row[0]
+            position = bisect_left(keys, key)
+            if position < len(keys) and keys[position] == key:
+                del firsts[bisect_left(firsts, index._first_ords[position])]
+                del lasts[bisect_left(lasts, index._last_ords[position])]
+                for column, value in zip(columns, row):
+                    column[position] = value
+            else:
+                for column, value in zip(columns, row):
+                    column.insert(position, value)
+            insort(firsts, row[1])
+            insort(lasts, row[2])
+        return index
+
+    def _record_columns(self) -> tuple[list, ...]:
+        """The per-record columns, in :func:`_row` order."""
+        return (
+            self._keys,
+            self._first_ords,
+            self._last_ords,
+            self._days_observed,
+            self._widths,
+            self._origin_sets,
+            self._flags,
+            self._rpki_states,
+            self._verdicts,
         )
 
     def _finish(self) -> None:
@@ -784,6 +781,94 @@ class EpisodeIndex:
                 "episode index has unframed bytes before the trailer"
             )
         return index
+
+
+def _last_day(results) -> datetime.date | None:
+    """The last day a fold's results cover, or ``None`` before any."""
+    return results.daily_series[-1][0] if results.daily_series else None
+
+
+def _index_record(results, verdicts: dict, prefix: Prefix) -> IndexRecord:
+    """One episode of ``results`` with its RPKI rollup and verdict."""
+    episode = results.episodes[prefix]
+    verdict = verdicts.get(prefix)
+    return IndexRecord(
+        prefix=prefix,
+        first_day=episode.first_day,
+        last_day=episode.last_day,
+        days_observed=episode.days_observed,
+        origins=tuple(sorted(episode.origins_ever)),
+        max_origins_single_day=episode.max_origins_single_day,
+        ongoing=episode.ongoing,
+        rpki_state=results.rpki_episode_states.get(prefix),
+        verdict_kind=verdict.kind if verdict is not None else None,
+        verdict_tags=(
+            tuple(sorted(verdict.tags)) if verdict is not None else ()
+        ),
+        suspicion=verdict.suspicion if verdict is not None else None,
+        perpetrators=(
+            tuple(sorted(verdict.perpetrators))
+            if verdict is not None
+            else ()
+        ),
+    )
+
+
+def changed_prefixes(
+    old_results, old_verdicts: dict, results, verdicts: dict
+) -> list[Prefix] | None:
+    """Episodes whose record may differ between two build inputs.
+
+    A record derives from its prefix's episode, verdict and RPKI
+    rollup, all immutable, so a prefix whose three are the very objects
+    the old inputs held has an unchanged record, and
+    :meth:`EpisodeIndex.rederived` can skip it.  Returns ``None`` when
+    an episode of the old inputs is gone, which no fold produces.
+    """
+    old_episodes = old_results.episodes
+    old_states = old_results.rpki_episode_states
+    states = results.rpki_episode_states
+    changed = []
+    added = 0
+    for prefix, episode in results.episodes.items():
+        if (
+            episode is not old_episodes.get(prefix)
+            or verdicts.get(prefix) is not old_verdicts.get(prefix)
+            or states.get(prefix) is not old_states.get(prefix)
+        ):
+            changed.append(prefix)
+            added += prefix not in old_episodes
+    if len(results.episodes) != len(old_episodes) + added:
+        return None
+    return changed
+
+
+def _row(record: IndexRecord) -> tuple:
+    """A record's value in each of :meth:`EpisodeIndex._record_columns`."""
+    prefix = record.prefix
+    flags = _FLAG_ONGOING if record.ongoing else 0
+    if record.rpki_state is not None:
+        flags |= _FLAG_RPKI
+    verdict = None
+    if record.verdict_kind is not None:
+        flags |= _FLAG_VERDICT
+        verdict = (
+            record.verdict_kind,
+            tuple(record.verdict_tags),
+            tuple(record.perpetrators),
+            record.suspicion,
+        )
+    return (
+        (prefix.network << 6) | prefix.length,
+        record.first_day.toordinal(),
+        record.last_day.toordinal(),
+        record.days_observed,
+        record.max_origins_single_day,
+        tuple(record.origins),
+        flags,
+        record.rpki_state,
+        verdict,
+    )
 
 
 def _append_frame(out: bytearray, body: bytes | bytearray) -> None:

@@ -48,8 +48,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +76,14 @@ _CONTENT_TYPES = {
 #: Seconds a stopping daemon waits for its open connections to close
 #: before cancelling the handlers still running.
 _DRAIN_GRACE = 5.0
+
+#: Seconds a client has to send one request's line and all its header
+#: lines, together: a client dribbling header lines cannot hold a
+#: connection open past it.
+_HEAD_DEADLINE = 30.0
+
+#: Header lines one request may carry, repeated names included.
+_MAX_HEADER_LINES = 128
 
 _REASONS = {
     200: "OK",
@@ -276,6 +286,8 @@ class _Snapshot:
     "_verdict_cache",
     "_evaluation_cache",
     "_index_cache",
+    "_verdict_fragments",
+    "_verdict_order",
 )
 class ServeApp:
     """The daemon's synchronous core: shared state + request routing.
@@ -307,7 +319,14 @@ class ServeApp:
         self._snapshot_cache: _Snapshot | None = None
         self._verdict_cache: tuple[int, dict] | None = None
         self._evaluation_cache: tuple[int, object] | None = None
-        self._index_cache: tuple[int, object] | None = None
+        #: ``(days, index, results, verdicts)``: the index and the
+        #: snapshot results and verdicts it was built from.
+        self._index_cache: tuple | None = None
+        #: ``/v1/verdicts`` rows: prefix -> ``(verdict, its JSON
+        #: fragment)``, and ``(verdict dict, its prefixes sorted, the
+        #: same prefixes as a set)`` for the last verdict dict served.
+        self._verdict_fragments: dict = {}
+        self._verdict_order: tuple | None = None
         self._registry = None
         self._injected: list = []
         self._organic: list = []
@@ -427,25 +446,41 @@ class ServeApp:
     def current_index(self):
         """``(snapshot, EpisodeIndex)`` pinned to one day boundary.
 
-        The index is rebuilt (and cached) per day count under the app
+        The index is derived (and cached) per day count under the app
         lock, from the same snapshot/verdict view every other reader
         sees — so ``/v1/episodes`` and ``/v1/history`` answers are
         byte-identical to a batch ``analyze --index`` + ``repro
         query`` run stopped at that day.
+
+        A new day's index is the previous one with only the records
+        whose episode, verdict or RPKI rollup is a different object
+        than before re-derived (:meth:`EpisodeIndex.rederived`).  The
+        fold's episode and verdict memos keep an untouched prefix's
+        objects identical, so that is about the prefixes the last
+        folds fed.  With no previous index, or when most records
+        changed (a sharded session rebuilds every episode object on
+        each merge), the index is built cold.
         """
-        from repro.analysis.index import EpisodeIndex
+        from repro.analysis.index import EpisodeIndex, changed_prefixes
 
         with self._lock:
             snapshot = self.current()
             cache = self._index_cache
             if cache is None or cache[0] != snapshot.days:
                 _days, verdicts = self.current_verdicts()
-                cache = (
-                    snapshot.days,
-                    EpisodeIndex.build(
-                        snapshot.results, verdicts=verdicts
-                    ),
-                )
+                results = snapshot.results
+                changed = None
+                if cache is not None:
+                    changed = changed_prefixes(
+                        cache[2], cache[3], results, verdicts
+                    )
+                if changed is None or 2 * len(changed) > len(
+                    results.episodes
+                ):
+                    index = EpisodeIndex.build(results, verdicts=verdicts)
+                else:
+                    index = cache[1].rederived(results, verdicts, changed)
+                cache = (snapshot.days, index, results, verdicts)
                 self._index_cache = cache
             return snapshot, cache[1]
 
@@ -641,30 +676,72 @@ class ServeApp:
         )
 
     def _handle_verdicts(self, query: dict) -> Response:
-        days, verdicts = self.current_verdicts()
         min_suspicion = 0.0
         if "min_suspicion" in query:
             try:
                 min_suspicion = float(query["min_suspicion"])
             except ValueError:
+                min_suspicion = math.nan
+            if math.isnan(min_suspicion):
                 return Response.error(
                     400,
                     f"min_suspicion must be a float, got "
                     f"{query['min_suspicion']!r}",
                 )
         kind = query.get("kind")
-        rows = [
-            verdict.to_dict()
-            for prefix, verdict in sorted(
-                verdicts.items(), key=lambda item: item[0].sort_key()
-            )
-            if verdict.suspicion >= min_suspicion
-            and (kind is None or verdict.kind == kind)
-        ]
-        return Response.json(
-            {"days_fed": days, "count": len(rows), "verdicts": rows},
+        rows = []
+        with self._lock:
+            days, verdicts = self.current_verdicts()
+            fragments = self._verdict_fragments
+            for prefix in self._sorted_prefixes(verdicts):
+                verdict = verdicts[prefix]
+                if verdict.suspicion < min_suspicion or (
+                    kind is not None and verdict.kind != kind
+                ):
+                    continue
+                entry = fragments.get(prefix)
+                if entry is None or entry[0] is not verdict:
+                    # verdict.to_dict() as Response.json nests it in
+                    # the "verdicts" list, two levels deep.
+                    entry = fragments[prefix] = (
+                        verdict,
+                        "    "
+                        + json.dumps(verdict.to_dict(), indent=2).replace(
+                            "\n", "\n    "
+                        ),
+                    )
+                rows.append(entry[1])
+        # Byte-identical to Response.json over the row dicts.
+        listing = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        body = (
+            f'{{\n  "days_fed": {days},\n  "count": {len(rows)},\n'
+            f'  "verdicts": {listing}\n}}\n'
+        )
+        return Response.text(
+            body,
+            content_type="application/json",
             headers={"X-Repro-Days": str(days)},
         )
+
+    def _sorted_prefixes(self, verdicts: dict) -> list:
+        """The prefixes of ``verdicts`` in ``sort_key()`` order.
+
+        Kept from one verdict dict to the next: only prefixes new to
+        the engine are inserted.
+        """
+        with self._lock:
+            cached = self._verdict_order
+            if cached is not None and cached[0] is verdicts:
+                return cached[1]
+            order, known = ([], set()) if cached is None else cached[1:]
+            added = [prefix for prefix in verdicts if prefix not in known]
+            if len(known) + len(added) != len(verdicts):
+                order, known, added = [], set(), list(verdicts)
+            for prefix in added:
+                insort(order, prefix)
+                known.add(prefix)
+            self._verdict_order = (verdicts, order, known)
+            return order
 
     def _handle_evaluation(self, query: dict) -> Response:
         format = query.get("format", "json")
@@ -904,32 +981,38 @@ class ServeDaemon:
     # -- connection handling -------------------------------------------------
 
     async def _read_request(self, reader):
+        """One request head: ``(method, target, headers)``, or None.
+
+        ``None`` means close the connection: the client hung up, sent
+        an over-long line, or took longer than :data:`_HEAD_DEADLINE`
+        for the request line and its headers together.  A malformed
+        head, or one with more than :data:`_MAX_HEADER_LINES` header
+        lines, comes back with an empty method (a 400).
+        """
         try:
-            line = await asyncio.wait_for(reader.readline(), timeout=30)
-        except (asyncio.TimeoutError, ValueError):
+            async with asyncio.timeout(_HEAD_DEADLINE):
+                line = await reader.readline()
+                if not line:
+                    return None
+                parts = line.decode("latin-1", "replace").split()
+                if len(parts) != 3:
+                    return ("", "", {})  # malformed -> 400 from the caller
+                method, target, _version = parts
+                headers: dict[str, str] = {}
+                lines = 0
+                while True:
+                    raw = await reader.readline()
+                    if raw in (b"\r\n", b"\n", b""):
+                        break
+                    lines += 1
+                    if lines > _MAX_HEADER_LINES:
+                        return ("", "", {})
+                    name, _, value = raw.decode(
+                        "latin-1", "replace"
+                    ).partition(":")
+                    headers[name.strip().lower()] = value.strip()
+        except (TimeoutError, ValueError):
             return None
-        if not line:
-            return None
-        parts = line.decode("latin-1", "replace").split()
-        if len(parts) != 3:
-            return ("", "", {})  # malformed -> 400 from the caller
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            try:
-                raw = await asyncio.wait_for(
-                    reader.readline(), timeout=30
-                )
-            except (asyncio.TimeoutError, ValueError):
-                return None
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1", "replace").partition(
-                ":"
-            )
-            headers[name.strip().lower()] = value.strip()
-            if len(headers) > 128:
-                return ("", "", {})
         return method, target, headers
 
     async def _handle_client(self, reader, writer) -> None:

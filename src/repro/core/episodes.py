@@ -22,8 +22,12 @@ from dataclasses import dataclass
 from repro.core.detector import DailyConflict
 from repro.netbase.prefix import Prefix
 
-#: Mutable per-prefix episode record: [first, last, days, origins, width].
-_FIRST, _LAST, _DAYS, _ORIGINS, _WIDTH = range(5)
+#: Mutable per-prefix episode record: [first, last, days, origins, width,
+#: episode].  ``episode`` is the :class:`ConflictEpisode` the last
+#: :meth:`EpisodeTracker.finalize` built from the record, or ``None``;
+#: every observation clears it.  Pure memoization: never compared,
+#: never checkpointed, empty after ``merge`` and ``from_state``.
+_FIRST, _LAST, _DAYS, _ORIGINS, _WIDTH, _EPISODE = range(6)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +67,7 @@ class EpisodeTracker:
     __slots__ = ("_records", "_seen", "_last_fed_day")
 
     def __init__(self) -> None:
-        #: prefix -> [first, last, days, origins, max_width]
+        #: prefix -> [first, last, days, origins, max_width, episode]
         self._records: dict[Prefix, list] = {}
         #: id(conflict) -> (weakref to it, its prefix's record).  The
         #: weakref both guards against id reuse (the stored referent
@@ -91,17 +95,19 @@ class EpisodeTracker:
                 record = entry[1]
                 record[_LAST] = day
                 record[_DAYS] += 1
+                record[_EPISODE] = None
                 continue
             prefix = conflict.prefix
             record = records.get(prefix)
             width = len(conflict.origins)
             if record is None:
                 records[prefix] = record = [
-                    day, day, 1, set(conflict.origins), width,
+                    day, day, 1, set(conflict.origins), width, None,
                 ]
             else:
                 record[_LAST] = day
                 record[_DAYS] += 1
+                record[_EPISODE] = None
                 record[_ORIGINS].update(conflict.origins)
                 if width > record[_WIDTH]:
                     record[_WIDTH] = width
@@ -136,6 +142,7 @@ class EpisodeTracker:
                 record[_DAYS],
                 set(record[_ORIGINS]),
                 record[_WIDTH],
+                None,
             ]
             for tracker in (self, other)
             for prefix, record in tracker._records.items()
@@ -200,6 +207,7 @@ class EpisodeTracker:
                 days,
                 set(origins),
                 width,
+                None,
             ]
         return tracker
 
@@ -211,21 +219,29 @@ class EpisodeTracker:
         ``last_observed_day`` defaults to the last day fed; episodes
         still conflicted on it are marked ongoing (the paper counted
         1326 such conflicts at study end).
+
+        A record's episode object is reused until the record is
+        observed again or its ``ongoing`` flag flips, so a prefix the
+        latest days left alone answers with the same object as before.
         """
         if last_observed_day is None:
             last_observed_day = self._last_fed_day
         episodes: dict[Prefix, ConflictEpisode] = {}
         for prefix, record in self._records.items():
             last_day = record[_LAST]
-            episodes[prefix] = ConflictEpisode(
-                prefix=prefix,
-                first_day=record[_FIRST],
-                last_day=last_day,
-                days_observed=record[_DAYS],
-                origins_ever=frozenset(record[_ORIGINS]),
-                max_origins_single_day=record[_WIDTH],
-                ongoing=(last_day == last_observed_day),
-            )
+            ongoing = last_day == last_observed_day
+            episode = record[_EPISODE]
+            if episode is None or episode.ongoing is not ongoing:
+                episode = record[_EPISODE] = ConflictEpisode(
+                    prefix=prefix,
+                    first_day=record[_FIRST],
+                    last_day=last_day,
+                    days_observed=record[_DAYS],
+                    origins_ever=frozenset(record[_ORIGINS]),
+                    max_origins_single_day=record[_WIDTH],
+                    ongoing=ongoing,
+                )
+            episodes[prefix] = episode
         return episodes
 
     def __len__(self) -> int:

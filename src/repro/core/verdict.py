@@ -206,6 +206,17 @@ class _Evidence:
     last_vote: ConflictClass | None = field(
         default=None, compare=False, repr=False
     )
+    #: ``(registry shapes, verdict)`` from the last
+    #: :meth:`VerdictEngine.finalize` that judged this evidence; every
+    #: fed conflict-day clears it.  The shapes tuple names the registry
+    #: object and config the verdict was derived under, so the memo
+    #: never refers to an engine.  Pure memoization like
+    #: ``last_conflict``: never compared, never checkpointed, and never
+    #: matched by another engine's shapes, so empty after
+    #: :meth:`~VerdictEngine.from_state` or :meth:`~VerdictEngine.merge`.
+    verdict_memo: tuple | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class VerdictEngine:
@@ -244,9 +255,11 @@ class VerdictEngine:
         self.roa_table = roa_table
         self._evidence: dict[Prefix, _Evidence] = {}
         self._total_days = 0
-        #: ``(registry, owner map, structural tags)`` for the last
-        #: registry object :meth:`finalize` saw; the registry is held
-        #: so the identity check can never match a recycled id.
+        #: ``(registry, config, owner map, structural tags,
+        #: registry-only verdicts)`` for the last registry object and
+        #: config :meth:`finalize` saw; the registry is held so the
+        #: identity check can never match a recycled id.  Evidence
+        #: verdict memos name the tuple they were derived under.
         self._registry_shapes: tuple | None = None
 
     @property
@@ -279,6 +292,7 @@ class VerdictEngine:
             evidence.last_ordinal = ordinal
             evidence.last_day = detection.day
             evidence.days += 1
+            evidence.verdict_memo = None
             if roa_table is not None:
                 evidence.rpki_state = roa_table.fold_episode_state(
                     evidence.rpki_state,
@@ -486,28 +500,46 @@ class VerdictEngine:
         produced a same-prefix MOAS conflict at all — and perpetrators
         are attributed as "origins that are not the registered owner".
 
-        The registry is treated as immutable: its owner map and shapes
-        are derived once per registry object and reused by every later
-        call with that same object.
+        The registry is treated as immutable: its owner map, shapes and
+        registry-only verdicts are derived once per registry object and
+        reused by every later call with that same object.  A prefix's
+        verdict is likewise reused while its evidence is unfed since
+        the last call under the same registry object and config,
+        unless its origin set is wide enough for the anycast test,
+        which reads the study length.
         """
-        owners: dict[Prefix, int] = {}
-        structural: dict[Prefix, str] = {}
-        if registry is not None:
-            shapes = self._registry_shapes
-            if shapes is None or shapes[0] is not registry:
-                shapes = self._registry_shapes = (
-                    registry,
-                    {entry.prefix: entry.owner for entry in registry},
-                    _structural_tags(registry),
-                )
-            _registry, owners, structural = shapes
+        config = self.config
+        shapes = self._registry_shapes
+        if (
+            shapes is None
+            or shapes[0] is not registry
+            or shapes[1] is not config
+        ):
+            owners: dict[Prefix, int] = {}
+            structural: dict[Prefix, str] = {}
+            if registry is not None:
+                owners = {entry.prefix: entry.owner for entry in registry}
+                structural = _structural_tags(registry)
+            shapes = self._registry_shapes = (
+                registry, config, owners, structural, {}
+            )
+        _registry, _config, owners, structural, shape_verdicts = shapes
+        wide = config.anycast_min_origins
         verdicts: dict[Prefix, Verdict] = {}
         for prefix, evidence in self._evidence.items():
+            memo = evidence.verdict_memo
+            if (
+                memo is not None
+                and memo[0] is shapes
+                and evidence.max_width < wide
+            ):
+                verdicts[prefix] = memo[1]
+                continue
             tags = self._episode_tags(prefix, evidence)
             tag = structural.get(prefix)
             if tag is not None:
                 tags.add(tag)
-            verdicts[prefix] = self._verdict(
+            verdict = verdicts[prefix] = self._verdict(
                 prefix,
                 tags,
                 days=evidence.days,
@@ -515,26 +547,37 @@ class VerdictEngine:
                 owner=owners.get(prefix),
                 rpki_state=evidence.rpki_state,
             )
+            evidence.verdict_memo = (shapes, verdict)
         # Registry-only shapes: announced-space anomalies that never
         # conflicted (the AS7007 signature same-prefix MOAS cannot see).
         for prefix, tag in structural.items():
             if prefix in verdicts:
                 continue
-            owner = owners.get(prefix)
-            rpki_state = None
-            if self.roa_table is not None and owner is not None:
-                # No conflict days to validate: judge the announcer's
-                # registration itself against the whole database.
-                rpki_state = self.roa_table.validate(prefix, owner)
-            verdicts[prefix] = self._verdict(
-                prefix,
-                {tag},
-                days=0,
-                origins=frozenset(() if owner is None else (owner,)),
-                owner=None,  # the announcer *is* the suspect
-                rpki_state=rpki_state,
-            )
+            verdict = shape_verdicts.get(prefix)
+            if verdict is None:
+                verdict = shape_verdicts[prefix] = self._shape_verdict(
+                    prefix, tag, owners.get(prefix)
+                )
+            verdicts[prefix] = verdict
         return verdicts
+
+    def _shape_verdict(
+        self, prefix: Prefix, tag: str, owner: int | None
+    ) -> Verdict:
+        """The verdict of a registry shape with no conflict evidence."""
+        rpki_state = None
+        if self.roa_table is not None and owner is not None:
+            # No conflict days to validate: judge the announcer's
+            # registration itself against the whole database.
+            rpki_state = self.roa_table.validate(prefix, owner)
+        return self._verdict(
+            prefix,
+            {tag},
+            days=0,
+            origins=frozenset(() if owner is None else (owner,)),
+            owner=None,  # the announcer *is* the suspect
+            rpki_state=rpki_state,
+        )
 
     # -- internals ------------------------------------------------------------
 

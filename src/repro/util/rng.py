@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *names: str) -> int:
@@ -51,7 +53,14 @@ class RngStreams:
         return self._python_cache[key]
 
     def numpy(self, *names: str) -> np.random.Generator:
-        """A cached :class:`numpy.random.Generator` for the named stream."""
+        """A cached :class:`numpy.random.Generator` for the named stream.
+
+        numpy is imported here, on first use, so that processes which
+        only read a study (``query``, ``analyze``, ``serve``) never
+        load it; the simulator's Poisson draws are its one user.
+        """
+        import numpy as np
+
         key = tuple(names)
         if key not in self._numpy_cache:
             self._numpy_cache[key] = np.random.default_rng(

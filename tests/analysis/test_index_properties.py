@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.export import episode_record
-from repro.analysis.index import EpisodeIndex, IndexRecord
+from repro.analysis.index import EpisodeIndex, IndexRecord, changed_prefixes
 from repro.analysis.pipeline import StudyState
 from repro.api.service import MoasService
 from repro.core.verdict import VerdictEngine
@@ -262,6 +262,68 @@ class TestRoundtrip:
             assert [
                 record.prefix for record in loaded.covered(prefix)
             ] == [record.prefix for record in index.covered(prefix)]
+
+
+class TestRederived:
+    """A patched index equals a cold build over the same inputs."""
+
+    @given(detection_streams(), roa_tables(), st.data())
+    def test_rederived_equals_build(self, detections, table, data):
+        cut = data.draw(st.integers(0, len(detections)))
+        state = feed_state(detections[:cut], roa_table=table)
+        engine = feed_engine(detections[:cut], roa_table=table)
+        old_results, old_verdicts = state.results(), engine.finalize()
+        old = EpisodeIndex.build(old_results, verdicts=old_verdicts)
+        old_bytes = old.to_bytes()
+        for detection in detections[cut:]:
+            state.feed_day(detection)
+            engine.feed_day(detection)
+        results, verdicts = state.results(), engine.finalize()
+        cold = EpisodeIndex.build(results, verdicts=verdicts)
+        # Every record that differs, plus any unchanged ones.
+        changed = {
+            prefix
+            for prefix in results.episodes
+            if old.lookup(prefix) != cold.lookup(prefix)
+        }
+        if results.episodes:
+            changed |= set(
+                data.draw(
+                    st.lists(st.sampled_from(sorted(results.episodes)))
+                )
+            )
+        patched = old.rederived(results, verdicts, changed)
+        assert patched.to_bytes() == cold.to_bytes()
+        assert old.to_bytes() == old_bytes  # never mutated
+        for prefix in results.episodes:
+            assert patched.query(prefix) == cold.query(prefix)
+
+
+    @given(detection_streams(), roa_tables(), st.data())
+    def test_identity_diff_finds_every_changed_record(
+        self, detections, table, data
+    ):
+        """Memoized folds: untouched prefixes keep their objects, so
+        the identity diff is enough to patch the index."""
+        state = feed_state([], roa_table=table)
+        engine = feed_engine([], roa_table=table)
+        previous = None
+        for detection in detections:
+            state.feed_day(detection)
+            engine.feed_day(detection)
+            if previous is not None and not data.draw(st.booleans()):
+                continue  # a day no reader asked about
+            results, verdicts = state.results(), engine.finalize()
+            cold = EpisodeIndex.build(results, verdicts=verdicts)
+            if previous is not None:
+                old_results, old_verdicts, old = previous
+                changed = changed_prefixes(
+                    old_results, old_verdicts, results, verdicts
+                )
+                assert changed is not None
+                patched = old.rederived(results, verdicts, changed)
+                assert patched.to_bytes() == cold.to_bytes()
+            previous = (results, verdicts, cold)
 
 
 class TestFromRecordsContract:

@@ -13,6 +13,7 @@ import asyncio
 import datetime
 import json
 import logging
+import select
 import shutil
 import socket
 import threading
@@ -22,6 +23,7 @@ import urllib.request
 
 import pytest
 
+from repro.api import serve as serve_module
 from repro.api.renderers import render
 from repro.api.serve import (
     _DRAIN_GRACE,
@@ -385,6 +387,7 @@ class TestServeIntegration:
                     400,
                 ),
                 ("/v1/verdicts?min_suspicion=lots", 400),
+                ("/v1/verdicts?min_suspicion=nan", 400),
                 ("/v1/evaluation?format=xml", 400),
                 ("/nope", 404),
             ):
@@ -566,6 +569,98 @@ class TestShutdownDrain:
         assert not server._thread.is_alive()
         assert elapsed < _DRAIN_GRACE / 2
         assert asyncio_errors(caplog) == []
+
+
+def read_response(connection: socket.socket) -> bytes:
+    """Everything the daemon sends until it closes the connection."""
+    chunks = []
+    try:
+        while chunk := connection.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    return b"".join(chunks)
+
+
+class TestRequestHead:
+    """The header-line cap and the whole-head deadline."""
+
+    def test_repeated_header_lines_count_toward_the_cap(
+        self, serve_archive
+    ):
+        server = BackgroundServer(ServeConfig(archive=serve_archive, port=0))
+        url = server.start()
+        host, port = url.replace("http://", "").split(":")
+        try:
+            for repeats, expected in ((127, b"200"), (500, b"400")):
+                connection = socket.create_connection(
+                    (host, int(port)), timeout=30
+                )
+                with connection:
+                    connection.sendall(
+                        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                        + b"X-A: b\r\n" * repeats
+                        + b"\r\n"
+                    )
+                    answer = read_response(connection)
+                assert answer.startswith(b"HTTP/1.1 " + expected), repeats
+        finally:
+            server.stop()
+
+    def test_slow_head_is_closed_at_the_deadline(
+        self, serve_archive, serve_detections, monkeypatch
+    ):
+        """A client dribbling header lines is cut off at the deadline
+        while a well-behaved client keeps getting correct answers."""
+        monkeypatch.setattr(serve_module, "_HEAD_DEADLINE", 1.0)
+        prefix = serve_detections[0].conflicts[0].prefix
+        targets = (f"/v1/history/{prefix}", "/v1/verdicts?min_suspicion=0.6")
+        reference = ServeApp(MoasService(), archive=serve_archive)
+        for detection in serve_detections:
+            reference.fold_detection(detection)
+        expected = {
+            target: reference.handle("GET", target).body
+            for target in targets
+        }
+        done = threading.Event()
+        answers: list[tuple[str, int, bytes]] = []
+
+        def well_behaved(url: str) -> None:
+            while not done.is_set():
+                for target in targets:
+                    status, _, body = http_get(url + target)
+                    answers.append((target, status, body))
+
+        config = ServeConfig(archive=serve_archive, port=0)
+        with BackgroundServer(config) as url:
+            wait_for_ingest(url)
+            host, port = url.replace("http://", "").split(":")
+            worker = threading.Thread(target=well_behaved, args=(url,))
+            worker.start()
+            slow = socket.create_connection((host, int(port)), timeout=30)
+            started = time.monotonic()
+            closed_after = None
+            try:
+                slow.sendall(b"GET /v1/status HTTP/1.1\r\n")
+                while time.monotonic() - started < 10:
+                    try:
+                        slow.sendall(b"X-Slow: 1\r\n")
+                    except OSError:
+                        closed_after = time.monotonic() - started
+                        break
+                    readable, _, _ = select.select([slow], [], [], 0.2)
+                    if readable and read_response(slow) == b"":
+                        closed_after = time.monotonic() - started
+                        break
+            finally:
+                slow.close()
+                done.set()
+                worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert closed_after is not None and 0.9 <= closed_after < 2.5
+        assert len(answers) >= len(targets)
+        for target, status, body in answers:
+            assert (status, body) == (200, expected[target]), target
 
 
 class TestEvaluationCache:

@@ -208,3 +208,52 @@ class TestMerge:
         merged = left.merge(right)
         with pytest.raises(ValueError, match="increasing order"):
             merged.observe_day(day(3), [conflict(P1)])
+
+
+class TestEpisodeMemo:
+    """finalize reuses an episode until its record is observed again
+    or its ongoing flag flips."""
+
+    def test_unobserved_record_keeps_its_episode_object(self):
+        tracker = EpisodeTracker()
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
+        tracker.observe_day(day(1), [conflict(P1)])
+        first = tracker.finalize()
+        second = tracker.finalize()
+        assert second == first and second is not first
+        assert second[P2] is first[P2]
+        assert second[P1] is first[P1] and first[P1].ongoing
+        # P1 goes quiet: same counts, but no longer ongoing.
+        tracker.observe_day(day(2), [conflict(P2)])
+        third = tracker.finalize()
+        assert not third[P1].ongoing
+        assert third[P1].days_observed == first[P1].days_observed
+        assert third[P2].days_observed == 2 and third[P2].ongoing
+        # An explicit last observed day flips the flag the other way.
+        assert tracker.finalize(day(1))[P1].ongoing
+        assert tracker.finalize(day(1)) == EpisodeTracker.from_state(
+            tracker.state_dict()
+        ).finalize(day(1))
+
+    def test_state_dict_ignores_finalize(self):
+        plain, finalized = EpisodeTracker(), EpisodeTracker()
+        recurring = conflict(P1)
+        for offset in range(4):
+            conflicts = [recurring] + ([conflict(P2)] if offset % 2 else [])
+            for tracker in (plain, finalized):
+                tracker.observe_day(day(offset), conflicts)
+            finalized.finalize()
+        assert finalized.state_dict() == plain.state_dict()
+
+    def test_merge_and_restore_start_memo_free(self):
+        left, right = EpisodeTracker(), EpisodeTracker()
+        left.observe_day(day(0), [conflict(P1)])
+        right.observe_day(day(0), [conflict(P2)])
+        episodes = {**left.finalize(), **right.finalize()}
+        for rebuilt in (
+            left.merge(right),
+            EpisodeTracker.from_state(left.merge(right).state_dict()),
+        ):
+            fresh = rebuilt.finalize()
+            assert fresh == episodes
+            assert all(fresh[p] is not episodes[p] for p in episodes)

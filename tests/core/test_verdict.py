@@ -461,3 +461,101 @@ class TestRegistryShapes:
         assert len(calls) == 2
         assert verdicts[Prefix.parse("20.0.0.0/8")].perpetrators == {7}
         assert Prefix.parse("20.1.0.0/16") not in verdicts
+
+
+class TestVerdictMemo:
+    """finalize reuses a prefix's verdict while its evidence is unfed."""
+
+    def test_unfed_prefix_keeps_its_verdict_object(self):
+        engine = VerdictEngine()
+        feed_all((engine,), [conflict("10.0.0.0/8", 1, 2)] * 3)
+        first = engine.finalize()
+        second = engine.finalize()
+        assert second == first
+        assert list(second.items()) == list(first.items())
+        assert second is not first
+        prefix = Prefix.parse("10.0.0.0/8")
+        assert second[prefix] is first[prefix]
+        engine.feed_day(detection(3))
+        assert engine.finalize()[prefix] is first[prefix]
+        engine.feed_day(detection(4, conflict("10.0.0.0/8", 1, 2)))
+        fed = engine.finalize()[prefix]
+        assert fed.days_observed == 4
+        assert fed == roundtrip(engine).finalize()[prefix]
+
+    def test_wide_origin_set_lapses_from_anycast_unfed(self):
+        """The anycast call reads the study length: recomputed unfed."""
+        prefix = Prefix.parse("10.0.0.0/8")
+        engine = VerdictEngine()
+        feed_all((engine,), [conflict("10.0.0.0/8", 1, 2, 3, 4)] * 10)
+        assert engine.finalize()[prefix].kind == "anycast"
+        threshold = VerdictConfig().anycast_min_share
+        kinds = []
+        for offset in range(10, 40):
+            engine.feed_day(detection(offset))
+            verdict = engine.finalize()[prefix]
+            assert verdict == roundtrip(engine).finalize()[prefix]
+            kinds.append(verdict.kind)
+            assert (verdict.kind == "anycast") == (
+                10 >= threshold * engine.total_days
+            )
+        assert kinds[0] == "anycast" and kinds[-1] != "anycast"
+
+    def test_second_registry_object_recomputes(self):
+        registry = [RegistryEntry(Prefix.parse("20.0.0.0/8"), 7, 0, 0)]
+        engine = VerdictEngine()
+        engine.feed_day(detection(0, conflict("20.0.0.0/8", 7, 666)))
+        prefix = Prefix.parse("20.0.0.0/8")
+        first = engine.finalize(registry=registry)[prefix]
+        assert first.perpetrators == {666}
+        # An equal registry in a new object is judged afresh ...
+        again = engine.finalize(registry=list(registry))[prefix]
+        assert again == first and again is not first
+        # ... and one where the prefix changed hands changes the call.
+        moved = [RegistryEntry(prefix, 666, 0, 0)]
+        assert engine.finalize(registry=moved)[prefix].perpetrators == {7}
+        assert engine.finalize()[prefix].perpetrators == frozenset()
+
+    def test_registry_only_verdicts_derived_once(self, monkeypatch):
+        registry = TestRegistryShapes.REGISTRY
+        engine = VerdictEngine()
+        engine.feed_day(detection(0, conflict("20.0.0.0/8", 7, 666)))
+        first = engine.finalize(registry=registry)
+        calls = counting(monkeypatch, "_structural_tags")
+        engine.feed_day(detection(1))
+        second = engine.finalize(registry=registry)
+        shape = Prefix.parse("20.1.0.0/16")
+        assert second[shape] is first[shape]
+        assert calls == []
+
+    def test_state_dict_ignores_finalize(self):
+        conflicts = [
+            conflict("10.0.0.0/8", 1, 2),
+            conflict("10.1.0.0/16", 1, 2, 3, 4),
+        ]
+        plain, finalized = VerdictEngine(), VerdictEngine()
+        for offset, daily in enumerate(conflicts * 3):
+            for engine in (plain, finalized):
+                engine.feed_day(detection(offset, daily))
+            finalized.finalize(registry=TestRegistryShapes.REGISTRY)
+        assert finalized.state_dict() == plain.state_dict()
+        assert json.dumps(finalized.state_dict()) == json.dumps(
+            plain.state_dict()
+        )
+
+    def test_merged_engine_starts_memo_free(self):
+        engines = [
+            VerdictEngine(shard=shard)
+            for shard in ShardSpec.partition(2, "hash")
+        ]
+        daily = [conflict("10.0.0.0/8", 1, 2), conflict("11.0.0.0/8", 3, 4)]
+        for offset in range(3):
+            for engine in engines:
+                engine.feed_day(detection(offset, *daily))
+        before = [engine.finalize() for engine in engines]
+        merged = VerdictEngine.merged(engines)
+        after = merged.finalize()
+        for verdicts in before:
+            for prefix, verdict in verdicts.items():
+                assert after[prefix] == verdict
+                assert after[prefix] is not verdict

@@ -1,5 +1,11 @@
 """Tests for deterministic named RNG streams."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.util.rng import RngStreams, derive_seed
 
 
@@ -113,3 +119,23 @@ class TestStreamIndependence:
         second = RngStreams(42)
         second.child("b").python("x").random()  # consume a sibling
         assert second.child("a").python("x").random() == baseline
+
+
+class TestNumpyImport:
+    def test_reading_a_study_does_not_load_numpy(self):
+        """Only ``RngStreams.numpy`` imports numpy (the simulator)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.api.cli, repro.api.serve, "
+                "repro.analysis.index; print('numpy' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert probe.stdout.strip() == "False"
