@@ -21,15 +21,54 @@ with ``analyze``:
   days: overlaps = N - #(first > B) - #(last < A), the two exclusion
   sets being disjoint.
 
-On disk the index is a compact side file (``episodes.idx``) written
-beside the archive, reusing the v2 day-store machinery: LEB128 varints
-(:mod:`repro.util.varint`), interned string/origin-set tables, CRC-32
-framed sections, and a checksummed trailer with an end magic.  Every
-corruption path — truncated trailer, bit-flipped frame, bad magic —
-raises :class:`~repro.scenario.archive.ArchiveError`, never a bare
-``struct.error``.
+On disk the index is a side file (``episodes.idx``) written beside the
+archive.  :meth:`EpisodeIndex.save` writes EIX2: fixed-width column
+frames that a cold ``repro query`` opens as arrays instead of decoding
+record by record.  Every integer is **little-endian** whatever the
+host's byte order (a big-endian host byte-swaps the columns it reads
+and writes); u8/u32/u64 are unsigned and f64 is an IEEE 754 double::
 
-Layout (all integers varint unless noted)::
+    MAGIC "EIX2"
+    frame: meta          5 x u32: version (2), record count n, days
+                         indexed, last day ordinal (0 = none), tag
+                         base b (tuple ids below b are ASN sets)
+    frames: columns      n rows each, sorted by (network, length), one
+                         frame per column: key u64 (network << 6 |
+                         length), first day u32, last day u32 (day
+                         ordinals), days observed u32, peak width u32,
+                         origin-set id u32, flags u8, RPKI string id
+                         u32, verdict kind string id u32, tag-tuple id
+                         u32 (names tuple b + id), perpetrator-set id
+                         u32, suspicion f64
+    frames: intervals    first-day and last-day columns, day-sorted,
+                         u32 x n each
+    frames: strings      u32 offsets (count + 1, in code points), then
+                         the UTF-8 text of every interned string
+    frames: tuples       u32 offsets (count + 1), then u32 values: the
+                         ASN sets (origin and perpetrator sets), then
+                         the tag-id tuples (string ids)
+    TRAILER <II8s>       record count, CRC-32 of everything before the
+                         trailer, end magic "EIX2.END"
+
+A row whose flags say it has no RPKI state or no verdict holds 0 in
+those columns.  Each frame is length-prefixed and CRC-checked exactly
+like a v2 ``days.bin`` frame (``<II``: body length, CRC-32 of the
+body), and the trailer checksum covers the whole file once more.
+
+Loading reads the file once and verifies it with C-speed reductions
+(CRC-32, ``max()``, ``all(map(...))`` over the columns), never a Python
+loop over records: magic, end magic and both checksums; frame bounds
+and version; meta and trailer agree on the record count; exact column
+lengths; keys strictly ascending; ``first <= last``; every table id in
+range; table offsets monotone and ending at the values' length.  Every
+failure raises :class:`~repro.scenario.archive.ArchiveError`, never a
+bare ``struct.error``.  The loaded index serves the columns as arrays
+to the same query code as a built one, so a lookup bisects the key
+column in place and decodes only the strings and tuples of the record
+it answers.
+
+EIX1, the first format, is still read (never written) by its original
+decoder, which builds the same list columns a fold does::
 
     MAGIC "EIX1"
     frame: meta          version, record count, days indexed, last day
@@ -45,18 +84,21 @@ Layout (all integers varint unless noted)::
                          count, CRC-32 of everything before the
                          trailer, end magic "EIX1.END"
 
-Each frame is length-prefixed and CRC-checked exactly like a v2
-``days.bin`` frame, and the whole file is covered once more by the
-trailer checksum.
+(all EIX1 integers are LEB128 varints, :mod:`repro.util.varint`, unless
+noted).
 """
 
 from __future__ import annotations
 
 import datetime
 import struct
+import sys
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, le, lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -64,26 +106,61 @@ from repro.netbase.prefix import Prefix
 from repro.netbase.trie import PrefixTrie
 from repro.scenario.archive import ArchiveError
 from repro.util.io import atomic_write_bytes
-from repro.util.varint import append_uvarint, decode_uvarint
+from repro.util.varint import decode_uvarint
 
 #: File name of the index side file inside an archive directory.
 INDEX_FILENAME = "episodes.idx"
 
-#: Leading magic of an episode index file.
-INDEX_MAGIC = b"EIX1"
+#: Leading magic of the index file :meth:`EpisodeIndex.save` writes.
+INDEX_MAGIC = b"EIX2"
 
-#: Trailer: records frame offset, intervals frame offset, record
-#: count, CRC-32 of every byte before the trailer, end magic.
-_TRAILER = struct.Struct("<QQII8s")
-_END_MAGIC = b"EIX1.END"
+#: Leading magic of the first index format, read but never written.
+_EIX1_MAGIC = b"EIX1"
+
+#: Both formats' trailers end in: record count, CRC-32 of every byte
+#: before the trailer, end magic (the leading magic + ".END").
+_TRAILER = struct.Struct("<II8s")
+_END_MAGIC = INDEX_MAGIC + b".END"
+
+#: EIX1's trailer puts its records and intervals frame offsets first.
+_EIX1_TRAILER = struct.Struct("<QQII8s")
 
 #: Frame header: body length, CRC-32 of the body (the v2 frame shape).
 _FRAME_HEADER = struct.Struct("<II")
 
 _F64 = struct.Struct("<d")
 
-#: Current encoding version (first varint of the meta frame).
-_VERSION = 1
+#: Encoding version, the first meta field of each format.
+_VERSION = 2
+_EIX1_VERSION = 1
+
+#: EIX2 meta frame fields (u32 each): version, record count, days
+#: indexed, last day ordinal, tag base.
+_META_FIELDS = 5
+
+#: EIX2's per-record column frames in file order: (name, array
+#: typecode).  The writer and the loader both walk this table.
+_COLUMNS = (
+    ("key", "Q"),
+    ("first day", "I"),
+    ("last day", "I"),
+    ("days observed", "I"),
+    ("peak width", "I"),
+    ("origin set", "I"),
+    ("flags", "B"),
+    ("RPKI string", "I"),
+    ("verdict kind", "I"),
+    ("tag tuple", "I"),
+    ("perpetrator set", "I"),
+    ("suspicion", "d"),
+    ("sorted first day", "I"),
+    ("sorted last day", "I"),
+)
+
+_MAX_ORDINAL = datetime.date.max.toordinal()
+
+#: Columns are little-endian on disk; a big-endian host swaps them.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 #: Record flag bits.
 _FLAG_ONGOING = 0x01
@@ -198,7 +275,11 @@ class EpisodeIndex:
     (:meth:`rederived`), persist with :meth:`save`, reopen with
     :meth:`load`.  Storage is columnar: parallel per-record columns
     sorted by ``Prefix.sort_key()``, so :meth:`lookup` is a bisect and
-    :meth:`active_count` is two bisects — never a scan.
+    :meth:`active_count` is two bisects — never a scan.  A built index
+    (and an EIX1 load) holds lists; an EIX2 load holds arrays copied
+    from the file's column frames, with origin sets, RPKI states and
+    verdicts decoded per row on access.  Every query reads both kinds
+    through the same code.
     """
 
     __slots__ = (
@@ -503,104 +584,85 @@ class EpisodeIndex:
         return atomic_write_bytes(path, self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        """The full on-disk wire form (see the module layout doc).
+        """The full on-disk wire form: EIX2 (see the module layout doc).
 
         Deterministic: two indexes holding the same records — however
         they were folded — encode to identical bytes, which is the
         byte-equivalence the property suite pins across archive
         formats and workers×shards layouts.
         """
-        out = bytearray(INDEX_MAGIC)
-
-        meta = bytearray()
-        append_uvarint(meta, _VERSION)
-        append_uvarint(meta, len(self._keys))
-        append_uvarint(meta, self.days_indexed)
-        append_uvarint(
-            meta,
-            self.last_day.toordinal() if self.last_day else 0,
-        )
-        _append_frame(out, meta)
-
         strings: dict[str, int] = {}
-        origin_sets: dict[tuple[int, ...], int] = {}
+        sets: dict[tuple[int, ...], int] = {}
+        tag_tuples: dict[tuple[int, ...], int] = {}
 
         def string_id(text: str) -> int:
             return strings.setdefault(text, len(strings))
 
         def set_id(values: tuple[int, ...]) -> int:
-            return origin_sets.setdefault(values, len(origin_sets))
+            return sets.setdefault(values, len(sets))
 
-        records = bytearray()
-        for position, key in enumerate(self._keys):
-            append_uvarint(records, key >> 6)
-            append_uvarint(records, key & 0x3F)
-            first = self._first_ords[position]
-            append_uvarint(records, first)
-            append_uvarint(records, self._last_ords[position] - first)
-            append_uvarint(records, self._days_observed[position])
-            append_uvarint(records, self._widths[position])
-            append_uvarint(
-                records, set_id(self._origin_sets[position])
-            )
-            flags = self._flags[position]
-            append_uvarint(records, flags)
-            if flags & _FLAG_RPKI:
-                append_uvarint(
-                    records, string_id(self._rpki_states[position])
+        origin_ids = list(map(set_id, self._origin_sets))
+        rpki_ids = [
+            0 if state is None else string_id(state)
+            for state in self._rpki_states
+        ]
+        kinds, tags, perpetrators, suspicions = [], [], [], []
+        for verdict in self._verdicts:
+            if verdict is None:
+                kinds.append(0)
+                tags.append(0)
+                perpetrators.append(0)
+                suspicions.append(0.0)
+                continue
+            kind, names, perps, suspicion = verdict
+            kinds.append(string_id(kind))
+            tags.append(
+                tag_tuples.setdefault(
+                    tuple(map(string_id, names)), len(tag_tuples)
                 )
-            if flags & _FLAG_VERDICT:
-                kind, tags, perpetrators, suspicion = self._verdicts[
-                    position
-                ]
-                append_uvarint(records, string_id(kind))
-                append_uvarint(records, len(tags))
-                for tag in tags:
-                    append_uvarint(records, string_id(tag))
-                append_uvarint(records, set_id(perpetrators))
-                records += _F64.pack(suspicion)
+            )
+            perpetrators.append(set_id(perps))
+            suspicions.append(suspicion)
+        tuples = [*sets, *tag_tuples]  # insertion order == id order
 
-        string_table = bytearray()
-        append_uvarint(string_table, len(strings))
-        for text in strings:  # insertion order == id order
-            raw = text.encode("utf-8")
-            append_uvarint(string_table, len(raw))
-            string_table += raw
-        _append_frame(out, string_table)
-
-        set_table = bytearray()
-        append_uvarint(set_table, len(origin_sets))
-        for values in origin_sets:  # insertion order == id order
-            append_uvarint(set_table, len(values))
-            previous = 0
-            for value in values:
-                append_uvarint(set_table, value - previous)
-                previous = value
-        _append_frame(out, set_table)
-
-        records_offset = len(out)
-        _append_frame(out, records)
-
-        intervals = bytearray()
-        for ordinal in self._sorted_firsts:
-            append_uvarint(intervals, ordinal)
-        for ordinal in self._sorted_lasts:
-            append_uvarint(intervals, ordinal)
-        intervals_offset = len(out)
-        _append_frame(out, intervals)
-
-        out += _TRAILER.pack(
-            records_offset,
-            intervals_offset,
+        out = bytearray(INDEX_MAGIC)
+        meta = (
+            _VERSION,
             len(self._keys),
-            zlib.crc32(out),
-            _END_MAGIC,
+            self.days_indexed,
+            self.last_day.toordinal() if self.last_day else 0,
+            len(sets),
         )
+        columns = (
+            self._keys,
+            self._first_ords,
+            self._last_ords,
+            self._days_observed,
+            self._widths,
+            origin_ids,
+            self._flags,
+            rpki_ids,
+            kinds,
+            tags,
+            perpetrators,
+            suspicions,
+            self._sorted_firsts,
+            self._sorted_lasts,
+        )
+        _append_frame(out, _packed("I", meta))
+        for (_name, code), values in zip(_COLUMNS, columns):
+            _append_frame(out, _packed(code, values))
+        _append_frame(out, _packed("I", _offsets(strings)))
+        _append_frame(out, "".join(strings).encode("utf-8"))
+        _append_frame(out, _packed("I", _offsets(tuples)))
+        _append_frame(out, _packed("I", chain.from_iterable(tuples)))
+        out += _TRAILER.pack(len(self._keys), zlib.crc32(out), _END_MAGIC)
         return bytes(out)
 
     @classmethod
     def load(cls, path: Path | str) -> "EpisodeIndex":
-        """Read an index file; :class:`ArchiveError` on any corruption."""
+        """Read an EIX2 or EIX1 index file; :class:`ArchiveError` on any
+        corruption."""
         path = Path(path)
         try:
             raw = path.read_bytes()
@@ -609,47 +671,43 @@ class EpisodeIndex:
                 f"no episode index at {path}; build one with "
                 f"'repro analyze --index'"
             ) from None
-        if len(raw) < len(INDEX_MAGIC) + _TRAILER.size:
+        magic = raw[: len(INDEX_MAGIC)]
+        eix1 = magic == _EIX1_MAGIC
+        trailer_start = len(raw) - (
+            _EIX1_TRAILER.size if eix1 else _TRAILER.size
+        )
+        if trailer_start < len(INDEX_MAGIC):
             raise ArchiveError(
                 f"episode index {path} is truncated "
                 f"({len(raw)} bytes)"
             )
-        if raw[: len(INDEX_MAGIC)] != INDEX_MAGIC:
+        if not eix1 and magic != INDEX_MAGIC:
             raise ArchiveError(
                 f"{path} is not an episode index (bad magic)"
             )
-        trailer_start = len(raw) - _TRAILER.size
-        (
-            records_offset,
-            intervals_offset,
-            record_count,
-            file_crc,
-            end_magic,
-        ) = _TRAILER.unpack_from(raw, trailer_start)
-        if end_magic != _END_MAGIC:
+        record_count, file_crc, end_magic = _TRAILER.unpack_from(
+            raw, len(raw) - _TRAILER.size
+        )
+        if end_magic != magic + b".END":
             raise ArchiveError(
                 f"episode index {path} trailer missing or truncated "
                 f"(bad end magic)"
             )
-        if zlib.crc32(raw[:trailer_start]) != file_crc:
+        if zlib.crc32(memoryview(raw)[:trailer_start]) != file_crc:
             raise ArchiveError(
                 f"episode index {path} failed its checksum "
                 f"(corrupt or bit-flipped)"
             )
-        if not (
-            len(INDEX_MAGIC)
-            <= records_offset
-            <= intervals_offset
-            <= trailer_start
-        ):
-            raise ArchiveError(
-                f"episode index {path} frame bounds are out of order"
-            )
+        decode = cls._decode_eix1 if eix1 else cls._decode
         try:
-            return cls._decode(
-                raw, trailer_start, records_offset, record_count
-            )
-        except (struct.error, IndexError, ValueError) as error:
+            return decode(raw, trailer_start, record_count)
+        except (
+            struct.error,
+            IndexError,
+            TypeError,
+            ValueError,
+            OverflowError,
+        ) as error:
             if isinstance(error, ArchiveError):
                 raise
             raise ArchiveError(
@@ -658,19 +716,170 @@ class EpisodeIndex:
 
     @classmethod
     def _decode(
-        cls,
-        raw: bytes,
-        trailer_start: int,
-        records_offset: int,
-        record_count: int,
+        cls, raw: bytes, trailer_start: int, record_count: int
     ) -> "EpisodeIndex":
+        """Open an EIX2 body: verify it, then serve its column frames."""
+        raw = memoryview(raw)
         position = len(INDEX_MAGIC)
-        meta, position = _read_frame(raw, position, trailer_start)
-        version, at = decode_uvarint(meta, 0)
+
+        def frame() -> memoryview:
+            nonlocal position
+            body, position = _read_frame(raw, position, trailer_start)
+            return body
+
+        meta = _column("I", frame(), _META_FIELDS, "meta")
+        version, count, days_indexed, last_ord, tag_base = meta
         if version != _VERSION:
             raise ArchiveError(
                 f"unsupported episode index version {version}; "
                 f"expected {_VERSION}"
+            )
+        if count != record_count:
+            raise ArchiveError(
+                "episode index meta and trailer disagree on the "
+                "record count"
+            )
+        (
+            keys,
+            firsts,
+            lasts,
+            days_observed,
+            widths,
+            origin_ids,
+            flags,
+            rpki_ids,
+            kinds,
+            tags,
+            perpetrators,
+            suspicions,
+            sorted_firsts,
+            sorted_lasts,
+        ) = [_column(code, frame(), count, name) for name, code in _COLUMNS]
+        strings = _Table(
+            _column("I", frame(), None, "string offsets"),
+            str(frame(), "utf-8"),
+            str,
+            "string",
+        )
+        tuples = _Table(
+            _column("I", frame(), None, "tuple offsets"),
+            _column("I", frame(), None, "tuple values"),
+            tuple,
+            "tuple",
+        )
+        if position != trailer_start:
+            raise ArchiveError(
+                "episode index has unframed bytes before the trailer"
+            )
+
+        if not all(map(lt, keys[:-1], keys[1:])):
+            raise ArchiveError(
+                "episode index keys are not strictly ascending "
+                "(records out of prefix order, or a duplicate)"
+            )
+        if not all(map(le, firsts, lasts)):
+            raise ArchiveError(
+                "episode index has an episode whose first day is "
+                "after its last day"
+            )
+        if last_ord > _MAX_ORDINAL or count and (
+            min(firsts) < 1 or max(lasts) > _MAX_ORDINAL
+        ):
+            raise ArchiveError("episode index day ordinal out of range")
+        if tag_base > len(tuples):
+            raise ArchiveError("episode index tag base is out of range")
+        # Ids of a field a row's flags mark absent are 0 and unchecked.
+        rpki_rows = bytes(map(and_, flags, repeat(_FLAG_RPKI)))
+        verdict_rows = bytes(map(and_, flags, repeat(_FLAG_VERDICT)))
+        for ids, limit, what in (
+            (origin_ids, tag_base, "origin set"),
+            (compress(rpki_ids, rpki_rows), len(strings), "RPKI string"),
+            (
+                compress(kinds, verdict_rows),
+                len(strings),
+                "verdict kind string",
+            ),
+            (
+                compress(tags, verdict_rows),
+                len(tuples) - tag_base,
+                "tag tuple",
+            ),
+            (
+                compress(perpetrators, verdict_rows),
+                tag_base,
+                "perpetrator set",
+            ),
+            (
+                tuples.values[tuples.offsets[tag_base]:],
+                len(strings),
+                "tag string",
+            ),
+        ):
+            if max(ids, default=-1) >= limit:
+                raise ArchiveError(
+                    f"episode index {what} id out of range"
+                )
+
+        def verdict(row: int) -> tuple | None:
+            if not flags[row] & _FLAG_VERDICT:
+                return None
+            return (
+                strings[kinds[row]],
+                tuple(map(strings.__getitem__, tuples[tag_base + tags[row]])),
+                tuples[perpetrators[row]],
+                suspicions[row],
+            )
+
+        index = cls(
+            days_indexed=days_indexed,
+            last_day=(
+                datetime.date.fromordinal(last_ord) if last_ord else None
+            ),
+        )
+        index._keys = keys
+        index._first_ords = firsts
+        index._last_ords = lasts
+        index._days_observed = days_observed
+        index._widths = widths
+        index._origin_sets = _Decoded(
+            lambda row: tuples[origin_ids[row]], count
+        )
+        index._flags = flags
+        index._rpki_states = _Decoded(
+            lambda row: (
+                strings[rpki_ids[row]] if flags[row] & _FLAG_RPKI else None
+            ),
+            count,
+        )
+        index._verdicts = _Decoded(verdict, count)
+        index._sorted_firsts = sorted_firsts
+        index._sorted_lasts = sorted_lasts
+        return index
+
+    @classmethod
+    def _decode_eix1(
+        cls, raw: bytes, trailer_start: int, record_count: int
+    ) -> "EpisodeIndex":
+        """Decode an EIX1 body record by record into list columns."""
+        records_offset, intervals_offset = struct.unpack_from(
+            "<QQ", raw, trailer_start
+        )
+        if not (
+            len(_EIX1_MAGIC)
+            <= records_offset
+            <= intervals_offset
+            <= trailer_start
+        ):
+            raise ArchiveError(
+                "episode index frame bounds are out of order"
+            )
+        position = len(_EIX1_MAGIC)
+        meta, position = _read_frame(raw, position, trailer_start)
+        version, at = decode_uvarint(meta, 0)
+        if version != _EIX1_VERSION:
+            raise ArchiveError(
+                f"unsupported episode index version {version}; "
+                f"expected {_EIX1_VERSION}"
             )
         meta_count, at = decode_uvarint(meta, at)
         if meta_count != record_count:
@@ -898,3 +1107,83 @@ def _read_frame(
             "episode index frame failed its CRC (bit flip?)"
         )
     return body, end
+
+
+def _packed(code: str, values) -> bytes:
+    """``values`` as a little-endian column of array typecode ``code``."""
+    column = array(code, values)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column.tobytes()
+
+
+def _column(code: str, body, rows: int | None, name: str) -> array:
+    """An EIX2 column frame as an array of exactly ``rows`` values
+    (any whole number of values when ``rows`` is ``None``)."""
+    column = array(code)
+    width = column.itemsize
+    if len(body) % width or rows is not None and len(body) != rows * width:
+        raise ArchiveError(
+            f"episode index {name} column is {len(body)} bytes, not "
+            f"{'whole' if rows is None else rows} {width}-byte values"
+        )
+    column.frombytes(body)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
+def _offsets(entries) -> list[int]:
+    """Offset column of an EIX2 table: where each entry starts, then
+    the end of the last."""
+    return [0, *accumulate(map(len, entries))]
+
+
+class _Table:
+    """A loaded EIX2 table: entry ``i`` is ``values[offsets[i]:
+    offsets[i + 1]]``, converted by ``entry`` (``str`` or ``tuple``)
+    only when a query reads it."""
+
+    __slots__ = ("offsets", "values", "_entry")
+
+    def __init__(self, offsets: array, values, entry, name: str) -> None:
+        if not (
+            offsets
+            and offsets[0] == 0
+            and offsets[-1] == len(values)
+            and all(map(le, offsets[:-1], offsets[1:]))
+        ):
+            raise ArchiveError(
+                f"episode index {name} offsets are not monotone from "
+                f"0 to the values length"
+            )
+        self.offsets = offsets
+        self.values = values
+        self._entry = entry
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, entry: int):
+        offsets = self.offsets
+        return self._entry(self.values[offsets[entry]:offsets[entry + 1]])
+
+
+class _Decoded:
+    """A loaded index column whose row ``i`` is ``decode(i)``: the
+    origin sets, RPKI states and verdicts of an EIX2 file, built from
+    its id columns and tables only for the rows a query reads."""
+
+    __slots__ = ("_decode", "_rows")
+
+    def __init__(self, decode, rows: int) -> None:
+        self._decode = decode
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, row: int):
+        if not 0 <= row < self._rows:
+            raise IndexError(row)
+        return self._decode(row)

@@ -7,12 +7,16 @@ standard fix — write a temporary file in the *same directory* (same
 filesystem, so the final rename cannot degrade to a copy) and
 ``os.replace`` it over the destination, which POSIX guarantees is
 atomic: readers see either the old complete file or the new one.
+
+The temporary file is created with mode 0666 and the kernel applies
+the process umask, so the final file gets the mode ``open(path, "w")``
+gives a new file (0644 under umask 022) — never ``mkstemp``'s 0600,
+which would hide an index or checkpoint from every other account.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 
@@ -32,22 +36,18 @@ def atomic_write_bytes(path: Path | str, data: bytes) -> Path:
 
 
 def _atomic_write(path: Path, payload, *, mode: str) -> Path:
-    handle = tempfile.NamedTemporaryFile(
-        mode=mode,
-        dir=path.parent,
-        prefix=f".{path.name}.",
-        suffix=".tmp",
-        delete=False,
-    )
+    # O_EXCL: never write through a name someone else already holds.
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    descriptor = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
+        with open(descriptor, mode) as handle:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except FileNotFoundError:
             pass
         raise

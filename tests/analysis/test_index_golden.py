@@ -1,18 +1,22 @@
-"""Golden episode-index fixture: pinned answers + corruption paths.
+"""Golden episode-index fixtures: pinned answers + corruption paths.
 
-``tests/fixtures/episode_index/golden.idx`` is a committed index file
-built from a fixed hand-crafted study (with ROAs and verdicts) by
-``make_episode_index_fixture.py``.  This module pins the file bytes
-and the exact answers its queries produce, so the on-disk format can
-never silently drift: a load failure means old index files stopped
-parsing, a digest mismatch means they parse into different science.
-It also drives every corruption path — truncated trailer, bit-flipped
-frame, bad magic — through :class:`ArchiveError`.
+``tests/fixtures/episode_index/golden.idx`` (EIX1, read-only now) and
+``golden_eix2.idx`` (EIX2, what ``save`` writes) are committed index
+files built from one fixed hand-crafted study (with ROAs and verdicts)
+by ``make_episode_index_fixture.py``.  This module pins both files'
+bytes and the exact answers their queries produce — the same digests
+for both formats — so the on-disk formats can never silently drift: a
+load failure means old index files stopped parsing, a digest mismatch
+means they parse into different science.  It also drives the EIX1
+corruption paths — truncated trailer, bit-flipped frame, bad magic —
+through :class:`ArchiveError`; ``test_index_eix2_corruption.py`` does
+the same for every EIX2 frame.
 """
 
 import datetime
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,13 +25,20 @@ from repro.analysis.index import EpisodeIndex
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import ArchiveError
 
-GOLDEN = Path(__file__).parent.parent / "fixtures" / "episode_index" / "golden.idx"
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+GOLDEN = FIXTURES / "episode_index" / "golden.idx"
+GOLDEN_EIX2 = FIXTURES / "episode_index" / "golden_eix2.idx"
 
 #: sha256 of the committed index file.  Only an intentional,
 #: documented format change (a ``_VERSION`` bump) may update these —
 #: regenerate via make_episode_index_fixture.py.
 GOLDEN_FILE_DIGEST = (
     "f5bf1f51962c572d15c09fff572d3fb4001e5defc8a20dace23f4190c7bb66f6"
+)
+
+#: sha256 of the committed EIX2 file, under the same rule.
+GOLDEN_EIX2_DIGEST = (
+    "a7ff5ec6d32008489094eaaf6bd5c6165eb282d440c2ff371ce7e96fcb27acfd"
 )
 
 #: (prefix, query kwargs, sha256 of the sorted-key JSON answer).
@@ -55,20 +66,35 @@ GOLDEN_QUERIES = (
 )
 
 
+def fixture_study():
+    """``make_episode_index_fixture.build`` and the EIX1 encoder."""
+    sys.path.insert(0, str(FIXTURES))
+    try:
+        from eix1_encoder import eix1_bytes
+        from make_episode_index_fixture import build
+    finally:
+        sys.path.pop(0)
+    return build, eix1_bytes
+
+
 class TestGoldenAnswers:
     def test_fixture_bytes_are_pinned(self):
         digest = hashlib.sha256(GOLDEN.read_bytes()).hexdigest()
         assert digest == GOLDEN_FILE_DIGEST
 
-    def test_rebuilding_the_fixture_study_reproduces_the_file(self):
-        import sys
+    def test_eix2_fixture_bytes_are_pinned(self):
+        digest = hashlib.sha256(GOLDEN_EIX2.read_bytes()).hexdigest()
+        assert digest == GOLDEN_EIX2_DIGEST
 
-        sys.path.insert(0, str(GOLDEN.parent.parent))
-        try:
-            from make_episode_index_fixture import build
-        finally:
-            sys.path.pop(0)
-        assert build().to_bytes() == GOLDEN.read_bytes()
+    def test_rebuilding_the_fixture_study_reproduces_the_file(self):
+        build, _ = fixture_study()
+        assert build().to_bytes() == GOLDEN_EIX2.read_bytes()
+
+    def test_eix1_encoder_reproduces_the_eix1_file(self):
+        """The test helper the EIX1 property suite uses is the encoder
+        that wrote the committed EIX1 file."""
+        build, eix1_bytes = fixture_study()
+        assert eix1_bytes(build()) == GOLDEN.read_bytes()
 
     @pytest.mark.parametrize(
         "prefix_text,kwargs,expected",
@@ -82,6 +108,31 @@ class TestGoldenAnswers:
         answer = index.query(Prefix.parse(prefix_text), **kwargs)
         blob = json.dumps(answer.to_dict(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "prefix_text,kwargs,expected",
+        GOLDEN_QUERIES,
+        ids=[row[0] for row in GOLDEN_QUERIES],
+    )
+    def test_eix2_answers_the_same_pinned_digests(
+        self, prefix_text, kwargs, expected
+    ):
+        index = EpisodeIndex.load(GOLDEN_EIX2)
+        answer = index.query(Prefix.parse(prefix_text), **kwargs)
+        blob = json.dumps(answer.to_dict(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == expected
+
+    def test_both_formats_load_the_same_index(self):
+        eix1, eix2 = EpisodeIndex.load(GOLDEN), EpisodeIndex.load(GOLDEN_EIX2)
+        assert (len(eix2), eix2.days_indexed, eix2.last_day) == (
+            len(eix1),
+            eix1.days_indexed,
+            eix1.last_day,
+        )
+        assert [eix2.record_at(row) for row in range(len(eix2))] == [
+            eix1.record_at(row) for row in range(len(eix1))
+        ]
+        assert eix1.to_bytes() == GOLDEN_EIX2.read_bytes()
 
     def test_golden_contents_read_back(self):
         index = EpisodeIndex.load(GOLDEN)

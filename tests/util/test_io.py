@@ -1,9 +1,13 @@
 """Tests for crash-safe file writing."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.util.io import atomic_write_text
 
 
@@ -54,3 +58,52 @@ class TestAtomicWriteText:
         with pytest.raises(OSError, match="disk gone"):
             atomic_write_text(target, "y" * 10)
         assert target.read_text() == "x" * 4096
+
+
+_MODE_PROBE = """
+import os, stat, sys
+from pathlib import Path
+from repro.util.io import atomic_write_bytes, atomic_write_text
+
+os.umask(int(sys.argv[1], 8))
+directory = Path(sys.argv[2])
+modes = []
+for name, write, payload in (
+    ("data.txt", atomic_write_text, "text"),
+    ("data.bin", atomic_write_bytes, b"bytes"),
+):
+    target = directory / name
+    write(target, payload)
+    modes.append(stat.S_IMODE(target.stat().st_mode))
+    os.chmod(target, 0o600)  # what the mkstemp-based writer left
+    write(target, payload)
+    modes.append(stat.S_IMODE(target.stat().st_mode))
+print(" ".join(oct(mode) for mode in modes))
+"""
+
+
+class TestFileMode:
+    """The written file's mode follows the umask, like ``open(path,
+    "w")``: new and overwritten files, text and bytes.  Each case runs
+    in a subprocess because the umask is process-wide."""
+
+    @pytest.mark.parametrize(
+        "umask,expected", (("022", "0o644"), ("077", "0o600"))
+    )
+    def test_mode_follows_the_umask(self, tmp_path, umask, expected):
+        source = str(Path(repro.__file__).parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", _MODE_PROBE, umask, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": source},
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.split() == [expected] * 4
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "data.bin",
+            "data.txt",
+        ]
+        assert (tmp_path / "data.txt").read_text() == "text"
+        assert (tmp_path / "data.bin").read_bytes() == b"bytes"
