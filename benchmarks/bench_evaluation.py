@@ -60,7 +60,7 @@ def test_canned_suite_attribution_quality(tmp_path_factory):
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = MoasService(workers=2, shards=2).evaluate(directory)
+    parallel = MoasService(workers=2).evaluate(directory)
     parallel_seconds = time.perf_counter() - started
     assert serial.result.to_dict() == parallel.result.to_dict(), (
         "parallel evaluation diverged from serial"

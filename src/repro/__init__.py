@@ -16,9 +16,10 @@ The package layers as follows (lowest first):
 - :mod:`repro.core` — the paper's contribution: MOAS detection,
   classification, episode/duration tracking, statistics and cause
   attribution, plus a streaming real-time alerter.
-- :mod:`repro.analysis` — the end-to-end study pipeline (serial or
-  sharded across a process pool; see :mod:`repro.analysis.parallel`)
-  and the table/figure report generators.
+- :mod:`repro.analysis` — the end-to-end study pipeline (serial, or
+  with per-day detection fanned out over a process pool; see
+  :mod:`repro.analysis.parallel`) and the table/figure report
+  generators.
 - :mod:`repro.api` — the canonical entry surface: pluggable
   :class:`~repro.api.sources.DetectionSource` adapters, the renderer
   registry, the checkpointable :class:`~repro.api.service.MoasService`

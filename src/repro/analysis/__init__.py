@@ -3,8 +3,8 @@
 :mod:`repro.analysis.sources` adapts archives (CDS or MRT) into daily
 detections; :mod:`repro.analysis.pipeline` streams them into
 :class:`~repro.analysis.pipeline.StudyResults` —
-:mod:`repro.analysis.parallel` fans that work out over a process pool
-and merges per-shard states back, with identical results;
+:mod:`repro.analysis.parallel` fans per-day detection out over a
+process pool, with results identical to a serial run;
 :mod:`repro.analysis.report` and :mod:`repro.analysis.figures` render
 the paper's tables and figures; :mod:`repro.analysis.evaluation`
 scores verdict-engine cause attribution against injected ground truth
@@ -25,7 +25,7 @@ from repro.analysis.evaluation import (
     evaluate_verdicts,
 )
 from repro.analysis.export import episodes_csv, summary_json
-from repro.analysis.parallel import ParallelExecutor, resolve_workers
+from repro.analysis.parallel import resolve_workers
 from repro.analysis.pipeline import StudyPipeline, StudyResults, StudyState
 from repro.analysis.sources import (
     detections_from_archive,
@@ -36,7 +36,6 @@ __all__ = [
     "EvaluationReport",
     "EvaluationResult",
     "evaluate_verdicts",
-    "ParallelExecutor",
     "resolve_workers",
     "StudyState",
     "compare_to_paper",

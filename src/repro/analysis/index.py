@@ -589,7 +589,7 @@ class EpisodeIndex:
         Deterministic: two indexes holding the same records — however
         they were folded — encode to identical bytes, which is the
         byte-equivalence the property suite pins across archive
-        formats and workers×shards layouts.
+        formats and worker counts.
         """
         strings: dict[str, int] = {}
         sets: dict[tuple[int, ...], int] = {}

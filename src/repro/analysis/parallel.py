@@ -2,15 +2,14 @@
 
 The study's expensive step is per-day detection: decoding one archive
 chunk and scanning it for multi-origin prefixes.  Days are independent,
-so :class:`ParallelExecutor` fans contiguous day ranges out over a
-``concurrent.futures`` process pool, streams the resulting
+so :func:`iter_detections` fans contiguous day ranges out over a
+``concurrent.futures`` process pool and streams the resulting
 :class:`~repro.core.detector.DayDetection` records back *in
-chronological order*, and folds each one into per-shard
-:class:`~repro.analysis.pipeline.StudyState` accumulators that
-:meth:`~repro.analysis.pipeline.StudyState.merge` recombines.  Folding
-is deterministic and cheap relative to detection, so results are
-identical to a serial run for every ``workers``/``shards`` combination
-— the engine's core invariant, enforced by the equality tests.
+chronological order*; the caller folds each one into its single
+:class:`~repro.analysis.pipeline.StudyState`.  Folding is deterministic
+and cheap relative to detection, so results are identical to a serial
+run for every worker count — the engine's core invariant, enforced by
+the equality tests.
 
 Partitionable sources are the file-backed ones: CDS archive
 directories (v1: each worker seeks straight to its day range; v2: the
@@ -31,17 +30,13 @@ import math
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.pipeline import StudyPipeline, StudyState
 from repro.core.detector import DayDetection, detect_day_columns
-from repro.netbase.sharding import ShardSpec
 from repro.util.workers import resolve_workers
 
 __all__ = [
     "CHUNKS_PER_WORKER",
-    "ParallelExecutor",
     "iter_detections",
     "partition_tasks",
     "resolve_workers",
@@ -253,72 +248,3 @@ def iter_detections(source, workers: int | None = 1) -> Iterator[DayDetection]:
             yield from batch
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-@dataclass
-class ParallelExecutor:
-    """Fan-out/fold/merge driver for one parallel study run.
-
-    ``workers`` controls detection parallelism (``0``/``None``
-    auto-detects CPUs, ``1`` is the serial fallback); ``shards``
-    controls how many prefix-space slices the streaming state is folded
-    into (each fed every day's full detection, merged at the end);
-    ``scheme`` picks the :mod:`~repro.netbase.sharding` partitioner.
-    """
-
-    workers: int | None = None
-    shards: int = 1
-    scheme: str = "hash"
-
-    def __post_init__(self) -> None:
-        self.workers = resolve_workers(self.workers)
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-
-    def make_states(
-        self, pipeline: StudyPipeline, *, roa_table=None
-    ) -> list[StudyState]:
-        """Fresh per-shard accumulators for this executor's layout.
-
-        ``roa_table`` (a :class:`~repro.netbase.rpki.RoaTable`) is
-        shared by every shard — it is immutable, so no copies.
-        """
-        if self.shards == 1:
-            return [pipeline.start(roa_table=roa_table)]
-        return [
-            pipeline.start(shard=spec, roa_table=roa_table)
-            for spec in ShardSpec.partition(self.shards, self.scheme)
-        ]
-
-    def detections(self, source) -> Iterator[DayDetection]:
-        """The source's detection stream under this worker budget."""
-        return iter_detections(source, workers=self.workers)
-
-    def run(
-        self,
-        pipeline: StudyPipeline,
-        source,
-        *,
-        states: list[StudyState] | None = None,
-        skip_through=None,
-        roa_table=None,
-    ) -> list[StudyState]:
-        """Detect (possibly in parallel) and fold into per-shard states.
-
-        ``states`` continues feeding existing accumulators (the resume
-        path); ``skip_through`` drops days up to and including that
-        date, letting a resumed run re-stream an overlapping source;
-        ``roa_table`` makes every fresh state validate origins per
-        RFC 6811 (validation happens at fold time in the coordinator,
-        so parallel results stay byte-identical to serial).  Returns
-        the fed states; merge them with :meth:`StudyState.merged` for
-        combined results.
-        """
-        if states is None:
-            states = self.make_states(pipeline, roa_table=roa_table)
-        for detection in self.detections(source):
-            if skip_through is not None and detection.day <= skip_through:
-                continue
-            for state in states:
-                state.feed_day(detection)
-        return states

@@ -13,15 +13,10 @@ feedable accumulator that can serialize itself mid-study
 :class:`repro.api.MoasService` is the session facade that adds
 checkpoint files and pluggable sources on top.
 
-Parallel studies shard this state across the prefix space: a
-:class:`StudyState` built with a :class:`~repro.netbase.sharding.ShardSpec`
-tracks episodes and prefix-length tallies only for its shard, while the
-cheap day-level aggregates (daily counts, classification, spike
-evidence) are computed over the full day so that
-:meth:`StudyState.merge` can recombine disjoint shards into results
-identical to a serial run.  :meth:`StudyPipeline.run` accepts
-``workers``/``shards`` and drives the whole fan-out/merge cycle through
-:class:`repro.analysis.parallel.ParallelExecutor`.
+A study has one :class:`StudyState`.  Parallel runs split only the
+per-day detection (:func:`repro.analysis.parallel.iter_detections`),
+which hands the days back in order, so the fold is the same whatever
+the worker count.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ import statistics
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
+from repro.analysis.parallel import iter_detections
 from repro.core.causes import SpikeReport
 from repro.core.classifier import ConflictClass, classify_day
 from repro.core.detector import DayDetection
@@ -54,7 +50,6 @@ from repro.netbase.rpki import (
     STATE_NOT_EVALUATED,
     ValidationState,
 )
-from repro.netbase.sharding import ShardSpec
 from repro.scenario.timeline import CLASSIFICATION_WINDOW
 from repro.topology.ixp import IXP_BLOCK
 
@@ -126,51 +121,39 @@ class StudyPipeline:
     spike_factor: float = 4.0
     duration_thresholds: tuple[int, ...] = (0, 1, 9, 29, 89)
 
-    def start(
-        self,
-        shard: ShardSpec | None = None,
-        *,
-        roa_table: RoaTable | None = None,
-    ) -> "StudyState":
+    def start(self, *, roa_table: RoaTable | None = None) -> "StudyState":
         """A fresh incremental accumulator under this configuration.
 
-        With ``shard`` the accumulator tracks per-prefix state (episodes
-        and prefix-length tallies) only for that slice of the prefix
-        space; disjoint shards recombine with :meth:`StudyState.merge`.
         With ``roa_table`` every observed conflict origin is validated
         per RFC 6811 and episodes carry a validation-state rollup.
         """
-        return StudyState(self, shard=shard, roa_table=roa_table)
+        return StudyState(self, roa_table=roa_table)
 
     def run(
         self,
         detections,
         *,
         workers: int = 1,
-        shards: int = 1,
         roa_table: RoaTable | None = None,
     ) -> StudyResults:
         """Stream all daily detections and assemble the results.
 
         ``detections`` is an iterable of daily
         :class:`~repro.core.detector.DayDetection` records, or — when
-        ``workers`` asks for parallelism — any detection source the
-        parallel executor can partition (a CDS archive directory /
-        ``ArchiveSource``, or an ``MrtFilesSource``; see
-        :mod:`repro.analysis.parallel`).
+        ``workers`` asks for parallelism — any detection source
+        :func:`~repro.analysis.parallel.iter_detections` can partition
+        (a CDS archive directory / ``ArchiveSource``, or an
+        ``MrtFilesSource``; see :mod:`repro.analysis.parallel`).
 
         ``workers`` fans per-day detection out over a process pool
         (``0``/``None`` auto-detects the CPU count; ``1``, the default,
         is the documented serial fallback that never spawns processes).
-        ``shards`` folds the study into that many prefix-space shards,
-        merged back before results are assembled — results are
-        identical for every ``workers``/``shards`` combination.
+        Results are identical for every worker count.
         """
-        from repro.analysis.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(workers=workers, shards=shards)
-        states = executor.run(self, detections, roa_table=roa_table)
-        return StudyState.merged(states).results()
+        state = self.start(roa_table=roa_table)
+        for detection in iter_detections(detections, workers=workers):
+            state.feed_day(detection)
+        return state.results()
 
     def config_dict(self) -> dict:
         """JSON-serializable form of this configuration."""
@@ -209,29 +192,17 @@ class StudyState:
     streaming state round-trips through JSON via :meth:`state_dict` and
     :meth:`from_state`, which is what makes mid-study checkpointing
     possible without replaying earlier days.
-
-    With ``shard`` the state covers one slice of the prefix space: the
-    heavy per-prefix aggregates (the episode tracker and the per-year
-    prefix-length tallies) fold in only the shard's conflicts, while
-    the cheap day-level aggregates (daily counts, classification,
-    spike/case-study evidence, AS_SET exclusion maximum) are computed
-    over the *full* detection exactly as a serial state would.  Every
-    shard must therefore be fed every day's full detection; disjoint
-    shards then recombine with :meth:`merge` into a state whose
-    :meth:`results` are identical to an unsharded run.
     """
 
     def __init__(
         self,
         pipeline: StudyPipeline | None = None,
-        shard: ShardSpec | None = None,
         *,
         roa_table: RoaTable | None = None,
     ) -> None:
         self.pipeline = pipeline or StudyPipeline()
-        self.shard = shard
         #: Immutable ROA database conflicts are validated against;
-        #: shared (not copied) across shards — see
+        #: shared (not copied) with clones — see
         #: :mod:`repro.netbase.rpki`.
         self.roa_table = roa_table
         self._rpki_states: dict[Prefix, ValidationState] = {}
@@ -269,20 +240,11 @@ class StudyState:
         day = detection.day
         conflicts = detection.conflicts
         count = len(conflicts)
-        if self.shard is None:
-            sharded = conflicts
-        else:
-            contains = self.shard.contains
-            sharded = [
-                conflict
-                for conflict in conflicts
-                if contains(conflict.prefix)
-            ]
-        self._tracker.observe_day(day, sharded)
+        self._tracker.observe_day(day, conflicts)
         roa_table = self.roa_table
         if roa_table is not None:
             states = self._rpki_states
-            for conflict in sharded:
+            for conflict in conflicts:
                 prefix = conflict.prefix
                 folded = roa_table.fold_episode_state(
                     states.get(prefix), prefix, conflict.origins, day=day
@@ -297,7 +259,7 @@ class StudyState:
 
         self._days_per_year[day.year] += 1
         bucket = self._length_sums.setdefault(day.year, Counter())
-        for conflict in sharded:
+        for conflict in conflicts:
             bucket[conflict.prefix.length] += 1
 
         window_start, window_end = pipeline.classification_window
@@ -369,8 +331,8 @@ class StudyState:
     def clone(self) -> "StudyState":
         """An independent copy of the complete streaming state.
 
-        Feeding or merging the clone never touches the original (and
-        vice versa); the immutable ROA table is shared, not copied.
+        Feeding the clone never touches the original (and vice versa);
+        the immutable ROA table is shared, not copied.
         Built on the :meth:`state_dict` round-trip, so the clone is by
         construction exactly what a checkpoint-restore would produce.
         """
@@ -383,81 +345,15 @@ class StudyState:
             copied.roa_table = self.roa_table
         return copied
 
-    # -- shard combination ----------------------------------------------
-
-    def merge(self, other: "StudyState") -> "StudyState":
-        """Combine two states covering disjoint prefix shards.
-
-        Both states must have been fed the same full-day detections
-        (their day-level aggregates are validated to agree) under the
-        same pipeline configuration, over disjoint shards of the same
-        partitioning.  Returns a new state covering the union; neither
-        input is mutated, so the operation is associative and a merged
-        state can keep being fed or merged further.
-        """
-        if self.pipeline != other.pipeline:
-            raise ValueError(
-                "cannot merge states with different pipeline configurations"
-            )
-        if self.roa_table != other.roa_table:
-            raise ValueError(
-                "cannot merge states validated against different ROA tables"
-            )
-        if self.shard is None or other.shard is None:
-            raise ValueError(
-                "cannot merge an unsharded state: it already covers "
-                "the full prefix space"
-            )
-        if self._daily_series != other._daily_series:
-            raise ValueError(
-                "cannot merge states fed different day streams "
-                f"({self._total_days} vs {other._total_days} days)"
-            )
-        merged = StudyState(
-            self.pipeline,
-            shard=self.shard.union(other.shard),
-            roa_table=self.roa_table,
-        )
-        merged._tracker = self._tracker.merge(other._tracker)
-        # Per-prefix validation rollups are disjoint across shards.
-        merged._rpki_states = {**self._rpki_states, **other._rpki_states}
-        # Day-level aggregates are computed over the full detection in
-        # every shard, so both inputs hold identical copies; take ours.
-        merged._daily_series = list(self._daily_series)
-        merged._recent_counts.extend(self._recent_counts)
-        merged._days_per_year = Counter(self._days_per_year)
-        merged._classification = list(self._classification)
-        merged._case_studies = list(self._case_studies)
-        merged._as_set_excluded_max = self._as_set_excluded_max
-        merged._total_days = self._total_days
-        # Per-prefix aggregates are disjoint; sum the length tallies.
-        merged._length_sums = {
-            year: Counter(bucket) for year, bucket in self._length_sums.items()
-        }
-        for year, bucket in other._length_sums.items():
-            target = merged._length_sums.setdefault(year, Counter())
-            target.update(bucket)
-        return merged
-
-    @classmethod
-    def merged(cls, states: list["StudyState"]) -> "StudyState":
-        """Fold a list of disjoint shard states into one.
-
-        A single (possibly unsharded) state passes through unchanged.
-        """
-        if not states:
-            raise ValueError("cannot merge zero study states")
-        combined = states[0]
-        for state in states[1:]:
-            combined = combined.merge(state)
-        return combined
-
     # -- checkpoint serialization ------------------------------------------
 
     def state_dict(self) -> dict:
         """The complete streaming state as a JSON-serializable dict."""
         return {
-            "shard": self.shard.to_dict() if self.shard is not None else None,
+            # Always null.  Releases that split the prefix space into
+            # shards recorded the state's shard here; the key stays so
+            # checkpoint bytes and the committed schema do not change.
+            "shard": None,
             "tracker": self._tracker.state_dict(),
             "daily_series": [
                 [day.isoformat(), count]
@@ -526,16 +422,20 @@ class StudyState:
     def from_state(
         cls, state: dict, *, pipeline: StudyPipeline | None = None
     ) -> "StudyState":
-        """Rebuild mid-study streaming state from :meth:`state_dict`."""
-        shard_payload = state.get("shard")
+        """Rebuild mid-study streaming state from :meth:`state_dict`.
+
+        A state scoped to a prefix shard (a non-null ``shard``) is
+        rejected: a legacy sharded checkpoint is merged into one
+        whole-space state at load (see :mod:`repro.api.service`).
+        """
+        if state.get("shard") is not None:
+            raise ValueError(
+                "study state covers one prefix shard; merge the "
+                "checkpoint's shards before restoring it"
+            )
         rpki_payload = state.get("rpki")
         restored = cls(
             pipeline,
-            shard=(
-                ShardSpec.from_dict(shard_payload)
-                if shard_payload is not None
-                else None
-            ),
             roa_table=(
                 RoaTable.from_rows(rpki_payload["roas"])
                 if rpki_payload is not None

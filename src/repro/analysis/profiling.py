@@ -9,7 +9,7 @@ splitting wall clock into the three stages every study pays —
 - **detect**: the per-day MOAS conflict scan
   (:func:`~repro.core.detector.detect_day_columns`);
 - **fold**: folding each :class:`~repro.core.detector.DayDetection`
-  into the session's per-shard study state.
+  into the session's study state.
 
 A :mod:`cProfile` capture runs alongside so the summary also names the
 hottest functions, which is where the next hot-path PR should start.

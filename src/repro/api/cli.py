@@ -8,8 +8,9 @@ One CLI over the :mod:`repro.api` facade.
   ``--rpki`` issues a ROA database beside it);
 - ``repro analyze ARCHIVE OUT``: run the study and write every
   figure/table, with optional ``--checkpoint`` / ``--resume``,
-  parallel ``--workers`` / ``--shards``, and ``--rpki roas.json``
-  RFC 6811 origin validation;
+  parallel ``--workers``, and ``--rpki roas.json`` RFC 6811 origin
+  validation (``--resume`` also reads a legacy sharded checkpoint
+  directory; ``--checkpoint`` always writes one file);
 - ``repro convert SRC DST``: re-encode an archive between day-store
   formats (v1 <-> v2), atomically;
 - ``repro report OUT``: print a previously generated report;
@@ -31,8 +32,8 @@ One CLI over the :mod:`repro.api` facade.
 
 ``--workers`` accepts a worker count, ``auto``/``0`` for CPU
 auto-detection, or ``1`` (the default) for the serial path that never
-spawns a process.  Results are identical for every ``--workers`` /
-``--shards`` combination.
+spawns a process.  Results are identical for every ``--workers``
+count.
 """
 
 from __future__ import annotations
@@ -239,26 +240,17 @@ def _add_analyze(sub) -> None:
         "--resume",
         type=Path,
         metavar="CKPT",
-        help="resume the session from this checkpoint file; archive "
-        "days the checkpoint already covers are skipped",
+        help="resume the session from this checkpoint file (or a "
+        "legacy sharded checkpoint directory); archive days the "
+        "checkpoint already covers are skipped",
     )
     parser.add_argument(
         "--checkpoint",
         type=Path,
         metavar="CKPT",
-        help="write the final session state to this checkpoint file "
-        "(a directory of per-shard states when --shards > 1)",
+        help="write the final session state to this checkpoint file",
     )
     _add_workers_option(parser)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="M",
-        help="fold the study state into M prefix-space shards "
-        "(checkpoints become per-shard files; results are identical; "
-        "default 1, or the checkpoint's own layout with --resume)",
-    )
     parser.add_argument(
         "--rpki",
         type=Path,
@@ -295,17 +287,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     profile = None
     try:
-        if args.shards is not None and args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
         if args.resume is not None:
             service = MoasService.load_checkpoint(
                 args.resume, workers=args.workers
             )
-            if args.shards is not None and args.shards != service.shards:
-                raise ValueError(
-                    f"checkpoint has {service.shards} shard(s); "
-                    f"cannot resume it with --shards {args.shards}"
-                )
             if args.rpki is not None:
                 if service.roa_table is None:
                     raise ValueError(
@@ -330,11 +315,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             else:
                 service.feed(args.archive_dir, skip_seen=True)
         else:
-            service = MoasService(
-                workers=args.workers,
-                shards=args.shards or 1,
-                roa_table=args.rpki,
-            )
+            service = MoasService(workers=args.workers, roa_table=args.rpki)
             if args.profile:
                 from repro.analysis.profiling import profile_feed
 
@@ -656,14 +637,6 @@ def _add_evaluate(sub) -> None:
         "(the CI artifact format)",
     )
     _add_workers_option(parser)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="M",
-        help="fold verdict evidence into M prefix-space shards "
-        "(results are identical; default 1)",
-    )
     parser.set_defaults(func=_run_evaluate)
 
 
@@ -671,9 +644,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     from repro.mrt.errors import MrtError
 
     try:
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
-        service = MoasService(workers=args.workers, shards=args.shards)
+        service = MoasService(workers=args.workers)
         report = service.evaluate(args.archive_dir)
     except (
         FileNotFoundError,
@@ -825,14 +796,6 @@ def _add_serve(sub) -> None:
         "(default 0: only at feed boundaries and shutdown)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="M",
-        help="fold the study state into M prefix-space shards "
-        "(default 1)",
-    )
-    parser.add_argument(
         "--rpki",
         type=Path,
         metavar="ROAS",
@@ -846,8 +809,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.api.serve import ServeConfig, run_serve
 
     try:
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
         config = ServeConfig(
             archive=args.archive_dir,
             host=args.host,
@@ -856,7 +817,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             poll_interval=args.poll_interval,
             checkpoint=args.checkpoint,
             checkpoint_every_days=args.checkpoint_every_days,
-            shards=args.shards,
             rpki=args.rpki,
         )
         return run_serve(config)

@@ -14,7 +14,7 @@ Layout:
 
 - :class:`ServeApp` — the synchronous request core: routes ``GET``
   targets to JSON/CSV/ASCII responses rendered from consistent
-  copy-on-merge snapshots of the shared session (the snapshot
+  detached snapshots of the shared session (the snapshot
   isolation contract of :meth:`~repro.api.service.MoasService.results`).
 - :class:`ServeDaemon` — the asyncio shell: accepts connections,
   streams ``/v1/alerts`` over SSE, runs the ingestion loop (initial
@@ -215,7 +215,8 @@ class IngestState:
     initial_complete: bool = False
     days_ingested: int = 0
     checkpoints_written: int = 0
-    #: Last ingestion problem (bad drop file, ...), or None.
+    #: Last ingestion problem (bad drop file, failed checkpoint
+    #: write, ...), or None.
     last_error: str | None = None
 
 
@@ -235,7 +236,11 @@ class ServeConfig:
     boundaries and shutdown), and on clean shutdown — and an existing
     checkpoint at boot resumes the session, skipping archive days it
     already covers.  Verdict/alert state is rebuilt from days folded
-    after the resume; figures and episodes restore exactly.
+    after the resume; figures and episodes restore exactly.  A failed
+    checkpoint write is reported (``ingest.last_error``) and ingestion
+    goes on.  The checkpoint must be a file: the daemon writes back to
+    the path it resumed from, so a legacy sharded checkpoint
+    directory is refused at boot.
 
     ``ingest_delay`` throttles the fold loop (seconds between days) so
     tests and benchmarks can hold the daemon in its "ingesting" phase;
@@ -249,7 +254,6 @@ class ServeConfig:
     poll_interval: float = 2.0
     checkpoint: Path | None = None
     checkpoint_every_days: int = 0
-    shards: int = 1
     rpki: Path | None = None
     ingest_delay: float = 0.0
     sse_keepalive: float = 15.0
@@ -458,8 +462,7 @@ class ServeApp:
         fold's episode and verdict memos keep an untouched prefix's
         objects identical, so that is about the prefixes the last
         folds fed.  With no previous index, or when most records
-        changed (a sharded session rebuilds every episode object on
-        each merge), the index is built cold.
+        changed, the index is built cold.
         """
         from repro.analysis.index import EpisodeIndex, changed_prefixes
 
@@ -556,7 +559,6 @@ class ServeApp:
             "uptime_seconds": round(
                 time.monotonic() - self.started_monotonic, 3
             ),
-            "shards": service.shards,
             "rpki": service.roa_table is not None,
             "ingest": {
                 "active": self.ingest.active,
@@ -776,6 +778,15 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
+        #: True when the checkpoint written on shutdown failed.
+        self.final_checkpoint_failed = False
+        if config.checkpoint is not None and config.checkpoint.is_dir():
+            raise ValueError(
+                f"checkpoint {config.checkpoint} is a directory (a "
+                f"legacy sharded checkpoint); serve writes one file, "
+                f"so convert it first: repro analyze ARCHIVE OUT "
+                f"--resume {config.checkpoint} --checkpoint FILE"
+            )
         if (
             config.checkpoint is not None
             and config.checkpoint.exists()
@@ -790,9 +801,7 @@ class ServeDaemon:
                 and (config.archive / "roas.json").is_file()
             ):
                 roa_source = config.archive
-            service = MoasService(
-                shards=config.shards, roa_table=roa_source
-            )
+            service = MoasService(roa_table=roa_source)
             self.resumed = False
         self.app = ServeApp(service, archive=config.archive)
         self.hub = AlertHub()
@@ -822,7 +831,8 @@ class ServeDaemon:
         feed completes, because serving during ingestion is the point.
         On the way out the listener closes, open connections drain
         (:meth:`_drain_connections`), ingestion stops and a final
-        checkpoint is written when configured.
+        checkpoint is written when configured; if that write fails,
+        :attr:`final_checkpoint_failed` is set.
         """
         self._stop_event = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -851,10 +861,8 @@ class ServeDaemon:
                 await ingest_task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
-            if self.config.checkpoint is not None:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._write_checkpoint
-                )
+            if not await self._checkpoint():
+                self.final_checkpoint_failed = True
             print("[serve] stopped", flush=True)
 
     async def _drain_connections(self) -> None:
@@ -880,12 +888,23 @@ class ServeDaemon:
         self.app.service.save_checkpoint(self.config.checkpoint)
         self.app.ingest.checkpoints_written += 1
 
-    async def _checkpoint(self) -> None:
+    async def _checkpoint(self) -> bool:
+        """Write the configured checkpoint; False if the write failed.
+
+        A failure is recorded in ``ingest.last_error`` and printed, and
+        ingestion goes on: a later checkpoint may still succeed.
+        """
         if self.config.checkpoint is None:
-            return
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._write_checkpoint
-        )
+            return True
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._write_checkpoint
+            )
+        except (OSError, ValueError) as error:
+            self.app.ingest.last_error = f"checkpoint: {error}"
+            print(f"[serve] checkpoint failed: {error}", flush=True)
+            return False
+        return True
 
     async def _feed_source(self, source) -> int:
         """Fold every not-yet-seen day of ``source``; returns days fed.
@@ -1196,7 +1215,7 @@ def run_serve(config: ServeConfig) -> int:
 
     The ``repro serve`` CLI body: blocks the calling thread, handles
     Ctrl-C as a clean shutdown (final checkpoint included), and returns
-    a process exit code.
+    a process exit code: 1 when the final checkpoint failed, else 0.
     """
     daemon = ServeDaemon(config)
 
@@ -1213,4 +1232,4 @@ def run_serve(config: ServeConfig) -> int:
         # asyncio.run cancels the task tree on KeyboardInterrupt; the
         # daemon's finally-block checkpoint has already run by now.
         print("[serve] interrupted", flush=True)
-    return 0
+    return 1 if daemon.final_checkpoint_failed else 0

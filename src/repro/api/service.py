@@ -4,43 +4,40 @@ Wraps detector -> classifier -> episode tracker -> statistics as an
 incrementally-feedable session.  Feed any
 :class:`~repro.api.sources.DetectionSource` (or anything
 :func:`~repro.api.sources.open_source` can adapt), checkpoint the
-streaming state to JSON at any point, resume later — possibly in a
-different process, against a different shard of the archive — and the
-final :class:`~repro.analysis.pipeline.StudyResults` are identical to
-an uninterrupted run.
+streaming state to one JSON file at any point, resume later — possibly
+in a different process, on a later part of the archive — and the final
+:class:`~repro.analysis.pipeline.StudyResults` are identical to an
+uninterrupted run.
 
-The session scales out in two independent directions:
+``workers=N`` fans per-day detection over a process pool when the
+source is partitionable (CDS archives, MRT file lists); ``N=1`` (the
+default) is the documented serial fallback that never spawns a
+process, and ``N=0`` auto-detects the CPU count.  Results are
+identical for every worker count — the engine's core invariant — and
+for both CDS archive day-store formats (v1 and v2; the reader
+auto-detects, see :mod:`repro.scenario.archive`).
 
-- ``workers=N`` fans per-day detection over a process pool when the
-  source is partitionable (CDS archives, MRT file lists); ``N=1`` (the
-  default) is the documented serial fallback that never spawns a
-  process, and ``N=0`` auto-detects the CPU count.
-- ``shards=M`` folds the streaming state into ``M`` prefix-space
-  shards.  Checkpoints of a sharded session are directories (one
-  ``state_dict`` file per shard plus a manifest) so each shard can be
-  stored, shipped, or resumed independently.
-
-Results are identical for every ``workers``/``shards`` combination —
-the engine's core invariant — and for both CDS archive day-store
-formats (v1 and v2; the reader auto-detects, see
-:mod:`repro.scenario.archive`).
+Earlier releases could also split the study state into prefix-space
+shards, and checkpointed such a session as a directory: a
+``manifest.json`` naming one state file per shard.  Those legacy
+checkpoints, and version-2 payloads holding several shard states,
+still load: :func:`_merge_legacy_shards` folds the shard states into
+one state once, at load.  Checkpoints are only ever written as files.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from pathlib import Path
 
-from repro.analysis.parallel import (
-    ParallelExecutor,
-    iter_detections,
-    resolve_workers,
-)
+from repro.analysis.parallel import iter_detections, resolve_workers
 from repro.analysis.pipeline import StudyPipeline, StudyResults, StudyState
 from repro.api.renderers import render
 from repro.api.sources import open_source
 from repro.core.detector import DayDetection
+from repro.netbase.prefix import Prefix
 from repro.util.concurrency import guarded_by
 from repro.util.io import atomic_write_text
 
@@ -48,22 +45,130 @@ from repro.util.io import atomic_write_text
 #: Version 1 (single ``state`` payload) is still readable.
 CHECKPOINT_VERSION = 2
 
-#: File name of the manifest inside a sharded checkpoint directory.
+#: File name of the manifest inside a legacy sharded checkpoint
+#: directory.
 CHECKPOINT_MANIFEST = "manifest.json"
 
+#: State fields every shard of a legacy checkpoint folded from the full
+#: day stream, so all shards must hold the same value.
+_DAY_LEVEL_FIELDS = (
+    "daily_series",
+    "recent_counts",
+    "days_per_year",
+    "classification",
+    "case_studies",
+    "as_set_excluded_max",
+    "total_days",
+)
 
-@guarded_by("_lock", "_states")
+
+def _merge_legacy_shards(states: list[dict]) -> dict:
+    """Fold a legacy checkpoint's shard states into one state dict.
+
+    Each shard of an earlier release's sharded session folded the full
+    day stream but kept per-prefix data only for its slice of the
+    prefix space.  So the day-level fields come from the first state,
+    tracker records are concatenated in manifest order, prefix-length
+    tallies are summed and RPKI states are unioned.  A single state
+    with a null ``shard`` passes through unchanged.
+
+    A checkpoint is input from outside the program, so every
+    assumption is checked, each failure a :class:`ValueError` that
+    names it: the shard specs share one count and scheme and cover
+    each index exactly once, the shards agree on the ROA table and on
+    the day stream, and no prefix appears in two shards.
+    """
+    specs = [state.get("shard") for state in states]
+    if specs == [None]:
+        return states[0]
+    if None in specs:
+        raise ValueError(
+            "checkpoint mixes a whole-space state with shard states"
+        )
+    count, scheme = specs[0]["count"], specs[0].get("scheme", "hash")
+    for spec in specs[1:]:
+        if (spec["count"], spec.get("scheme", "hash")) != (count, scheme):
+            raise ValueError(
+                f"checkpoint shards use different partitionings: "
+                f"{count} {scheme} shards and {spec['count']} "
+                f"{spec.get('scheme', 'hash')} shards"
+            )
+    covered = Counter(index for spec in specs for index in spec["indices"])
+    for problem, indices in (
+        ("repeats", [i for i in sorted(covered) if covered[i] > 1]),
+        ("is missing", [i for i in range(count) if i not in covered]),
+        ("has out-of-range", [i for i in sorted(covered) if not 0 <= i < count]),
+    ):
+        if indices:
+            raise ValueError(
+                f"checkpoint {problem} shard index "
+                f"{', '.join(map(str, indices))} of {count}"
+            )
+    first = states[0]
+    for state in states[1:]:
+        if _roa_rows(state) != _roa_rows(first):
+            raise ValueError("checkpoint shards disagree on the ROA table")
+        for name in _DAY_LEVEL_FIELDS:
+            if state[name] != first[name]:
+                raise ValueError(f"checkpoint shards disagree on {name}")
+        if state["tracker"]["last_fed_day"] != first["tracker"][
+            "last_fed_day"
+        ]:
+            raise ValueError(
+                "checkpoint shards disagree on the last fed day"
+            )
+    records: list = []
+    seen: set[tuple[int, int]] = set()
+    length_sums: dict[str, dict[str, int]] = {}
+    rpki_states: dict[str, str] = {}
+    for state in states:
+        for record in state["tracker"]["prefixes"]:
+            key = (record[0], record[1])
+            if key in seen:
+                raise ValueError(
+                    f"checkpoint holds prefix "
+                    f"{Prefix(*key, strict=False)} in two shards"
+                )
+            seen.add(key)
+            records.append(record)
+        for year, bucket in state["length_sums"].items():
+            target = length_sums.setdefault(year, {})
+            for length, tally in bucket.items():
+                target[length] = target.get(length, 0) + tally
+        if state.get("rpki") is not None:
+            rpki_states.update(state["rpki"]["states"])
+    merged = {
+        **first,
+        "shard": None,
+        "tracker": {
+            "last_fed_day": first["tracker"]["last_fed_day"],
+            "prefixes": records,
+        },
+        "length_sums": length_sums,
+    }
+    if first.get("rpki") is not None:
+        merged["rpki"] = {"roas": first["rpki"]["roas"], "states": rpki_states}
+    return merged
+
+
+def _roa_rows(state: dict) -> list | None:
+    """The ROA rows a state was validated against (None without)."""
+    rpki = state.get("rpki")
+    return rpki["roas"] if rpki is not None else None
+
+
+@guarded_by("_lock", "_state")
 class MoasService:
     """An incrementally-feedable, checkpointable MOAS study session.
 
     Usage::
 
-        service = MoasService(workers=4, shards=2)
+        service = MoasService(workers=4)
         service.feed("path/to/archive")        # any DetectionSource
         print(service.render("summary", "ascii"))
         service.save_checkpoint("study.ckpt")  # ... later ...
         service = MoasService.load_checkpoint("study.ckpt")
-        service.feed(next_shard)               # continue where we left off
+        service.feed(more_days)                # continue where we left off
         results = service.results()
     """
 
@@ -72,30 +177,20 @@ class MoasService:
         pipeline: StudyPipeline | None = None,
         *,
         workers: int = 1,
-        shards: int = 1,
-        shard_scheme: str = "hash",
         roa_table=None,
     ) -> None:
         self.pipeline = pipeline or StudyPipeline()
-        # One source of truth for worker resolution and shard layout:
-        # the same executor the pipeline path uses.
-        executor = ParallelExecutor(
-            workers=workers, shards=shards, scheme=shard_scheme
-        )
-        self.workers = executor.workers
-        self.shards = executor.shards
+        self.workers = resolve_workers(workers)
         # Anything RoaTable.load accepts: a table, a roas.json path, or
-        # an archive directory carrying one.  The table is immutable
-        # and shared by every shard; fed conflicts are validated per
-        # RFC 6811 and results gain the rpki/longevity breakdowns.
+        # an archive directory carrying one.  Fed conflicts are
+        # validated per RFC 6811 and results gain the rpki/longevity
+        # breakdowns.
         if roa_table is not None:
             from repro.netbase.rpki import RoaTable
 
             roa_table = RoaTable.load(roa_table)
         self.roa_table = roa_table
-        self._states = executor.make_states(
-            self.pipeline, roa_table=roa_table
-        )
+        self._state = self.pipeline.start(roa_table=roa_table)
         # Snapshot isolation for concurrent readers (the serve daemon
         # folds days on one thread while request handlers read).  Every
         # mutation and every multi-structure read holds this lock, so
@@ -111,22 +206,20 @@ class MoasService:
     def days_fed(self) -> int:
         """Observed days folded into the session so far."""
         with self._lock:
-            return self._states[0].total_days
+            return self._state.total_days
 
     @property
     def last_day(self):
         """The most recent day fed, or None for a fresh session."""
         with self._lock:
-            return self._states[0].last_day
+            return self._state.last_day
 
     def feed_day(self, detection: DayDetection) -> None:
         """Fold one day's detection into the session.
 
         Days must arrive in strictly increasing date order (ValueError
         otherwise) — use ``feed(..., skip_seen=True)`` when re-streaming
-        a source that overlaps what this session already saw.  Every
-        shard folds the full detection (day-level aggregates are shared,
-        per-prefix state is shard-filtered).
+        a source that overlaps what this session already saw.
 
         The fold is atomic with respect to :meth:`results`,
         :meth:`snapshot_state` and :meth:`save_checkpoint` running on
@@ -134,8 +227,7 @@ class MoasService:
         before or after the whole day, never mid-fold.
         """
         with self._lock:
-            for state in self._states:
-                state.feed_day(detection)
+            self._state.feed_day(detection)
 
     def feed(
         self,
@@ -160,11 +252,10 @@ class MoasService:
         :mod:`repro.analysis.parallel`).
         """
         adapted = open_source(source, **options)
-        effective = resolve_workers(
-            self.workers if workers is None else workers
-        )
         fed = 0
-        for detection in iter_detections(adapted, workers=effective):
+        for detection in iter_detections(
+            adapted, workers=self.workers if workers is None else workers
+        ):
             # Check against the *advancing* last_day so duplicate days
             # inside one stream are skipped too, not just overlap with
             # what an earlier feed or resumed checkpoint covered.
@@ -184,17 +275,16 @@ class MoasService:
         """The full study statistics for everything fed so far.
 
         Non-destructive: the session remains feedable, so interim
-        results can be read mid-study.  Sharded sessions merge their
-        shard states on the fly (the states themselves are untouched).
+        results can be read mid-study.
 
-        The returned :class:`StudyResults` is a detached copy-on-merge
-        snapshot: it shares no mutable state with the live session (see
+        The returned :class:`StudyResults` is a detached snapshot: it
+        shares no mutable state with the live session (see
         :meth:`StudyState.results`), and assembly holds the session
         lock, so a service thread can keep rendering it while
         :meth:`feed_day` continues on another thread.
         """
         with self._lock:
-            return StudyState.merged(self._states).results()
+            return self._state.results()
 
     def render(self, figure: str, format: str = "csv") -> str:
         """Render one figure/table from the current session state."""
@@ -239,7 +329,7 @@ class MoasService:
         """Run the verdict engine over ``source`` and score it.
 
         Streams the source's daily detections (worker-parallel exactly
-        like :meth:`feed`, sharded like the session) through a
+        like :meth:`feed`) through a
         :class:`~repro.core.verdict.VerdictEngine`, finalizes one
         :class:`~repro.core.verdict.Verdict` per prefix, and — when the
         source is a CDS archive carrying answer keys — scores the
@@ -256,8 +346,8 @@ class MoasService:
         RPKI shadow on.
 
         Evaluation is independent of the session's fed study state: it
-        only borrows the session's worker/shard layout (and default
-        ROA table).
+        only borrows the session's worker count (and default ROA
+        table).
         """
         from repro.analysis.evaluation import (
             EvaluationReport,
@@ -297,21 +387,13 @@ class MoasService:
             finally:
                 reader.close()
 
-        with self._lock:
-            shard_specs = [state.shard for state in self._states]
-        engines = [
-            VerdictEngine(config, shard=shard, roa_table=roa_table)
-            for shard in shard_specs
-        ]
-        effective = resolve_workers(
-            self.workers if workers is None else workers
-        )
-        for detection in iter_detections(adapted, workers=effective):
-            for engine in engines:
-                engine.feed_day(detection)
-        merged = VerdictEngine.merged(engines)
+        engine = VerdictEngine(config, roa_table=roa_table)
+        for detection in iter_detections(
+            adapted, workers=self.workers if workers is None else workers
+        ):
+            engine.feed_day(detection)
 
-        verdicts = merged.finalize(registry=registry)
+        verdicts = engine.finalize(registry=registry)
         result = evaluate_verdicts(
             verdicts, injected=injected, organic=organic
         )
@@ -329,24 +411,27 @@ class MoasService:
 
         Taken atomically at a day boundary even while :meth:`feed_day`
         runs on another thread: the payload always equals the state
-        after some prefix of the fed day stream (and all shards agree
-        on which prefix), never a torn mid-fold mixture.
+        after some prefix of the fed day stream, never a torn mid-fold
+        mixture.  ``shards`` holds the one study state: the version-2
+        payload keeps the list its sharded writer used.
         """
         with self._lock:
             return {
                 "version": CHECKPOINT_VERSION,
                 "pipeline": self.pipeline.config_dict(),
-                "shards": [state.state_dict() for state in self._states],
+                "shards": [self._state.state_dict()],
             }
 
     @classmethod
     def resume(cls, snapshot: dict, *, workers: int = 1) -> "MoasService":
         """Rebuild a session from a :meth:`snapshot_state` payload.
 
-        Accepts both the current sharded layout (version 2) and legacy
-        single-state version-1 checkpoints.  The worker count is an
-        execution-resource choice, not study state, so it is never part
-        of the checkpoint — pass ``workers`` to continue in parallel.
+        Accepts version-2 payloads and legacy single-state version-1
+        checkpoints.  A version-2 payload holding several shard states
+        is merged once, here (:func:`_merge_legacy_shards`).  The worker
+        count is an execution-resource choice, not study state, so it
+        is never part of the checkpoint — pass ``workers`` to continue
+        in parallel.
         """
         version = snapshot.get("version")
         if version not in (1, CHECKPOINT_VERSION):
@@ -356,114 +441,45 @@ class MoasService:
             )
         pipeline = StudyPipeline.from_config_dict(snapshot["pipeline"])
         if version == 1:
-            shard_states = [snapshot["state"]]
-        else:
-            shard_states = snapshot["shards"]
-        if not shard_states:
+            state = snapshot["state"]
+        elif not snapshot["shards"]:
             raise ValueError("checkpoint contains no shard states")
+        else:
+            state = _merge_legacy_shards(snapshot["shards"])
         service = cls(pipeline, workers=workers)
-        service._states = [
-            StudyState.from_state(state, pipeline=pipeline)
-            for state in shard_states
-        ]
-        service.shards = len(service._states)
-        # RPKI-enabled checkpoints carry their table in every shard
-        # state (each shard file is self-contained); normalize the
-        # restored session to one shared instance so the validation
-        # memos warm once, not per shard.
-        table = service._states[0].roa_table
-        for state in service._states[1:]:
-            if state.roa_table != table:
-                raise ValueError(
-                    "checkpoint shards disagree on the ROA table"
-                )
-            state.roa_table = table
-        service.roa_table = table
+        service._state = StudyState.from_state(state, pipeline=pipeline)
+        service.roa_table = service._state.roa_table
         return service
 
     def save_checkpoint(self, path: Path | str) -> Path:
-        """Write the session checkpoint to ``path``.
+        """Write the session checkpoint to the file ``path``.
 
-        Single-shard sessions write one JSON file, exactly as before.
-        Sharded sessions write a *directory*: a ``manifest.json``
-        naming the layout plus one ``shard-NN.gG.json`` state file per
-        shard, so shards can be inspected or shipped independently and
-        :meth:`load_checkpoint` can reassemble them.
-
-        Every write is crash-safe.  Files go down via temp-file +
-        ``os.replace`` (a truncated file is never observable), and the
-        directory layout commits through the manifest: shard files
-        carry a fresh generation suffix, the manifest naming them is
-        replaced *last*, and only then are the previous generation's
-        files pruned — a crash at any point leaves the prior checkpoint
-        fully loadable.
+        Crash-safe: the file goes down via temp-file + ``os.replace``,
+        so a crash mid-write leaves the previous checkpoint intact,
+        never a truncated JSON file.  Returns the path written.
         """
         path = Path(path)
-        with self._lock:
-            num_shards = len(self._states)
-        if num_shards == 1:
-            if path.is_dir():
-                raise ValueError(
-                    f"checkpoint path {path} is an existing directory "
-                    f"(a sharded checkpoint?); remove it or choose "
-                    f"another path"
-                )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic replace: a crash mid-write must leave the previous
-            # checkpoint intact, never a truncated JSON file.
-            atomic_write_text(path, json.dumps(self.snapshot_state()))
-            return path
-        if path.is_file():
+        if path.is_dir():
             raise ValueError(
-                f"checkpoint path {path} is an existing file (an "
-                f"unsharded checkpoint?); remove it or choose another "
-                f"path"
+                f"checkpoint path {path} is an existing directory "
+                f"(a sharded checkpoint?); remove it or choose "
+                f"another path"
             )
-        path.mkdir(parents=True, exist_ok=True)
-        generation = 0
-        manifest_path = path / CHECKPOINT_MANIFEST
-        if manifest_path.is_file():
-            try:
-                previous = json.loads(manifest_path.read_text())
-                generation = int(previous.get("generation", 0)) + 1
-            except (json.JSONDecodeError, TypeError, ValueError):
-                generation = 1
-        shard_files = []
-        # One lock hold across every shard: all files must describe
-        # the same day boundary even while another thread keeps feeding.
-        with self._lock:
-            shard_dicts = [state.state_dict() for state in self._states]
-        for index, payload in enumerate(shard_dicts):
-            name = f"shard-{index:02d}.g{generation}.json"
-            atomic_write_text(path / name, json.dumps(payload))
-            shard_files.append(name)
-        manifest = {
-            "version": CHECKPOINT_VERSION,
-            "pipeline": self.pipeline.config_dict(),
-            "shard_count": len(shard_files),
-            "shard_files": shard_files,
-            "generation": generation,
-        }
-        # The manifest is the commit point: it lands last, atomically,
-        # and names only complete files.  A crash before this line
-        # leaves the previous manifest pointing at the previous
-        # generation's files, all still present and consistent.
-        atomic_write_text(manifest_path, json.dumps(manifest))
-        # Only after the commit: prune superseded generations (and any
-        # extra shards a wider previous layout left behind).
-        for stale in path.glob("shard-*.json"):
-            if stale.name not in shard_files:
-                stale.unlink()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, json.dumps(self.snapshot_state()))
         return path
 
     @classmethod
     def load_checkpoint(
         cls, path: Path | str, *, workers: int = 1
     ) -> "MoasService":
-        """Rebuild a session from a :meth:`save_checkpoint` file or dir.
+        """Rebuild a session from a :meth:`save_checkpoint` file.
 
-        ``workers`` sets the resumed session's pool size (checkpoints
-        never record one; see :meth:`resume`).
+        ``path`` may also be a legacy sharded checkpoint directory; its
+        shard files are read in manifest order and merged once
+        (:func:`_merge_legacy_shards`).  ``workers`` sets the resumed
+        session's pool size (checkpoints never record one; see
+        :meth:`resume`).
         """
         path = Path(path)
         if path.is_dir():

@@ -20,12 +20,6 @@ materializes per-row structures for prefixes that actually conflict.
 rows is the reference implementation: the property suites and the
 detect benchmark compare the columnar scan against it, and it is the
 path for the rare day whose rows repeat a prefix id across runs.
-
-All detectors take an optional :class:`~repro.netbase.sharding.ShardSpec`
-that restricts the scan to one slice of the prefix space.  Per-shard
-detections from one partition recombine with :func:`merge_detections`
-into exactly the detection a full scan would have produced — the
-foundation of the parallel study engine.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from dataclasses import dataclass
 
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import RibSnapshot
-from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import (
     ArchiveReader,
     DayColumns,
@@ -90,24 +83,17 @@ class DayDetection:
         return len(self.conflicts)
 
 
-def detect_snapshot(
-    snapshot: RibSnapshot, shard: ShardSpec | None = None
-) -> DayDetection:
+def detect_snapshot(snapshot: RibSnapshot) -> DayDetection:
     """Scan a full multi-peer table (the MRT-file path).
 
     This is the reference implementation of the paper's methodology:
     every route of every prefix is examined, and a prefix with any
-    AS_SET-terminated route is excluded and counted.  With ``shard``
-    only prefixes inside the shard are scanned (and only they count
-    toward ``prefixes_scanned`` / ``as_set_excluded``), so per-shard
-    detections sum exactly to the full scan.
+    AS_SET-terminated route is excluded and counted.
     """
     conflicts: list[DailyConflict] = []
     as_set_excluded = 0
     scanned = 0
     for prefix, routes in snapshot.iter_prefix_routes(copy=False):
-        if shard is not None and not shard.contains(prefix):
-            continue
         scanned += 1
         # Pass 1: one origin() call per route into a flat array, no
         # per-route set/dict churn.  Most prefixes are single-origin
@@ -153,11 +139,7 @@ def detect_snapshot(
     )
 
 
-def detect_day(
-    record: DayRecord,
-    reader: ArchiveReader,
-    shard: ShardSpec | None = None,
-) -> DayDetection:
+def detect_day(record: DayRecord, reader: ArchiveReader) -> DayDetection:
     """Scan one CDS day record.
 
     Prefixes without rows have a single origin (their registry owner)
@@ -174,7 +156,6 @@ def detect_day(
     sets only for actual conflicts.
     """
     alive = record.alive_count
-    scanned_profile, as_set_profile = reader.shard_profile(shard)
     by_prefix: dict[int, list[PeerRow]] = {}
     for row in record.rows:
         if row.prefix_id >= alive:
@@ -196,23 +177,20 @@ def detect_day(
                 break
         else:
             continue  # single origin: not a conflict
-        prefix = entry.prefix
-        if shard is not None and not shard.contains(prefix):
-            continue
         origin_paths: dict[int, set[tuple[int, ...]]] = {}
         for row in rows:
             bucket = origin_paths.get(row.origin)
             if bucket is None:
                 origin_paths[row.origin] = bucket = set()
             bucket.add(reader.path(row.path_id))
-        conflicts.append(_conflict(prefix, origin_paths))
+        conflicts.append(_conflict(entry.prefix, origin_paths))
     return DayDetection(
         day=record.day,
         conflicts=tuple(
             sorted(conflicts, key=lambda c: c.prefix.sort_key())
         ),
-        prefixes_scanned=scanned_profile[alive],
-        as_set_excluded=as_set_profile[alive],
+        prefixes_scanned=alive,
+        as_set_excluded=reader.as_set_profile()[alive],
     )
 
 
@@ -221,7 +199,7 @@ def detect_day(
 #: rows and the reader's registry masks, independent of which day
 #: references it — except for the ``pid >= alive`` liveness filter, so
 #: each entry records the minimum alive count it is valid for:
-#: ``group_id`` (or ``(group_id, shard)``) -> ``(min_alive, pairs)``.
+#: ``group_id`` -> ``(min_alive, pairs)``.
 #: In the steady state a day scan is one dict hit per group.  Flat
 #: columns have no group identity and never enter the cache.
 _GROUP_OUTCOMES: "weakref.WeakKeyDictionary[ArchiveReader, dict]" = (
@@ -230,9 +208,7 @@ _GROUP_OUTCOMES: "weakref.WeakKeyDictionary[ArchiveReader, dict]" = (
 
 
 def detect_day_columns(
-    columns: DayColumns,
-    reader: ArchiveReader,
-    shard: ShardSpec | None = None,
+    columns: DayColumns, reader: ArchiveReader
 ) -> DayDetection:
     """Scan one columnar day batch; equivalent to :func:`detect_day`.
 
@@ -240,8 +216,8 @@ def detect_day_columns(
     boundaries over the prefix-id column partition the rows per prefix,
     ``run_single`` (a run-wise min==max over origins, computed at
     decode time) discards the single-origin majority without touching
-    rows, AS_SET exclusion and shard membership are O(1) indexes into
-    precomputed registry masks, and only runs that actually conflict
+    rows, AS_SET exclusion is an O(1) index into a precomputed
+    registry mask, and only runs that actually conflict
     materialize origin->path sets — with each interned row group's
     scan outcome (usually "no conflicts") cached per reader, so a
     group that recurs across days is scanned exactly once.  On a v2
@@ -257,7 +233,6 @@ def detect_day_columns(
     path wholesale to keep that guarantee.
     """
     alive = columns.alive_count
-    scanned_profile, as_set_profile = reader.shard_profile(shard)
     segments = columns.segments
     if segments is None:
         segments = [
@@ -272,19 +247,19 @@ def detect_day_columns(
                 (columns.run_starts, columns.run_pids, columns.run_single),
             )
         ]
-    pairs = _scan_segments(segments, reader, shard, alive)
+    pairs = _scan_segments(segments, reader, alive)
     if pairs is None:
         # A prefix's rows span non-adjacent runs; the run-wise scan
         # would see partial origin sets (two individually single-origin
         # runs of one prefix can still conflict jointly).  Take the
         # object path.
-        return detect_day(columns.to_record(), reader, shard)
+        return detect_day(columns.to_record(), reader)
     pairs.sort(key=_PAIR_KEY)
     return DayDetection(
         day=columns.day,
         conflicts=tuple(entry[1] for entry in pairs),
-        prefixes_scanned=scanned_profile[alive],
-        as_set_excluded=as_set_profile[alive],
+        prefixes_scanned=alive,
+        as_set_excluded=reader.as_set_profile()[alive],
     )
 
 
@@ -293,10 +268,7 @@ _PAIR_KEY = operator.itemgetter(0)
 
 
 def _scan_segments(
-    segments: list[tuple],
-    reader: ArchiveReader,
-    shard: ShardSpec | None,
-    alive: int,
+    segments: list[tuple], reader: ArchiveReader, alive: int
 ) -> list[tuple] | None:
     """Run-wise scan over ``(group_id, columns, runs)`` segments.
 
@@ -325,15 +297,12 @@ def _scan_segments(
     # Mask/registry handles resolve lazily: a steady-state day is all
     # cache hits and never needs them.
     as_set = None
-    in_shard = None
     registry = None
     path_of = None
     for segment in segments:
         group_id = segment[0]
-        key = None
         if group_id is not None:
-            key = group_id if shard is None else (group_id, shard)
-            entry = get_outcome(key)
+            entry = get_outcome(group_id)
             if entry is not None and alive >= entry[0]:
                 pairs.extend(entry[1])
                 continue
@@ -341,14 +310,13 @@ def _scan_segments(
         if 0 not in g_single:
             # Every run is single-origin: conflict-free at any alive
             # count, since the liveness filter can only remove runs.
-            if key is not None:
-                outcomes[key] = (0, ())
+            if group_id is not None:
+                outcomes[group_id] = (0, ())
             continue
         g_origin = segment[1][2]
         g_path = segment[1][3]
         if as_set is None:
             as_set = reader.as_set_mask()
-            in_shard = reader.shard_mask(shard)
             registry = reader.registry
             path_of = reader.path
         num_runs = len(g_pids)
@@ -369,8 +337,6 @@ def _scan_segments(
                 continue
             if as_set[pid]:
                 continue  # already counted via the cumulative profile
-            if in_shard is not None and not in_shard[pid]:
-                continue
             start = g_starts[run]
             stop = (
                 g_starts[run + 1] if run + 1 < num_runs else num_rows
@@ -386,37 +352,10 @@ def _scan_segments(
             group_pairs.append(
                 (prefix.sort_key(), _conflict(prefix, origin_paths))
             )
-        if key is not None and not filtered:
-            outcomes[key] = (max_pid + 1, tuple(group_pairs))
+        if group_id is not None and not filtered:
+            outcomes[group_id] = (max_pid + 1, tuple(group_pairs))
         pairs.extend(group_pairs)
     return pairs
-
-
-def merge_detections(parts: list[DayDetection]) -> DayDetection:
-    """Recombine per-shard detections of one day into the full scan.
-
-    ``parts`` must come from disjoint shards of the same day; the
-    result is identical to detecting the whole table at once (conflicts
-    in prefix order, counters summed).
-    """
-    if not parts:
-        raise ValueError("cannot merge zero detections")
-    day = parts[0].day
-    for part in parts[1:]:
-        if part.day != day:
-            raise ValueError(
-                f"cannot merge detections of {part.day} into {day}"
-            )
-    conflicts = [
-        conflict for part in parts for conflict in part.conflicts
-    ]
-    conflicts.sort(key=lambda c: c.prefix.sort_key())
-    return DayDetection(
-        day=day,
-        conflicts=tuple(conflicts),
-        prefixes_scanned=sum(part.prefixes_scanned for part in parts),
-        as_set_excluded=sum(part.as_set_excluded for part in parts),
-    )
 
 
 def _conflict(

@@ -26,7 +26,7 @@ from repro.netbase.prefix import Prefix
 #: episode].  ``episode`` is the :class:`ConflictEpisode` the last
 #: :meth:`EpisodeTracker.finalize` built from the record, or ``None``;
 #: every observation clears it.  Pure memoization: never compared,
-#: never checkpointed, empty after ``merge`` and ``from_state``.
+#: never checkpointed, empty after ``from_state``.
 _FIRST, _LAST, _DAYS, _ORIGINS, _WIDTH, _EPISODE = range(6)
 
 
@@ -118,46 +118,6 @@ class EpisodeTracker:
                 ),
                 record,
             )
-
-    def merge(self, other: "EpisodeTracker") -> "EpisodeTracker":
-        """Combine two trackers covering disjoint prefix shards.
-
-        Both trackers must have been fed the same days (same
-        ``last_fed_day``) over disjoint prefix sets — the contract
-        sharded studies satisfy by construction.  Returns a new
-        tracker; neither input is mutated, so merging is associative
-        and repeatable.
-        """
-        if self._last_fed_day != other._last_fed_day:
-            raise ValueError(
-                "cannot merge trackers fed through different days: "
-                f"{self._last_fed_day} vs {other._last_fed_day}"
-            )
-        merged = EpisodeTracker()
-        merged._last_fed_day = self._last_fed_day
-        combined = {
-            prefix: [
-                record[_FIRST],
-                record[_LAST],
-                record[_DAYS],
-                set(record[_ORIGINS]),
-                record[_WIDTH],
-                None,
-            ]
-            for tracker in (self, other)
-            for prefix, record in tracker._records.items()
-        }
-        if len(combined) != len(self._records) + len(other._records):
-            overlap = sorted(
-                str(prefix)
-                for prefix in set(self._records) & set(other._records)
-            )
-            raise ValueError(
-                "cannot merge trackers with overlapping prefixes: "
-                + ", ".join(overlap[:5])
-            )
-        merged._records = combined
-        return merged
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the tracker's streaming state.

@@ -8,9 +8,8 @@ classifiers — run all of those signals at once and emit one *tagged
 verdict* per event.  This module is that engine for our substrate:
 
 - :class:`VerdictEngine` streams daily
-  :class:`~repro.core.detector.DayDetection` records (shard-filtered
-  and mergeable exactly like the study state, so it runs through the
-  parallel executor), accumulating per-prefix evidence: duration,
+  :class:`~repro.core.detector.DayDetection` records (the same stream
+  the study state folds), accumulating per-prefix evidence: duration,
   origin sets, presence gaps, Section V class votes, private-ASN
   sightings;
 - :meth:`VerdictEngine.finalize` combines that evidence with the
@@ -36,7 +35,6 @@ from repro.core.detector import DayDetection
 from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import RoaTable, ValidationState
-from repro.netbase.sharding import ShardSpec
 from repro.netbase.trie import PrefixTrie
 from repro.topology.ixp import IXP_BLOCK
 
@@ -213,7 +211,7 @@ class _Evidence:
     #: never refers to an engine.  Pure memoization like
     #: ``last_conflict``: never compared, never checkpointed, and never
     #: matched by another engine's shapes, so empty after
-    #: :meth:`~VerdictEngine.from_state` or :meth:`~VerdictEngine.merge`.
+    #: :meth:`~VerdictEngine.from_state`.
     verdict_memo: tuple | None = field(
         default=None, compare=False, repr=False
     )
@@ -223,17 +221,14 @@ class VerdictEngine:
     """Streaming evidence accumulation toward per-prefix verdicts.
 
     Mirrors the :class:`~repro.analysis.pipeline.StudyState` contract:
-    feed every day's full detection in order; with ``shard`` only
-    conflicts inside the shard accumulate evidence, and disjoint-shard
-    engines recombine with :meth:`merge` into exactly the serial
-    engine.  Verdicts come from :meth:`finalize`, and
+    feed every day's full detection in order.  Verdicts come from
+    :meth:`finalize`, and
     :meth:`state_dict` / :meth:`from_state` round-trip the streaming
     evidence so checkpointed sessions can resume mid-study.
     """
 
     __slots__ = (
         "config",
-        "shard",
         "roa_table",
         "_evidence",
         "_total_days",
@@ -244,11 +239,9 @@ class VerdictEngine:
         self,
         config: VerdictConfig | None = None,
         *,
-        shard: ShardSpec | None = None,
         roa_table: RoaTable | None = None,
     ) -> None:
         self.config = config or VerdictConfig()
-        self.shard = shard
         #: Immutable ROA database every origin-day is validated against
         #: (see :mod:`repro.netbase.rpki`); ``None`` disables the RPKI
         #: signal entirely.
@@ -276,12 +269,9 @@ class VerdictEngine:
         """Fold one day's detection into the evidence tables."""
         self._total_days += 1
         ordinal = self._total_days
-        contains = self.shard.contains if self.shard is not None else None
         roa_table = self.roa_table
         for conflict in detection.conflicts:
             prefix = conflict.prefix
-            if contains is not None and not contains(prefix):
-                continue
             evidence = self._evidence.get(prefix)
             if evidence is None:
                 evidence = self._evidence[prefix] = _Evidence(
@@ -325,54 +315,6 @@ class VerdictEngine:
             if vote is not None:
                 evidence.class_votes[vote] += 1
 
-    # -- shard recombination -------------------------------------------------
-
-    def merge(self, other: "VerdictEngine") -> "VerdictEngine":
-        """Combine two engines fed the same days over disjoint shards."""
-        if self.config != other.config:
-            raise ValueError(
-                "cannot merge verdict engines with different configs"
-            )
-        if self.roa_table != other.roa_table:
-            raise ValueError(
-                "cannot merge verdict engines validated against "
-                "different ROA tables"
-            )
-        if self._total_days != other._total_days:
-            raise ValueError(
-                "cannot merge verdict engines fed different day streams: "
-                f"{self._total_days} vs {other._total_days} days"
-            )
-        overlap = set(self._evidence) & set(other._evidence)
-        if overlap:
-            raise ValueError(
-                "cannot merge verdict engines with overlapping prefixes: "
-                + ", ".join(
-                    str(prefix) for prefix in sorted(
-                        overlap, key=lambda p: p.sort_key()
-                    )[:5]
-                )
-            )
-        shard = None
-        if self.shard is not None and other.shard is not None:
-            shard = self.shard.union(other.shard)
-        merged = VerdictEngine(
-            self.config, shard=shard, roa_table=self.roa_table
-        )
-        merged._total_days = self._total_days
-        merged._evidence = {**self._evidence, **other._evidence}
-        return merged
-
-    @classmethod
-    def merged(cls, engines: list["VerdictEngine"]) -> "VerdictEngine":
-        """Fold disjoint shard engines into one (single engine passes)."""
-        if not engines:
-            raise ValueError("cannot merge zero verdict engines")
-        combined = engines[0]
-        for engine in engines[1:]:
-            combined = combined.merge(engine)
-        return combined
-
     # -- checkpointing --------------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -385,9 +327,10 @@ class VerdictEngine:
         """
         return {
             "config": self.config.to_dict(),
-            "shard": (
-                self.shard.to_dict() if self.shard is not None else None
-            ),
+            # Always null.  Releases that split the prefix space into
+            # shards recorded the state's shard here; the key stays so
+            # checkpoint bytes and the committed schema do not change.
+            "shard": None,
             "total_days": self._total_days,
             "roas": (
                 [roa.to_dict() for roa in self.roa_table]
@@ -435,16 +378,20 @@ class VerdictEngine:
 
     @classmethod
     def from_state(cls, state: dict) -> "VerdictEngine":
-        """Rebuild an engine from a :meth:`state_dict` payload."""
-        shard_payload = state["shard"]
+        """Rebuild an engine from a :meth:`state_dict` payload.
+
+        A payload scoped to a prefix shard (a non-null ``shard``, from
+        a release that could split the prefix space) is rejected:
+        only a whole-space engine can be rebuilt.
+        """
+        if state["shard"] is not None:
+            raise ValueError(
+                "verdict state covers one prefix shard; only a "
+                "whole-space engine can be restored"
+            )
         roa_payload = state["roas"]
         engine = cls(
             VerdictConfig.from_dict(state["config"]),
-            shard=(
-                ShardSpec.from_dict(shard_payload)
-                if shard_payload is not None
-                else None
-            ),
             roa_table=(
                 RoaTable.from_rows(roa_payload)
                 if roa_payload is not None

@@ -25,7 +25,6 @@ from repro.netbase.aspath import ASPath, Segment, SegmentType
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import PeerId, Route, RibSnapshot
 from repro.netbase.rpki import Roa, RoaTable, ValidationState
-from repro.netbase.sharding import ShardSpec, shard_of
 from repro.netbase.trie import PrefixTrie
 
 __all__ = [
@@ -50,7 +49,5 @@ __all__ = [
     "Roa",
     "RoaTable",
     "ValidationState",
-    "ShardSpec",
-    "shard_of",
     "PrefixTrie",
 ]

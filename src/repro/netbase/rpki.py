@@ -19,8 +19,8 @@ each origin.  This module is that layer for our substrate:
 
 Tables are immutable after construction and validation is a pure
 function of ``(prefix, origin, day)``, so one table can be shared by
-every shard of a parallel study and merged engines can verify they
-validated against the same database (:attr:`RoaTable.key`).
+the study state and the verdict engine, and a resumed checkpoint can
+verify it validates against the same database (:attr:`RoaTable.key`).
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ class RoaTable:
     longest-chain trie walks over the covering registrations, so
     :meth:`validate` costs O(prefix length) regardless of table size.
     The table never mutates after construction — one instance is safe
-    to share across every shard of a study, and :attr:`key` (the sorted
-    ROA tuple) lets merging engines check they used the same database.
+    to share across every accumulator of a study, and :attr:`key` (the
+    sorted ROA tuple) lets a resumed study check it kept the same
+    database.
     """
 
     def __init__(self, roas=()) -> None:

@@ -1164,9 +1164,8 @@ class ArchiveReader:
         "registry",
         "paths",
         "_calendar_start",
-        "_shard_profiles",
+        "_as_set_profile",
         "_as_set_mask",
-        "_shard_masks",
         "_days_path",
         "_days_magic",
         "_v2",
@@ -1183,13 +1182,10 @@ class ArchiveReader:
         self._calendar_start = (
             datetime.date.fromisoformat(start) if start else None
         )
-        #: Cached per-shard cumulative registry profiles (see
-        #: :meth:`shard_profile`), keyed by the shard spec (None = all).
-        self._shard_profiles: dict[object, tuple[list[int], list[int]]] = {}
-        #: Cached per-registry-id flag/membership masks (see
-        #: :meth:`as_set_mask` / :meth:`shard_mask`).
+        #: Cached cumulative AS_SET counts and per-registry-id AS_SET
+        #: flags (see :meth:`as_set_profile` / :meth:`as_set_mask`).
+        self._as_set_profile: list[int] | None = None
         self._as_set_mask: bytes | None = None
-        self._shard_masks: dict[object, bytes] = {}
         self._days_path = self.directory / "days.bin"
         with open(self._days_path, "rb") as handle:
             self._days_magic = handle.read(len(MAGIC))
@@ -1423,36 +1419,24 @@ class ArchiveReader:
             raise ArchiveError("day offsets require a v2 day store")
         return tuple(self._v2.offsets)
 
-    def shard_profile(self, shard=None) -> tuple[list[int], list[int]]:
-        """Cumulative registry counts for one shard (or the whole space).
+    def as_set_profile(self) -> list[int]:
+        """Cumulative AS_SET-flagged registry counts.
 
-        Returns ``(scanned, as_set)`` lists of length ``num_prefixes + 1``
-        where ``scanned[a]`` is the number of registry prefixes with id
-        below ``a`` that belong to ``shard`` and ``as_set[a]`` counts the
-        AS_SET-flagged ones among them.  Because ids are creation-ordered
+        ``profile[a]`` is the number of AS_SET-terminated registry
+        prefixes with id below ``a``.  Because ids are creation-ordered
         and a day's alive set is exactly ``[0, alive_count)``, indexing
-        these with a day's ``alive_count`` answers "how many (excluded)
-        prefixes would a scan of this shard visit today" in O(1).
-
-        Computed once per ``(reader, shard)`` and cached; ``shard=None``
-        profiles the full registry.
+        it with a day's ``alive_count`` answers "how many prefixes does
+        today's scan exclude" in O(1).  Computed once per reader.
         """
-        cached = self._shard_profiles.get(shard)
-        if cached is not None:
-            return cached
-        scanned = [0] * (len(self.registry) + 1)
-        as_set = [0] * (len(self.registry) + 1)
-        in_shard = 0
-        flagged = 0
-        for position, entry in enumerate(self.registry):
-            if shard is None or shard.contains(entry.prefix):
-                in_shard += 1
+        profile = self._as_set_profile
+        if profile is None:
+            profile = [0] * (len(self.registry) + 1)
+            flagged = 0
+            for position, entry in enumerate(self.registry):
                 if entry.flags & FLAG_AS_SET_TAIL:
                     flagged += 1
-            scanned[position + 1] = in_shard
-            as_set[position + 1] = flagged
-        profile = (scanned, as_set)
-        self._shard_profiles[shard] = profile
+                profile[position + 1] = flagged
+            self._as_set_profile = profile
         return profile
 
     def as_set_mask(self) -> bytes:
@@ -1467,25 +1451,6 @@ class ArchiveReader:
         if mask is None:
             mask = self._as_set_mask = bytes(
                 1 if entry.flags & FLAG_AS_SET_TAIL else 0
-                for entry in self.registry
-            )
-        return mask
-
-    def shard_mask(self, shard) -> bytes | None:
-        """Per-registry-id shard membership mask (None = whole space).
-
-        ``mask[prefix_id]`` is 1 exactly when the prefix belongs to
-        ``shard`` — precomputed once per ``(reader, shard)`` so the
-        columnar scan filters by indexing instead of re-hashing every
-        conflicting prefix's network bits.
-        """
-        if shard is None:
-            return None
-        mask = self._shard_masks.get(shard)
-        if mask is None:
-            contains = shard.contains
-            mask = self._shard_masks[shard] = bytes(
-                1 if contains(entry.prefix) else 0
                 for entry in self.registry
             )
         return mask

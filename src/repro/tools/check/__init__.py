@@ -1,8 +1,8 @@
 """``repro check`` — the project-invariant static analyzer.
 
 The repo's correctness story rests on invariants no unit test can see
-until they break: byte-identical shard merges, day-boundary snapshot
-isolation under a lock, allocation-free columnar hot loops, and a
+until they break: byte-identical merges of combinable state,
+day-boundary snapshot isolation under a lock, allocation-free columnar hot loops, and a
 checkpoint wire format that versions its own changes.  This package
 makes those invariants machine-checked: an AST pass over the source
 tree with five project-specific rule families (see

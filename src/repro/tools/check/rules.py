@@ -18,7 +18,7 @@ known-bad test corpora alike.  Rule ids (stable, used in
     excepted — the object is not yet shared there).
 
 ``merge-algebra``
-    A class that defines ``merge`` is a shard-combinable state and
+    A class that defines ``merge`` is a combinable state and
     must also define ``state_dict``/``from_state`` and be listed in
     the differential harness registry, so the merge laws stay tested.
 

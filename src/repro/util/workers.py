@@ -1,7 +1,7 @@
 """Worker-count resolution shared by every parallel entry point.
 
 One rule everywhere (CLI flags, :class:`~repro.api.service.MoasService`,
-:class:`~repro.analysis.parallel.ParallelExecutor`, the simulator's MRT
+:func:`~repro.analysis.parallel.iter_detections`, the simulator's MRT
 export pool): ``0``/``None`` auto-detects the CPUs available to this
 process, ``1`` means the serial fallback, anything higher is taken
 literally.

@@ -217,16 +217,14 @@ class TestEndToEnd:
         assert report.result.micro_f1 > 0.5
         assert len(report.verdicts) == report.result.num_verdicts
 
-    def test_parallel_and_sharded_evaluation_identical(self, canned_archive):
+    def test_parallel_evaluation_identical(self, canned_archive):
         import os
 
         from repro.api.service import MoasService
 
         workers = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
         serial = MoasService().evaluate(canned_archive)
-        parallel = MoasService(workers=workers, shards=2).evaluate(
-            canned_archive
-        )
+        parallel = MoasService(workers=workers).evaluate(canned_archive)
         assert serial.result.to_dict() == parallel.result.to_dict()
         assert serial.verdicts == parallel.verdicts
 
@@ -243,8 +241,6 @@ class TestEndToEnd:
                     "evaluate",
                     str(canned_archive),
                     "--workers",
-                    "2",
-                    "--shards",
                     "2",
                 ]
             )

@@ -3,9 +3,9 @@
 A single generated world is archived as v1 (directly), as v2
 (directly), and as v2 via ``convert_archive`` — and every consumer
 must be unable to tell them apart: ``StudyResults`` (byte-identical
-rendered output included), verdicts, and evaluation scores, across
-every ``workers`` × ``shards`` combination the parallel suite already
-exercises, plus checkpoints that resume across formats.
+rendered output included), verdicts, and evaluation scores, at every
+worker count the parallel suite already exercises, plus checkpoints,
+legacy sharded ones included, that resume across formats.
 
 ``REPRO_TEST_WORKERS`` overrides the pool size, mirroring
 ``tests/analysis/test_parallel.py``, so CI re-runs this file at
@@ -26,6 +26,7 @@ from repro.scenario.archive import ArchiveReader, convert_archive
 from repro.scenario.incidents import IncidentScript
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
 
@@ -34,8 +35,8 @@ CALENDAR = StudyCalendar(
 )  # spans the 1998 fault spike, like the parallel equality suite
 WINDOW = (datetime.date(1998, 3, 20), datetime.date(1998, 4, 30))
 
-#: Every workers x shards layout the parallel suite tests.
-LAYOUTS = [(1, 1), (WORKERS, 1), (1, 8), (WORKERS, 3)]
+#: Every worker count the parallel suite tests.
+LAYOUTS = [1, WORKERS]
 
 
 def _config(archive_format):
@@ -89,15 +90,13 @@ class TestDayStreamEquivalence:
 
 
 class TestStudyResultsEquivalence:
-    @pytest.mark.parametrize("workers,shards", LAYOUTS)
+    @pytest.mark.parametrize("workers", LAYOUTS)
     def test_every_layout_matches_golden(
-        self, pipeline, archives, golden_results, workers, shards
+        self, pipeline, archives, golden_results, workers
     ):
         for name in ("v2", "converted"):
             results = pipeline.run(
-                ArchiveSource(archives[name]),
-                workers=workers,
-                shards=shards,
+                ArchiveSource(archives[name]), workers=workers
             )
             assert results == golden_results
 
@@ -105,7 +104,7 @@ class TestStudyResultsEquivalence:
         self, pipeline, archives, golden_results
     ):
         results_v2 = pipeline.run(
-            ArchiveSource(archives["v2"]), workers=WORKERS, shards=3
+            ArchiveSource(archives["v2"]), workers=WORKERS
         )
         for figure, format in (
             ("summary", "json"),
@@ -144,14 +143,12 @@ class TestVerdictAndEvaluationEquivalence:
     def golden_report(self, archives):
         return MoasService().evaluate(archives["v1"])
 
-    @pytest.mark.parametrize("workers,shards", [(1, 1), (WORKERS, 2)])
+    @pytest.mark.parametrize("workers", LAYOUTS)
     def test_scores_identical_across_formats(
-        self, archives, golden_report, workers, shards
+        self, archives, golden_report, workers
     ):
         for name in ("v2", "converted"):
-            report = MoasService(workers=workers, shards=shards).evaluate(
-                archives[name]
-            )
+            report = MoasService(workers=workers).evaluate(archives[name])
             assert report.verdicts == golden_report.verdicts
             assert report.result.to_dict() == golden_report.result.to_dict()
             assert render(report.result, "evaluation", "json") == render(
@@ -166,9 +163,7 @@ class TestCheckpointAcrossFormats:
         """Feed v1 halfway, checkpoint, finish from the v2 archive."""
         detections = list(ArchiveSource(archives["v1"]).detections())
         midpoint = len(detections) // 2
-        first = MoasService(
-            StudyPipeline(classification_window=WINDOW), shards=2
-        )
+        first = MoasService(StudyPipeline(classification_window=WINDOW))
         first.feed(detections[:midpoint])
         checkpoint = tmp_path / "cross-format.ckpt"
         first.save_checkpoint(checkpoint)
@@ -176,3 +171,28 @@ class TestCheckpointAcrossFormats:
         resumed = MoasService.load_checkpoint(checkpoint, workers=WORKERS)
         resumed.feed(archives["v2"], skip_seen=True)
         assert resumed.results() == golden_results
+
+    @pytest.mark.parametrize(
+        "layout", legacy.LAYOUTS, ids=legacy.layout_id
+    )
+    def test_legacy_checkpoint_resumes_on_other_formats(
+        self, pipeline, archives, golden_results, layout, tmp_path
+    ):
+        """A legacy sharded checkpoint of the v1 first half, finished
+        from the v2 and the converted archive."""
+        detections = list(ArchiveSource(archives["v1"]).detections())
+        checkpoint = legacy.write_checkpoint(
+            tmp_path / "legacy",
+            detections[: len(detections) // 2],
+            *layout,
+            pipeline=pipeline,
+        )
+        for name in ("v2", "converted"):
+            resumed = MoasService.load_checkpoint(checkpoint, workers=WORKERS)
+            resumed.feed(archives[name], skip_seen=True)
+            results = resumed.results()
+            assert results == golden_results
+            for figure, format in (("summary", "json"), ("episodes", "csv")):
+                assert render(results, figure, format) == render(
+                    golden_results, figure, format
+                )

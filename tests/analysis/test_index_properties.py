@@ -4,9 +4,10 @@ The index's contract (ISSUE 10): every answer it gives must be
 *identical* to what a full-study fold would say — episode view, RPKI
 rollup, verdict slice — and the encoded file must not care how the
 fold was run.  This module pins that with hypothesis over arbitrary
-detection streams and arbitrary shard partitions (reusing the merge
-algebra's strategies), plus a fixed-seed integration sweep across
-archive formats (v1/v2) and workers×shards layouts.
+detection streams (reusing the accumulator harness's strategies), also
+for studies loaded from legacy sharded checkpoints, plus a fixed-seed
+integration sweep across archive formats (v1/v2), worker counts and
+legacy checkpoint layouts.
 
 Example counts come from the hypothesis profile (``dev`` for tier-1,
 ``ci`` for the dedicated slow leg).
@@ -23,20 +24,18 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.export import episode_record
 from repro.analysis.index import EpisodeIndex, IndexRecord, changed_prefixes
-from repro.analysis.pipeline import StudyState
 from repro.api.service import MoasService
-from repro.core.verdict import VerdictEngine
 from repro.netbase.prefix import Prefix
-from repro.netbase.sharding import ShardSpec
 from tests.analysis.test_merge_properties import (
     START,
     detection_streams,
     feed_engine,
     feed_state,
-    partitions,
+    legacy_layouts,
     prefixes,
     roa_tables,
 )
+from tests.fixtures import legacy_checkpoint_writer as legacy
 from tests.fixtures.eix1_encoder import eix1_bytes
 
 
@@ -173,57 +172,38 @@ class TestWindowQueries:
             ).days + 1
 
 
-class TestLayoutByteEquivalence:
-    """Satellite 1 (layouts): the encoded file is fold-invariant."""
+class TestLegacyLayoutByteEquivalence:
+    """A study loaded from a legacy sharded checkpoint encodes the
+    serial fold's bytes, in whatever order the merge lists records."""
 
     @given(
         detection_streams(),
-        partitions,
+        legacy_layouts,
         st.randoms(use_true_random=False),
     )
-    def test_any_partition_encodes_identical_bytes(
-        self, detections, partition, rng
+    def test_any_legacy_layout_encodes_identical_bytes(
+        self, detections, layout, rng
     ):
-        count, scheme = partition
-        serial = EpisodeIndex.build(
-            feed_state(detections).results()
-        ).to_bytes()
-        shards = list(ShardSpec.partition(count, scheme))
-        rng.shuffle(shards)  # merge order must not matter
-        merged = StudyState.merged(
-            [feed_state(detections, shard=shard) for shard in shards]
-        ).results()
-        assert EpisodeIndex.build(merged).to_bytes() == serial
+        _, _, serial = build_index(detections)
+        payload = legacy.shard_payload(detections, *layout)
+        rng.shuffle(payload["shards"])
+        loaded = MoasService.resume(payload)
+        assert loaded.episode_index().to_bytes() == serial.to_bytes()
 
-    @given(detection_streams(), roa_tables(), partitions)
-    def test_verdict_enriched_bytes_are_fold_invariant(
-        self, detections, table, partition
+    @given(detection_streams(), roa_tables(), legacy_layouts)
+    def test_verdict_enriched_bytes_survive_a_legacy_load(
+        self, detections, table, layout
     ):
-        count, scheme = partition
-        serial = EpisodeIndex.build(
-            feed_state(detections, roa_table=table).results(),
-            verdicts=feed_engine(
-                detections, roa_table=table
-            ).finalize(),
-        ).to_bytes()
-        shards = list(ShardSpec.partition(count, scheme))
-        merged_state = StudyState.merged(
-            [
-                feed_state(detections, shard=shard, roa_table=table)
-                for shard in shards
-            ]
+        _, verdicts, serial = build_index(
+            detections, roa_table=table, with_verdicts=True
         )
-        merged_engine = VerdictEngine.merged(
-            [
-                feed_engine(detections, shard=shard, roa_table=table)
-                for shard in shards
-            ]
+        loaded = MoasService.resume(
+            legacy.shard_payload(detections, *layout, roa_table=table)
         )
-        sharded = EpisodeIndex.build(
-            merged_state.results(),
-            verdicts=merged_engine.finalize(),
-        ).to_bytes()
-        assert sharded == serial
+        assert (
+            loaded.episode_index(verdicts=verdicts).to_bytes()
+            == serial.to_bytes()
+        )
 
 
 class TestRoundtrip:
@@ -403,7 +383,7 @@ class TestFromRecordsContract:
 
 # -- archive formats × layouts (fixed seed) -------------------------------
 
-LAYOUTS = ((1, 1), (1, 3), (2, 2))
+LAYOUTS = (1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -442,23 +422,41 @@ def reference_bytes(index_archives):
 
 
 class TestArchiveLayoutEquivalence:
-    """Satellite 1 (archives): v1/v2 × workers×shards, same bytes."""
+    """Satellite 1 (archives): v1/v2 × worker counts, same bytes."""
 
     @pytest.mark.parametrize("format", ("v1", "v2"))
-    @pytest.mark.parametrize(
-        "workers,shards", LAYOUTS, ids=lambda v: str(v)
-    )
+    @pytest.mark.parametrize("workers", LAYOUTS)
     def test_every_layout_encodes_the_reference_index(
-        self, index_archives, reference_bytes, format, workers, shards
+        self, index_archives, reference_bytes, format, workers
     ):
         archive = index_archives[format]
-        service = MoasService(
-            workers=workers, shards=shards, roa_table=archive
-        )
+        service = MoasService(workers=workers, roa_table=archive)
         service.feed(archive)
         assert (
             service.episode_index().to_bytes() == reference_bytes
         )
+
+    @pytest.mark.parametrize("format", ("v1", "v2"))
+    @pytest.mark.parametrize(
+        "layout", legacy.LAYOUTS[:2], ids=legacy.layout_id
+    )
+    def test_legacy_resume_encodes_the_reference_index(
+        self, index_archives, reference_bytes, format, layout, tmp_path
+    ):
+        from repro.api.sources import ArchiveSource
+        from repro.netbase.rpki import RoaTable
+
+        archive = index_archives[format]
+        detections = list(ArchiveSource(archive).detections())
+        checkpoint = legacy.write_checkpoint(
+            tmp_path / "legacy",
+            detections[: len(detections) // 2],
+            *layout,
+            roa_table=RoaTable.load(archive),
+        )
+        service = MoasService.load_checkpoint(checkpoint)
+        service.feed(archive, skip_seen=True)
+        assert service.episode_index().to_bytes() == reference_bytes
 
     def test_build_index_writes_the_reference_file(
         self, index_archives, reference_bytes, tmp_path

@@ -1,17 +1,17 @@
-"""Differential/property harness for the merge algebra.
+"""Property harness for the checkpointable per-prefix accumulators.
 
-The PR 4 golden suite pins a handful of fixed workers x shards layouts
-over generated worlds; this module generalizes the invariant with
-hypothesis: for *arbitrary* detection streams, *any* shard partition of
-the prefix space — any shard count, either scheme, merged in any order
-— must reproduce the serial result exactly, for both
-:class:`~repro.analysis.pipeline.StudyState` and
-:class:`~repro.core.verdict.VerdictEngine`, and ``merge`` itself must
-be associative.
+For *arbitrary* detection streams, :class:`~repro.core.verdict.VerdictEngine`
+must equal a per-conflict-day reference fold (its identity memo is pure
+memoization, also across a mid-stream resume), and both it and
+:class:`~repro.analysis.pipeline.StudyState` must survive a JSON
+checkpoint round trip exactly.  A legacy sharded checkpoint of any
+stream, in any layout the removed writer supported and listed in any
+order, must load to the serial state and keep folding like it.  The
+module also holds ``MERGE_ALGEBRA_REGISTRY``, which ``repro check``
+reads statically.
 
 Example counts come from the hypothesis profile (``dev`` for tier-1,
-``ci`` for the dedicated slow leg); the deepest sweeps are additionally
-marked ``slow``.
+``ci`` for the dedicated property leg).
 """
 
 import dataclasses
@@ -23,18 +23,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.pipeline import StudyPipeline, StudyState
+from repro.api.service import MoasService
 from repro.core.detector import DailyConflict, DayDetection
 from repro.core.verdict import VerdictEngine
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import Roa, RoaTable
-from repro.netbase.sharding import ShardSpec
 from tests.core.test_verdict import ReferenceFold, roundtrip
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
-#: Every shard-combinable state class in the project.  `repro check`'s
-#: merge-algebra rule reads this tuple statically: a class that defines
-#: ``merge`` anywhere under ``src/`` must be listed here, which forces
-#: it through the differential tests below (and through the checkpoint
-#: schema snapshot in ``tests/fixtures/checkpoint_schema.json``).
+#: Every checkpointable per-prefix state class in the project.  `repro
+#: check` reads this tuple statically: the wire-symmetry rule
+#: fingerprints each class's ``state_dict`` keys against the checkpoint
+#: schema snapshot in ``tests/fixtures/checkpoint_schema.json``, and the
+#: merge-algebra rule requires any class that defines ``merge`` under
+#: ``src/`` to be listed here.
 MERGE_ALGEBRA_REGISTRY = (
     "repro.analysis.pipeline.StudyState",
     "repro.core.episodes.EpisodeTracker",
@@ -97,142 +99,22 @@ def roa_tables(draw):
     return RoaTable(rows)
 
 
-partitions = st.tuples(
-    st.integers(2, 5), st.sampled_from(["hash", "range"])
-)
+#: ``(count, scheme)`` of a legacy sharded layout.
+legacy_layouts = st.tuples(st.integers(2, 8), st.sampled_from(legacy.SCHEMES))
 
 
-def feed_state(detections, shard=None, roa_table=None):
-    state = StudyPipeline().start(shard=shard, roa_table=roa_table)
+def feed_state(detections, roa_table=None):
+    state = StudyPipeline().start(roa_table=roa_table)
     for detection in detections:
         state.feed_day(detection)
     return state
 
 
-def feed_engine(detections, shard=None, roa_table=None):
-    engine = VerdictEngine(shard=shard, roa_table=roa_table)
+def feed_engine(detections, roa_table=None):
+    engine = VerdictEngine(roa_table=roa_table)
     for detection in detections:
         engine.feed_day(detection)
     return engine
-
-
-class TestStudyStatePartitions:
-    @given(detection_streams(), partitions, st.randoms(use_true_random=False))
-    def test_any_partition_reproduces_serial(
-        self, detections, partition, rng
-    ):
-        count, scheme = partition
-        serial = feed_state(detections).results()
-        shards = list(ShardSpec.partition(count, scheme))
-        rng.shuffle(shards)  # merge order must not matter
-        states = [
-            feed_state(detections, shard=shard) for shard in shards
-        ]
-        assert StudyState.merged(states).results() == serial
-
-    @given(detection_streams(), roa_tables())
-    def test_partition_with_roa_table_reproduces_serial(
-        self, detections, table
-    ):
-        serial = feed_state(detections, roa_table=table).results()
-        states = [
-            feed_state(detections, shard=shard, roa_table=table)
-            for shard in ShardSpec.partition(3)
-        ]
-        merged = StudyState.merged(states).results()
-        assert merged == serial
-        assert merged.rpki_episode_states == serial.rpki_episode_states
-
-    @given(detection_streams())
-    def test_merge_is_associative(self, detections):
-        a, b, c = (
-            feed_state(detections, shard=shard)
-            for shard in ShardSpec.partition(3)
-        )
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.results() == right.results()
-        assert left.shard == right.shard
-
-    @pytest.mark.slow
-    @given(
-        detection_streams(),
-        st.integers(2, 8),
-        st.sampled_from(["hash", "range"]),
-        st.randoms(use_true_random=False),
-    )
-    def test_deep_partition_sweep(self, detections, count, scheme, rng):
-        serial = feed_state(detections).results()
-        shards = list(ShardSpec.partition(count, scheme))
-        rng.shuffle(shards)
-        states = [
-            feed_state(detections, shard=shard) for shard in shards
-        ]
-        # Fold in pairs from a shuffled order: a different merge tree
-        # than the left fold StudyState.merged performs.
-        while len(states) > 1:
-            states = [
-                states[i].merge(states[i + 1])
-                if i + 1 < len(states)
-                else states[i]
-                for i in range(0, len(states), 2)
-            ]
-        assert states[0].results() == serial
-
-
-class TestVerdictEnginePartitions:
-    @given(detection_streams(), partitions, st.randoms(use_true_random=False))
-    def test_any_partition_reproduces_serial(
-        self, detections, partition, rng
-    ):
-        count, scheme = partition
-        serial = feed_engine(detections).finalize()
-        shards = list(ShardSpec.partition(count, scheme))
-        rng.shuffle(shards)
-        engines = [
-            feed_engine(detections, shard=shard) for shard in shards
-        ]
-        assert VerdictEngine.merged(engines).finalize() == serial
-
-    @given(detection_streams(), roa_tables())
-    def test_partition_with_roa_table_reproduces_serial(
-        self, detections, table
-    ):
-        serial = feed_engine(detections, roa_table=table).finalize()
-        engines = [
-            feed_engine(detections, shard=shard, roa_table=table)
-            for shard in ShardSpec.partition(4)
-        ]
-        merged = VerdictEngine.merged(engines)
-        assert merged.finalize() == serial
-        assert merged.roa_table == table
-
-    @given(detection_streams())
-    def test_merge_is_associative(self, detections):
-        a, b, c = (
-            feed_engine(detections, shard=shard)
-            for shard in ShardSpec.partition(3)
-        )
-        assert a.merge(b).merge(c).finalize() == a.merge(
-            b.merge(c)
-        ).finalize()
-
-    @pytest.mark.slow
-    @given(
-        detection_streams(),
-        st.integers(2, 8),
-        st.sampled_from(["hash", "range"]),
-        roa_tables(),
-    )
-    def test_deep_partition_sweep_with_rpki(
-        self, detections, count, scheme, table
-    ):
-        serial = feed_engine(detections, roa_table=table).finalize()
-        engines = [
-            feed_engine(detections, shard=shard, roa_table=table)
-            for shard in ShardSpec.partition(count, scheme)
-        ]
-        assert VerdictEngine.merged(engines).finalize() == serial
 
 
 #: Small enough that transit hops often hit another origin, so all three
@@ -327,43 +209,27 @@ def play(plan):
         )
 
 
-def evidence_by_prefix(state: dict) -> dict:
-    return {(network, length): row for network, length, row in state["evidence"]}
-
-
 class TestVerdictEngineIdentityMemo:
     """The engine classifies distinct objects once, yet equals the
     per-conflict-day reference fold on any stream of recurring, twin,
     alternating, replaced and pathless conflicts."""
 
-    @given(conflict_plans(), roa_tables(), partitions, st.integers(0, 14))
+    @given(conflict_plans(), roa_tables(), st.integers(0, 14))
     def test_engine_equals_per_conflict_day_reference(
-        self, plan, table, partition, restore_day
+        self, plan, table, restore_day
     ):
-        count, scheme = partition
         reference = ReferenceFold(roa_table=table)
         serial = VerdictEngine(roa_table=table)
-        shards = [
-            VerdictEngine(shard=shard, roa_table=table)
-            for shard in ShardSpec.partition(count, scheme)
-        ]
         for index, detection in enumerate(play(plan)):
             if index == restore_day:  # resume mid-stream, memo empty
                 serial = roundtrip(serial)
-                shards = [roundtrip(engine) for engine in shards]
-            for fold in (reference, serial, *shards):
+            for fold in (reference, serial):
                 fold.feed_day(detection)
             del detection  # let replaced conflicts die before the next day
         expected = reference.state_dict()
         assert serial.state_dict() == expected
         assert roundtrip(serial).state_dict() == expected
-        verdicts = reference.finalize()
-        assert serial.finalize() == verdicts
-        merged = VerdictEngine.merged(shards)
-        assert evidence_by_prefix(merged.state_dict()) == evidence_by_prefix(
-            expected
-        )
-        assert merged.finalize() == verdicts
+        assert serial.finalize() == reference.finalize()
 
 
 class TestMergeAlgebraRegistry:
@@ -373,7 +239,6 @@ class TestMergeAlgebraRegistry:
     def test_registered_class_has_full_algebra(self, dotted):
         module_name, _, class_name = dotted.rpartition(".")
         cls = getattr(importlib.import_module(module_name), class_name)
-        assert callable(cls.merge)
         assert callable(cls.state_dict)
         assert callable(cls.from_state)
 
@@ -385,19 +250,57 @@ class TestMergeAlgebraRegistry:
         assert clone.finalize() == engine.finalize()
         assert clone.state_dict() == engine.state_dict()
 
-    @given(detection_streams(), partitions)
-    def test_restored_engines_still_merge(self, detections, partition):
-        """from_state output is a full citizen of the merge algebra."""
-        count, scheme = partition
-        serial = feed_engine(detections).finalize()
-        engines = [
-            VerdictEngine.from_state(
-                json.loads(
-                    json.dumps(
-                        feed_engine(detections, shard=shard).state_dict()
-                    )
-                )
-            )
-            for shard in ShardSpec.partition(count, scheme)
-        ]
-        assert VerdictEngine.merged(engines).finalize() == serial
+    @given(detection_streams(), roa_tables())
+    def test_study_state_survives_json_roundtrip(self, detections, table):
+        state = feed_state(detections, roa_table=table)
+        payload = json.loads(json.dumps(state.state_dict()))
+        clone = StudyState.from_state(payload)
+        assert clone.results() == state.results()
+        assert clone.state_dict() == state.state_dict()
+
+
+class TestLegacyShardMerge:
+    """Legacy sharded checkpoints merge once, at load, into the serial
+    state: the property the removed partition suites proved for the
+    in-process merge, now for the only place shards still enter."""
+
+    @given(
+        detection_streams(),
+        legacy_layouts,
+        st.randoms(use_true_random=False),
+    )
+    def test_any_layout_loads_to_serial(self, detections, layout, rng):
+        count, scheme = layout
+        payload = legacy.shard_payload(detections, count, scheme)
+        rng.shuffle(payload["shards"])  # manifest order must not matter
+        loaded = MoasService.resume(payload).results()
+        assert loaded == feed_state(detections).results()
+
+    @given(detection_streams(), roa_tables(), legacy_layouts)
+    def test_layout_with_roa_table_loads_to_serial(
+        self, detections, table, layout
+    ):
+        serial = feed_state(detections, roa_table=table).results()
+        loaded = MoasService.resume(
+            legacy.shard_payload(detections, *layout, roa_table=table)
+        )
+        assert loaded.roa_table == table
+        assert loaded.results() == serial
+        assert loaded.results().rpki_episode_states == (
+            serial.rpki_episode_states
+        )
+
+    @given(detection_streams(), legacy_layouts, st.integers(0, 12))
+    def test_loaded_state_keeps_folding_like_serial(
+        self, detections, layout, split
+    ):
+        split = min(split, len(detections))
+        service = MoasService.resume(
+            legacy.shard_payload(detections[:split], *layout)
+        )
+        service.feed(detections[split:])
+        assert service.results() == feed_state(detections).results()
+        restored = StudyState.from_state(
+            json.loads(json.dumps(service.snapshot_state()["shards"][0]))
+        )
+        assert restored.results() == service.results()

@@ -1,30 +1,28 @@
 """The parallel engine's core invariant: parallel == serial, exactly.
 
-Covers the acceptance criteria of the sharded engine: identical
-``StudyResults`` (episodes, case studies, classification series and
-all) for ``workers=1`` / ``workers=4`` / ``shards=8`` merged, sharded
-checkpoints that resume to the same results as an uninterrupted run,
-and the supporting machinery (task partitioning, ordered parallel
-detection, state merging).
+Covers identical ``StudyResults`` (episodes, case studies,
+classification series and all) for ``workers=1`` and ``workers=4``, a
+restored mid-study state that resumes to the same results as an
+uninterrupted run, and the supporting machinery (task partitioning,
+ordered parallel detection, worker resolution).
 
 ``REPRO_TEST_WORKERS`` overrides the worker count used by the equality
 tests, so CI can re-run this file at different pool sizes.
 """
 
 import datetime
+import json
 import os
 
 import pytest
 
 from repro.analysis.parallel import (
-    ParallelExecutor,
     iter_detections,
     partition_tasks,
     resolve_workers,
 )
 from repro.analysis.pipeline import StudyPipeline, StudyState
 from repro.api.sources import ArchiveSource, MemorySource
-from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import ArchiveReader
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
@@ -58,48 +56,25 @@ def serial_results(pipeline, archive):
 
 
 class TestEqualityProperty:
-    """For the same source, every workers/shards layout agrees exactly."""
+    """For the same source, every worker count agrees exactly."""
 
     def test_workers_match_serial(self, pipeline, archive, serial_results):
         parallel = pipeline.run(ArchiveSource(archive), workers=WORKERS)
         assert parallel == serial_results
 
-    def test_eight_shards_merged_match_serial(
-        self, pipeline, archive, serial_results
-    ):
-        sharded = pipeline.run(ArchiveSource(archive), shards=8)
-        assert sharded == serial_results
-
-    def test_workers_and_shards_match_serial(
-        self, pipeline, archive, serial_results
-    ):
-        combined = pipeline.run(
-            ArchiveSource(archive), workers=WORKERS, shards=3
-        )
-        assert combined == serial_results
-
-    def test_range_scheme_matches_serial(
-        self, pipeline, archive, serial_results
-    ):
-        executor = ParallelExecutor(workers=1, shards=4, scheme="range")
-        states = executor.run(pipeline, ArchiveSource(archive))
-        assert StudyState.merged(states).results() == serial_results
-
     def test_sensitive_fields_identical(
         self, pipeline, archive, serial_results
     ):
         """Spell out the fields the acceptance criteria call out."""
-        sharded = pipeline.run(
-            ArchiveSource(archive), workers=WORKERS, shards=8
-        )
-        assert sharded.episodes == serial_results.episodes
-        assert sharded.case_studies == serial_results.case_studies
+        parallel = pipeline.run(ArchiveSource(archive), workers=WORKERS)
+        assert parallel.episodes == serial_results.episodes
+        assert parallel.case_studies == serial_results.case_studies
         assert (
-            sharded.classification_series
+            parallel.classification_series
             == serial_results.classification_series
         )
-        assert sharded.daily_series == serial_results.daily_series
-        assert sharded.as_set_excluded_max == (
+        assert parallel.daily_series == serial_results.daily_series
+        assert parallel.as_set_excluded_max == (
             serial_results.as_set_excluded_max
         )
 
@@ -193,72 +168,21 @@ class TestResolveWorkers:
             resolve_workers(-2)
 
 
-class TestStateMerging:
-    def test_merge_validates_shard_presence(self, pipeline):
-        full = pipeline.start()
-        other = pipeline.start()
-        with pytest.raises(ValueError, match="unsharded"):
-            full.merge(other)
-
-    def test_merge_validates_day_streams(self, pipeline, archive):
-        detections = list(ArchiveSource(archive).detections())
-        first, second = ShardSpec.partition(2)
-        state_a = pipeline.start(shard=first)
-        state_b = pipeline.start(shard=second)
-        state_a.feed_day(detections[0])
-        with pytest.raises(ValueError, match="different day streams"):
-            state_a.merge(state_b)
-
-    def test_merge_is_associative(self, pipeline, archive, serial_results):
-        detections = list(ArchiveSource(archive).detections())
-        states = [
-            pipeline.start(shard=spec) for spec in ShardSpec.partition(4)
-        ]
-        for detection in detections:
-            for state in states:
-                state.feed_day(detection)
-        left = states[0].merge(states[1]).merge(states[2]).merge(states[3])
-        right = states[0].merge(states[1].merge(states[2].merge(states[3])))
-        assert left.results() == right.results() == serial_results
-
-    def test_merged_state_round_trips_through_json(
-        self, pipeline, archive, serial_results
-    ):
-        import json
-
-        states = [
-            pipeline.start(shard=spec) for spec in ShardSpec.partition(2)
-        ]
-        for detection in ArchiveSource(archive).detections():
-            for state in states:
-                state.feed_day(detection)
-        payload = json.loads(json.dumps(states[0].state_dict()))
-        restored = StudyState.from_state(payload, pipeline=pipeline)
-        assert restored.shard == states[0].shard
-        assert restored.merge(states[1]).results() == serial_results
-
-
-class TestExecutorResume:
-    def test_skip_through_continues_a_partial_run(
+class TestResume:
+    def test_restored_state_continues_a_partial_run(
         self, pipeline, archive, serial_results
     ):
         detections = list(ArchiveSource(archive).detections())
-        midpoint = len(detections) // 2
-        executor = ParallelExecutor(workers=1, shards=2)
-        states = executor.make_states(pipeline)
-        for detection in detections[:midpoint]:
-            for state in states:
-                state.feed_day(detection)
-        executor.run(
-            pipeline,
-            ArchiveSource(archive),
-            states=states,
-            skip_through=detections[midpoint - 1].day,
+        state = pipeline.start()
+        for detection in detections[: len(detections) // 2]:
+            state.feed_day(detection)
+        state = StudyState.from_state(
+            json.loads(json.dumps(state.state_dict())), pipeline=pipeline
         )
-        assert StudyState.merged(states).results() == serial_results
+        for detection in iter_detections(
+            ArchiveSource(archive), workers=WORKERS
+        ):
+            if detection.day > state.last_day:
+                state.feed_day(detection)
+        assert state.results() == serial_results
 
-
-class TestRunValidation:
-    def test_invalid_shards_rejected_on_serial_path(self, pipeline):
-        with pytest.raises(ValueError, match="shards"):
-            pipeline.run([], shards=0)

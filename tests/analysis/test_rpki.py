@@ -1,8 +1,8 @@
 """RPKI analysis acceptance suite.
 
 One canned-incident world with an RPKI shadow, archived as v1 and v2;
-RPKI-enabled analysis must be byte-identical across every
-workers x shards layout on both formats, exact-prefix hijacks must
+RPKI-enabled analysis must be byte-identical at every worker count on
+both formats, exact-prefix hijacks must
 validate *invalid*, and anycast episodes under a covering multi-origin
 ROA set must stay *valid*.  ``REPRO_TEST_WORKERS`` overrides the pool
 size, mirroring the other equality suites.
@@ -20,6 +20,7 @@ from repro.scenario.incidents import IncidentKind, IncidentScript
 from repro.scenario.rpki import RpkiConfig
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 
@@ -27,8 +28,8 @@ CALENDAR = StudyCalendar(
     datetime.date(1997, 11, 8), datetime.date(1998, 2, 15)
 )  # 100 days
 
-#: The acceptance matrix: serial vs WORKERS x shards {1, 4}.
-LAYOUTS = [(1, 1), (WORKERS, 1), (WORKERS, 4), (1, 4)]
+#: The acceptance matrix: serial vs WORKERS.
+LAYOUTS = [1, WORKERS]
 
 
 def _config(archive_format):
@@ -50,10 +51,8 @@ def archives(tmp_path_factory):
     return {"v1": base / "v1", "v2": base / "v2"}
 
 
-def _analyze(archive, workers=1, shards=1):
-    service = MoasService(
-        workers=workers, shards=shards, roa_table=archive
-    )
+def _analyze(archive, workers=1):
+    service = MoasService(workers=workers, roa_table=archive)
     service.feed(archive)
     return service.results()
 
@@ -70,12 +69,10 @@ def golden_report(archives):
 
 
 class TestLayoutAndFormatEquivalence:
-    @pytest.mark.parametrize("workers,shards", LAYOUTS)
+    @pytest.mark.parametrize("workers", LAYOUTS)
     @pytest.mark.parametrize("fmt", ["v1", "v2"])
-    def test_results_identical(
-        self, archives, golden_results, fmt, workers, shards
-    ):
-        results = _analyze(archives[fmt], workers=workers, shards=shards)
+    def test_results_identical(self, archives, golden_results, fmt, workers):
+        results = _analyze(archives[fmt], workers=workers)
         assert results == golden_results
         assert results.rpki_episode_states == (
             golden_results.rpki_episode_states
@@ -84,21 +81,17 @@ class TestLayoutAndFormatEquivalence:
     def test_rendered_rpki_figures_byte_identical(
         self, archives, golden_results
     ):
-        results = _analyze(archives["v2"], workers=WORKERS, shards=4)
+        results = _analyze(archives["v2"], workers=WORKERS)
         for figure in ("rpki", "longevity"):
             for fmt in ("csv", "ascii", "json"):
                 assert render(results, figure, fmt) == render(
                     golden_results, figure, fmt
                 )
 
-    @pytest.mark.parametrize("workers,shards", [(WORKERS, 4)])
-    def test_evaluation_identical(
-        self, archives, golden_report, workers, shards
-    ):
+    @pytest.mark.parametrize("workers", [WORKERS])
+    def test_evaluation_identical(self, archives, golden_report, workers):
         for fmt in ("v1", "v2"):
-            report = MoasService(workers=workers, shards=shards).evaluate(
-                archives[fmt]
-            )
+            report = MoasService(workers=workers).evaluate(archives[fmt])
             assert report.verdicts == golden_report.verdicts
             assert (
                 report.result.to_dict() == golden_report.result.to_dict()
@@ -176,14 +169,14 @@ class TestWithoutRpki:
 
 
 class TestCheckpointWithRpki:
-    def test_sharded_checkpoint_resume_matches_straight_run(
+    def test_checkpoint_resume_matches_straight_run(
         self, archives, golden_results, tmp_path
     ):
         from repro.api.sources import ArchiveSource
 
         detections = list(ArchiveSource(archives["v1"]).detections())
         midpoint = len(detections) // 2
-        first = MoasService(shards=2, roa_table=archives["v1"])
+        first = MoasService(roa_table=archives["v1"])
         first.feed(detections[:midpoint])
         checkpoint = tmp_path / "rpki.ckpt"
         first.save_checkpoint(checkpoint)
@@ -193,19 +186,36 @@ class TestCheckpointWithRpki:
         resumed.feed(detections[midpoint:])
         assert resumed.results() == golden_results
 
-    def test_merge_rejects_different_tables(self, archives):
-        from repro.analysis.pipeline import StudyPipeline
+    @pytest.mark.parametrize(
+        "layout", legacy.LAYOUTS, ids=legacy.layout_id
+    )
+    def test_legacy_checkpoint_resume_matches_straight_run(
+        self, archives, golden_results, layout, tmp_path
+    ):
+        """RPKI states of every legacy shard union into the serial
+        rollup, and the resumed study keeps validating like it."""
+        from repro.api.sources import ArchiveSource
 
-        pipeline = StudyPipeline()
-        shards = __import__(
-            "repro.netbase.sharding", fromlist=["ShardSpec"]
-        ).ShardSpec.partition(2)
-        with_table = pipeline.start(
-            shard=shards[0], roa_table=RoaTable.load(archives["v1"])
+        table = RoaTable.load(archives["v1"])
+        detections = list(ArchiveSource(archives["v1"]).detections())
+        checkpoint = legacy.write_checkpoint(
+            tmp_path / "legacy",
+            detections[: len(detections) // 2],
+            *layout,
+            roa_table=table,
         )
-        without = pipeline.start(shard=shards[1])
-        with pytest.raises(ValueError, match="ROA table"):
-            with_table.merge(without)
+        resumed = MoasService.load_checkpoint(checkpoint, workers=WORKERS)
+        assert resumed.roa_table == table
+        resumed.feed(archives["v2"], skip_seen=True)
+        results = resumed.results()
+        assert results == golden_results
+        assert results.rpki_episode_states == (
+            golden_results.rpki_episode_states
+        )
+        for figure in ("rpki", "longevity"):
+            assert render(results, figure, "csv") == render(
+                golden_results, figure, "csv"
+            )
 
 
 class TestAnalyzeCli:
@@ -248,7 +258,7 @@ class TestAnalyzeCli:
         from repro.api.cli import main
 
         outputs = []
-        for index, (workers, shards) in enumerate([(1, 1), (WORKERS, 4)]):
+        for index, workers in enumerate(LAYOUTS):
             out = tmp_path / f"out-{index}"
             assert (
                 main(
@@ -260,8 +270,6 @@ class TestAnalyzeCli:
                         str(archives["v2"]),
                         "--workers",
                         str(workers),
-                        "--shards",
-                        str(shards),
                     ]
                 )
                 == 0

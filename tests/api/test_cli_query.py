@@ -286,21 +286,21 @@ class TestAnalyzeIndexFlag:
     def test_index_answers_equal_across_layouts(
         self, indexed_archive, tmp_path
     ):
-        """--workers/--shards layouts write the identical index."""
-        sharded = tmp_path / "sharded.idx"
+        """--workers counts write the identical index."""
+        parallel = tmp_path / "parallel.idx"
         code = main(
             [
                 "analyze",
                 str(indexed_archive),
                 str(tmp_path / "out"),
-                "--shards",
-                "3",
+                "--workers",
+                "2",
                 "--index",
-                str(sharded),
+                str(parallel),
             ]
         )
         assert code == 0
-        assert sharded.read_bytes() == (
+        assert parallel.read_bytes() == (
             indexed_archive / INDEX_FILENAME
         ).read_bytes()
 

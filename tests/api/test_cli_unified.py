@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro.api.cli import main
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
 ANALYSIS_FILES = (
     "figure1.csv",
@@ -329,17 +330,22 @@ class TestServeCli:
         assert main(["serve"]) == 1
         assert "day source" in capsys.readouterr().err
 
-    def test_serve_rejects_bad_shards(self, tmp_path, capsys):
-        code = main(["serve", str(tmp_path), "--shards", "0"])
+    def test_serve_refuses_a_checkpoint_directory(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy-ckpt"
+        legacy.mkdir()
+        code = main(["serve", str(tmp_path), "--checkpoint", str(legacy)])
         assert code == 1
-        assert "--shards must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "is a directory" in err[0]
+        assert f"--resume {legacy} --checkpoint FILE" in err[0]
 
 
 class TestParallelFlags:
     def test_parallel_analysis_byte_identical(
         self, cli_archive, tmp_path, capsys
     ):
-        """`--workers`/`--shards` never change a single output byte."""
+        """`--workers` never changes a single output byte."""
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         assert main(["analyze", str(cli_archive), str(serial_dir)]) == 0
@@ -351,8 +357,6 @@ class TestParallelFlags:
                     str(cli_archive),
                     str(parallel_dir),
                     "--workers",
-                    "2",
-                    "--shards",
                     "2",
                 ]
             )
@@ -394,78 +398,6 @@ class TestParallelFlags:
             )
         assert "workers must be" in capsys.readouterr().err
 
-    def test_sharded_checkpoint_resume_via_cli(
-        self, cli_archive, tmp_path, capsys
-    ):
-        checkpoint = tmp_path / "sharded.ckpt"
-        out_dir = tmp_path / "out"
-        assert (
-            main(
-                [
-                    "analyze",
-                    str(cli_archive),
-                    str(out_dir),
-                    "--shards",
-                    "2",
-                    "--checkpoint",
-                    str(checkpoint),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert checkpoint.is_dir()
-        resumed_dir = tmp_path / "resumed"
-        assert (
-            main(
-                [
-                    "analyze",
-                    str(cli_archive),
-                    str(resumed_dir),
-                    "--resume",
-                    str(checkpoint),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (resumed_dir / "report.txt").read_bytes() == (
-            out_dir / "report.txt"
-        ).read_bytes()
-
-    def test_resume_shard_mismatch_fails_cleanly(
-        self, cli_archive, tmp_path, capsys
-    ):
-        checkpoint = tmp_path / "two-shards.ckpt"
-        assert (
-            main(
-                [
-                    "analyze",
-                    str(cli_archive),
-                    str(tmp_path / "out"),
-                    "--shards",
-                    "2",
-                    "--checkpoint",
-                    str(checkpoint),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        code = main(
-            [
-                "analyze",
-                str(cli_archive),
-                str(tmp_path / "out2"),
-                "--resume",
-                str(checkpoint),
-                "--shards",
-                "5",
-            ]
-        )
-        assert code == 1
-        assert "cannot resume" in capsys.readouterr().err
-
     def test_simulate_workers_identical_archive(self, tmp_path):
         """simulate --workers changes wall-clock, never bytes."""
         serial_dir = tmp_path / "serial"
@@ -499,66 +431,86 @@ class TestParallelFlags:
     def test_checkpoint_layout_collision_fails_cleanly(
         self, cli_archive, tmp_path, capsys
     ):
-        checkpoint = tmp_path / "single.ckpt"
-        assert (
-            main(
-                [
-                    "analyze",
-                    str(cli_archive),
-                    str(tmp_path / "out"),
-                    "--checkpoint",
-                    str(checkpoint),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
+        checkpoint = tmp_path / "dir.ckpt"
+        checkpoint.mkdir()
         code = main(
             [
                 "analyze",
                 str(cli_archive),
-                str(tmp_path / "out2"),
-                "--shards",
-                "2",
+                str(tmp_path / "out"),
                 "--checkpoint",
                 str(checkpoint),
             ]
         )
         assert code == 1
-        assert "existing file" in capsys.readouterr().err
+        assert "existing directory" in capsys.readouterr().err
 
-    def test_resume_explicit_shards_one_mismatch_fails(
-        self, cli_archive, tmp_path, capsys
+
+class TestLegacyShardedCheckpoints:
+    """`--shards` is gone; sharded checkpoints earlier releases wrote
+    still resume, and converting one writes a single file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "ARCHIVE", "OUT"],
+            ["evaluate", "ARCHIVE"],
+            ["serve", "ARCHIVE"],
+        ],
+        ids=["analyze", "evaluate", "serve"],
+    )
+    def test_shards_option_is_gone(self, argv, tmp_path, capsys):
+        argv = [
+            {"ARCHIVE": str(tmp_path), "OUT": str(tmp_path / "out")}.get(
+                arg, arg
+            )
+            for arg in argv
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layout", legacy.LAYOUTS[:2], ids=legacy.layout_id
+    )
+    def test_legacy_checkpoint_resume_via_cli(
+        self, cli_archive, tmp_path, capsys, layout
     ):
-        checkpoint = tmp_path / "two.ckpt"
+        from repro.api.service import MoasService
+        from repro.api.sources import open_source
+
+        detections = list(open_source(cli_archive).detections())
+        directory = legacy.write_checkpoint(
+            tmp_path / "legacy", detections[: len(detections) // 2], *layout
+        )
+        plain_dir = tmp_path / "plain"
+        assert main(["analyze", str(cli_archive), str(plain_dir)]) == 0
+        converted = tmp_path / "study.ckpt"
+        resumed_dir = tmp_path / "resumed"
         assert (
             main(
                 [
                     "analyze",
                     str(cli_archive),
-                    str(tmp_path / "out"),
-                    "--shards",
-                    "2",
+                    str(resumed_dir),
+                    "--resume",
+                    str(directory),
                     "--checkpoint",
-                    str(checkpoint),
+                    str(converted),
                 ]
             )
             == 0
         )
         capsys.readouterr()
-        code = main(
-            [
-                "analyze",
-                str(cli_archive),
-                str(tmp_path / "out2"),
-                "--resume",
-                str(checkpoint),
-                "--shards",
-                "1",
-            ]
-        )
-        assert code == 1
-        assert "cannot resume" in capsys.readouterr().err
+        for name in ANALYSIS_FILES:
+            assert (resumed_dir / name).read_bytes() == (
+                plain_dir / name
+            ).read_bytes(), f"{name} differs"
+        assert converted.is_file()
+        reloaded = MoasService.load_checkpoint(converted)
+        assert reloaded.days_fed == len(detections)
+        assert reloaded.snapshot_state()["shards"][0]["shard"] is None
 
 
 class TestConvertCommand:

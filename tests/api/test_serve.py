@@ -13,16 +13,22 @@ import asyncio
 import datetime
 import json
 import logging
+import os
 import select
 import shutil
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import serve as serve_module
 from repro.api.renderers import render
 from repro.api.serve import (
@@ -32,12 +38,14 @@ from repro.api.serve import (
     Response,
     ServeApp,
     ServeConfig,
+    ServeDaemon,
 )
 from repro.api.service import MoasService
 from repro.api.sources import open_source
 from repro.core.realtime import MoasAlert
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
 CALENDAR = StudyCalendar(
     datetime.date(1997, 11, 8), datetime.date(1997, 12, 17)
@@ -498,6 +506,180 @@ class TestServeIntegration:
                 url + "/v1/figure/summary?format=json"
             )
             assert status == 200
+
+
+@pytest.fixture(scope="module")
+def early_archive(tmp_path_factory):
+    """An archive that ends the day before the serve archive's MRT
+    dumps, so a dropped dump is a new day for it."""
+    directory = tmp_path_factory.mktemp("serve-early") / "archive"
+    simulate_study(
+        directory,
+        ScenarioConfig(
+            scale=0.01,
+            calendar=StudyCalendar(
+                CALENDAR.start, min(MRT_DAYS) - datetime.timedelta(days=1)
+            ),
+            paper_archive_gaps=False,
+        ),
+    )
+    return directory
+
+
+class TestCheckpointFailures:
+    """A checkpoint that cannot be written is reported, not fatal."""
+
+    def test_ingestion_survives_a_failed_checkpoint(
+        self, early_archive, serve_archive, tmp_path
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        server = BackgroundServer(
+            ServeConfig(
+                archive=early_archive,
+                port=0,
+                watch=drop,
+                poll_interval=0.1,
+                checkpoint=blocker / "s.ckpt",
+            )
+        )
+        with server as url:
+            status = wait_for_ingest(url, timeout=60)
+            ingest = status["ingest"]
+            assert ingest["active"]
+            assert ingest["checkpoints_written"] == 0
+            assert ingest["last_error"].startswith("checkpoint: ")
+            fed = status["days_fed"]
+            name = f"rib.{min(MRT_DAYS).isoformat()}.mrt"
+            shutil.copy(serve_archive / "mrt" / name, drop / name)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                status = json.loads(http_get(url + "/v1/status")[2])
+                if status["days_fed"] == fed + 1:
+                    break
+                time.sleep(0.1)
+            assert status["days_fed"] == fed + 1
+            assert status["last_day"] == min(MRT_DAYS).isoformat()
+        assert server._error is None
+        assert server.daemon.final_checkpoint_failed
+
+    def test_cli_exits_1_when_the_final_checkpoint_fails(
+        self, early_archive, tmp_path
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        failed = threading.Event()
+        lines: list[str] = []
+        with subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from repro.api.cli import main; "
+                "sys.exit(main(sys.argv[1:]))",
+                "serve",
+                str(early_archive),
+                "--port",
+                "0",
+                "--checkpoint",
+                str(blocker / "s.ckpt"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        ) as process:
+
+            def read_stdout() -> None:
+                for line in process.stdout:
+                    lines.append(line)
+                    if line.startswith("[serve] checkpoint failed:"):
+                        failed.set()
+
+            reader = threading.Thread(target=read_stdout)
+            reader.start()
+            try:
+                assert failed.wait(timeout=60), "".join(lines)
+                process.send_signal(signal.SIGINT)
+                process.wait(timeout=60)
+            finally:
+                process.kill()
+                reader.join(timeout=60)
+            stderr = process.stderr.read()
+        assert process.returncode == 1
+        assert "Traceback" not in stderr
+        failures = [
+            line
+            for line in lines
+            if line.startswith("[serve] checkpoint failed:")
+        ]
+        assert len(failures) == 2  # after the initial feed, at stop
+
+
+class TestLegacyCheckpoints:
+    """Serve resumes a legacy multi-state checkpoint file and writes it
+    back as one state; it refuses a legacy checkpoint directory."""
+
+    def test_resumes_a_legacy_payload_file_as_one_state(
+        self, serve_archive, serve_detections, tmp_path
+    ):
+        checkpoint = tmp_path / "serve.ckpt"
+        checkpoint.write_text(
+            json.dumps(legacy.shard_payload(serve_detections[:20], 3, "range"))
+        )
+        straight = MoasService()
+        straight.feed(serve_detections)
+        config = ServeConfig(
+            archive=serve_archive, port=0, checkpoint=checkpoint
+        )
+        with BackgroundServer(config) as url:
+            status = wait_for_ingest(url)
+            assert status["days_fed"] == CALENDAR.num_days
+            assert status["ingest"]["days_ingested"] == CALENDAR.num_days - 20
+            _, _, summary = http_get(url + "/v1/figure/summary?format=json")
+            assert summary == render(
+                straight.results(), "summary", "json"
+            ).encode()
+        payload = json.loads(checkpoint.read_text())
+        assert [state["shard"] for state in payload["shards"]] == [None]
+        resumed = MoasService.load_checkpoint(checkpoint)
+        assert resumed.results() == straight.results()
+
+    def test_refuses_a_legacy_checkpoint_directory(
+        self, serve_archive, serve_detections, tmp_path
+    ):
+        directory = legacy.write_checkpoint(
+            tmp_path / "legacy", serve_detections[:10], 2
+        )
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        with pytest.raises(ValueError, match="legacy sharded checkpoint"):
+            ServeDaemon(
+                ServeConfig(
+                    archive=serve_archive, port=0, checkpoint=directory
+                )
+            )
+        after = {path.name: path.read_bytes() for path in directory.iterdir()}
+        assert after == before
+
+    def test_status_reports_no_shard_layout(self, serve_archive):
+        app = ServeApp(MoasService(), archive=serve_archive)
+        payload = json.loads(app.handle("GET", "/v1/status").body)
+        assert set(payload) == {
+            "service",
+            "version",
+            "days_fed",
+            "last_day",
+            "uptime_seconds",
+            "rpki",
+            "ingest",
+            "alerts",
+            "evaluation",
+            "figures",
+            "sse_subscribers",
+        }
 
 
 def asyncio_errors(caplog) -> list[logging.LogRecord]:

@@ -7,7 +7,9 @@ records whose objects changed, and ``/v1/verdicts`` is assembled from
 per-verdict JSON fragments.  These tests feed a ``ServeApp`` day by day
 and compare every such answer with one rebuilt from nothing: results
 and verdicts restored from the checkpoint payloads (so no memo can
-take part), a cold ``EpisodeIndex.build`` and ``Response.json``.
+take part), a cold ``EpisodeIndex.build`` and ``Response.json``.  The
+same holds for a session loaded from a legacy sharded checkpoint, whose
+tracker lists records in shard order rather than first-seen order.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from repro.api.serve import Response, ServeApp
 from repro.api.service import MoasService
 from repro.api.sources import open_source
 from repro.core.verdict import VerdictEngine
+from repro.netbase.rpki import RoaTable
 from repro.scenario.incidents import IncidentKind, IncidentScript
 from repro.scenario.rpki import RpkiConfig
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
 CALENDAR = StudyCalendar(
     datetime.date(1997, 11, 8), datetime.date(1997, 12, 17)
@@ -148,15 +152,12 @@ def expected_reads(days, detection, results, verdicts, index):
     return expected
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_fresh_reads_equal_cold_rebuilds_at_every_day(reads_archive, shards):
+def test_fresh_reads_equal_cold_rebuilds_at_every_day(reads_archive):
     app = ServeApp(
-        MoasService(shards=shards, roa_table=reads_archive),
-        archive=reads_archive,
+        MoasService(roa_table=reads_archive), archive=reads_archive
     )
     unread = ServeApp(
-        MoasService(shards=shards, roa_table=reads_archive),
-        archive=reads_archive,
+        MoasService(roa_table=reads_archive), archive=reads_archive
     )
     held = []
     detections = list(open_source(reads_archive).detections())
@@ -192,13 +193,41 @@ def test_fresh_reads_equal_cold_rebuilds_at_every_day(reads_archive, shards):
         assert served_index.to_bytes() == index.to_bytes()
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_cold_builds_only_when_most_records_changed(
-    reads_archive, shards, monkeypatch
+@pytest.mark.parametrize(
+    "layout", legacy.LAYOUTS[:2], ids=legacy.layout_id
+)
+def test_fresh_reads_after_a_legacy_resume_equal_cold_rebuilds(
+    reads_archive, layout
 ):
-    """One shard patches a fresh index unless most records changed;
-    two build every one cold, because each merge makes every episode
-    a new object."""
+    detections = list(open_source(reads_archive).detections())
+    half = len(detections) // 2
+    service = MoasService.resume(
+        legacy.shard_payload(
+            detections[:half],
+            *layout,
+            roa_table=RoaTable.load(reads_archive),
+        )
+    )
+    app = ServeApp(service, archive=reads_archive)
+    for days, detection in enumerate(detections[half:], start=half + 1):
+        app.fold_detection(detection)
+        results, verdicts = cold_state(app)
+        index = EpisodeIndex.build(results, verdicts=verdicts)
+        snapshot, served_index = app.current_index()
+        assert snapshot.results == results
+        assert served_index.to_bytes() == index.to_bytes(), days
+        assert app.current_verdicts() == (days, verdicts)
+        for target, response in expected_reads(
+            days, detection, results, verdicts, index
+        ).items():
+            assert app.handle("GET", target) == response, (days, target)
+    assert app.days_fed == len(detections)
+
+
+def test_cold_builds_only_when_most_records_changed(
+    reads_archive, monkeypatch
+):
+    """A fresh index is patched unless most records changed."""
     calls = []
     real_build = EpisodeIndex.build
     real_rederived = EpisodeIndex.rederived
@@ -214,8 +243,7 @@ def test_cold_builds_only_when_most_records_changed(
     monkeypatch.setattr(EpisodeIndex, "build", staticmethod(build))
     monkeypatch.setattr(EpisodeIndex, "rederived", rederived)
     app = ServeApp(
-        MoasService(shards=shards, roa_table=reads_archive),
-        archive=reads_archive,
+        MoasService(roa_table=reads_archive), archive=reads_archive
     )
     for detection in open_source(reads_archive).detections():
         app.fold_detection(detection)
@@ -223,9 +251,6 @@ def test_cold_builds_only_when_most_records_changed(
         app.current_index()
     assert len(calls) == CALENDAR.num_days
     assert calls[0] == "build"
-    if shards == 1:
-        # Once ended episodes outnumber ongoing ones, every day's
-        # index is patched.
-        assert calls[-15:] == ["rederived"] * 15
-    else:
-        assert "rederived" not in calls
+    # Once ended episodes outnumber ongoing ones, every day's index is
+    # patched.
+    assert calls[-15:] == ["rederived"] * 15

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.pipeline import StudyPipeline
 from repro.api import CHECKPOINT_VERSION, MoasService
+from tests.fixtures import legacy_checkpoint_writer as legacy
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +135,7 @@ class TestRenderPassthrough:
         )
 
 
-class TestShardedService:
-    def test_sharded_results_equal_serial(
-        self, api_detections, straight_results
-    ):
-        service = MoasService(shards=4)
-        service.feed(api_detections)
-        assert service.results() == straight_results
-
+class TestSessionLayout:
     def test_worker_feed_equals_serial(self, api_archive, straight_results):
         import os
 
@@ -149,35 +143,6 @@ class TestShardedService:
         service = MoasService(workers=workers)
         service.feed(api_archive)
         assert service.results() == straight_results
-
-    def test_sharded_checkpoint_is_a_directory(
-        self, tmp_path, api_detections
-    ):
-        service = MoasService(shards=3)
-        service.feed(api_detections[:10])
-        path = service.save_checkpoint(tmp_path / "sharded.ckpt")
-        assert path.is_dir()
-        assert (path / "manifest.json").exists()
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["shard_count"] == 3
-        for name in manifest["shard_files"]:
-            assert (path / name).exists()
-
-    def test_sharded_resume_mid_study_equals_straight_run(
-        self, tmp_path, api_detections, straight_results
-    ):
-        """Acceptance: a sharded checkpoint resumed mid-study equals
-        an uninterrupted run."""
-        midpoint = len(api_detections) // 3
-        first = MoasService(shards=4)
-        first.feed(api_detections[:midpoint])
-        path = first.save_checkpoint(tmp_path / "sharded-mid.ckpt")
-
-        resumed = MoasService.load_checkpoint(path)
-        assert resumed.shards == 4
-        assert resumed.days_fed == midpoint
-        resumed.feed(api_detections[midpoint:])
-        assert resumed.results() == straight_results
 
     def test_legacy_version1_payload_still_resumes(self, api_detections):
         """Pre-shard checkpoints (version 1, single `state`) load."""
@@ -196,50 +161,26 @@ class TestShardedService:
         full.feed(api_detections)
         assert resumed.results() == full.results()
 
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            MoasService(shards=0)
-
-    def test_checkpoint_layout_collision_raises_cleanly(
+    def test_saving_over_a_directory_raises_cleanly(
         self, tmp_path, api_detections
     ):
-        single = MoasService()
-        single.feed(api_detections[:3])
-        sharded = MoasService(shards=2)
-        sharded.feed(api_detections[:3])
-        file_path = single.save_checkpoint(tmp_path / "study.ckpt")
-        dir_path = sharded.save_checkpoint(tmp_path / "sharded.ckpt")
-        with pytest.raises(ValueError, match="existing file"):
-            sharded.save_checkpoint(file_path)
+        service = MoasService()
+        service.feed(api_detections[:3])
+        directory = tmp_path / "study.ckpt"
+        directory.mkdir()
         with pytest.raises(ValueError, match="existing directory"):
-            single.save_checkpoint(dir_path)
+            service.save_checkpoint(directory)
+        assert list(directory.iterdir()) == []
 
     def test_resume_carries_requested_workers(
         self, tmp_path, api_detections
     ):
-        service = MoasService(shards=2)
+        service = MoasService()
         service.feed(api_detections[:5])
         path = service.save_checkpoint(tmp_path / "w.ckpt")
         resumed = MoasService.load_checkpoint(path, workers=2)
         assert resumed.workers == 2
         assert MoasService.load_checkpoint(path).workers == 1
-
-    def test_resaving_fewer_shards_removes_stale_files(
-        self, tmp_path, api_detections
-    ):
-        wide = MoasService(shards=4)
-        wide.feed(api_detections[:3])
-        path = wide.save_checkpoint(tmp_path / "re.ckpt")
-        wide_files = json.loads(
-            (path / "manifest.json").read_text()
-        )["shard_files"]
-        assert len(wide_files) == 4
-        assert all((path / name).exists() for name in wide_files)
-        narrow = MoasService(shards=2)
-        narrow.feed(api_detections[:3])
-        narrow.save_checkpoint(path)
-        assert not any((path / name).exists() for name in wide_files)
-        assert MoasService.load_checkpoint(path).shards == 2
 
     def test_skip_seen_tolerates_intra_stream_duplicates(
         self, api_detections
@@ -257,11 +198,79 @@ class TestShardedService:
         assert service.days_fed == 3
 
 
+class TestLegacyShardedCheckpoints:
+    """Sharded checkpoint directories of earlier releases still resume;
+    the session they load into is an ordinary one-state session."""
+
+    @pytest.mark.parametrize(
+        "layout", legacy.LAYOUTS, ids=legacy.layout_id
+    )
+    def test_legacy_resume_mid_study_equals_straight_run(
+        self, tmp_path, api_detections, straight_results, layout
+    ):
+        midpoint = len(api_detections) // 3
+        path = legacy.write_checkpoint(
+            tmp_path / "legacy", api_detections[:midpoint], *layout
+        )
+        resumed = MoasService.load_checkpoint(path)
+        assert resumed.days_fed == midpoint
+        assert resumed.feed(api_detections, skip_seen=True) == (
+            len(api_detections) - midpoint
+        )
+        assert resumed.results() == straight_results
+
+    def test_saving_a_legacy_session_writes_one_file(
+        self, tmp_path, api_detections, straight_results
+    ):
+        midpoint = len(api_detections) // 2
+        directory = legacy.write_checkpoint(
+            tmp_path / "legacy", api_detections[:midpoint], 4, "range"
+        )
+        converted = MoasService.load_checkpoint(directory).save_checkpoint(
+            tmp_path / "study.ckpt"
+        )
+        payload = json.loads(converted.read_text())
+        assert payload["version"] == CHECKPOINT_VERSION
+        assert [state["shard"] for state in payload["shards"]] == [None]
+        resumed = MoasService.load_checkpoint(converted)
+        resumed.feed(api_detections[midpoint:])
+        assert resumed.results() == straight_results
+
+    def test_saving_over_the_legacy_directory_raises_cleanly(
+        self, tmp_path, api_detections
+    ):
+        directory = legacy.write_checkpoint(
+            tmp_path / "legacy", api_detections[:6], 2
+        )
+        before = {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+        service = MoasService.load_checkpoint(directory)
+        service.feed(api_detections[6:9])
+        with pytest.raises(ValueError, match="existing directory"):
+            service.save_checkpoint(directory)
+        assert {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        } == before
+
+    def test_legacy_load_carries_requested_workers(
+        self, tmp_path, api_archive, api_detections, straight_results
+    ):
+        directory = legacy.write_checkpoint(
+            tmp_path / "legacy", api_detections[:10], 3, "range"
+        )
+        assert MoasService.load_checkpoint(directory).workers == 1
+        resumed = MoasService.load_checkpoint(directory, workers=2)
+        assert resumed.workers == 2
+        resumed.feed(api_archive, skip_seen=True)
+        assert resumed.results() == straight_results
+
+
 class TestCheckpointAtomicity:
     """A crash mid-save must never corrupt an existing checkpoint."""
 
-    def _service(self, api_detections, *, shards=1):
-        service = MoasService(shards=shards)
+    def _service(self, api_detections):
+        service = MoasService()
         for detection in api_detections[:5]:
             service.feed_day(detection)
         return service
@@ -309,53 +318,6 @@ class TestCheckpointAtomicity:
             service.save_checkpoint(path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
-
-    def test_failed_sharded_save_preserves_previous_shards(
-        self, api_detections, tmp_path, monkeypatch
-    ):
-        import os
-
-        service = self._service(api_detections, shards=2)
-        path = tmp_path / "study-ckpt"
-        service.save_checkpoint(path)
-        before = {
-            entry.name: entry.read_bytes() for entry in path.iterdir()
-        }
-
-        for detection in api_detections[5:8]:
-            service.feed_day(detection)
-        real_replace = os.replace
-        calls = {"count": 0}
-
-        def crash_on_second(src, dst):
-            calls["count"] += 1
-            if calls["count"] >= 2:
-                raise OSError("simulated crash")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", crash_on_second)
-        with pytest.raises(OSError, match="simulated crash"):
-            service.save_checkpoint(path)
-        monkeypatch.undo()
-        # The manifest is the commit point and was never rewritten, so
-        # the previous generation's files are all still present, byte
-        # identical, and the checkpoint loads as the 5-day session.
-        after = {entry.name: entry.read_bytes() for entry in path.iterdir()}
-        for name, content in before.items():
-            assert after[name] == content, f"{name} changed"
-        restored = MoasService.load_checkpoint(path)
-        assert restored.days_fed == 5
-        # A subsequent healthy save commits the 8-day state and prunes
-        # every superseded shard file, including the crash leftovers.
-        service.save_checkpoint(path)
-        assert MoasService.load_checkpoint(path).days_fed == 8
-        manifest = json.loads((path / "manifest.json").read_text())
-        shard_files = {
-            entry.name
-            for entry in path.iterdir()
-            if entry.name != "manifest.json"
-        }
-        assert shard_files == set(manifest["shard_files"])
 
 
 class TestArchiveReadersClosed:

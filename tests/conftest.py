@@ -2,10 +2,11 @@
 
 Tier-1 runs the ``dev`` profile — few examples, no deadline — so the
 property suites stay a smoke check and the suite stays fast.  The
-dedicated ``slow`` CI leg exports ``HYPOTHESIS_PROFILE=ci`` and runs
-``-m slow``: many more examples, still deadline-free (generated worlds
-and process pools make per-example wall clocks too noisy for
-hypothesis's default 200 ms deadline to be meaningful).
+dedicated property CI leg exports ``HYPOTHESIS_PROFILE=ci`` and runs
+every test file that imports hypothesis: many more examples, still
+deadline-free (generated worlds and process pools make per-example
+wall clocks too noisy for hypothesis's default 200 ms deadline to be
+meaningful).
 """
 
 import os

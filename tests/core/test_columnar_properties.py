@@ -3,12 +3,11 @@
 For any randomly generated world — empty days, single-peer days,
 AS_SET-flagged registries, conflicting origins, both archive formats —
 the columnar decode must reproduce the object rows exactly and
-:func:`detect_day_columns` must agree with :func:`detect_day` on every
-shard of every scheme, whether it scans v2 segments or flat columns.
-Unsorted same-prefix rows (which v2 interns as duplicate-pid groups)
-must take the object fallback and still agree.
-The study-level twin of this guarantee (StudyResults across
-workers x shards layouts) lives in
+:func:`detect_day_columns` must agree with :func:`detect_day`, whether
+it scans v2 segments or flat columns.  Unsorted same-prefix rows (which
+v2 interns as duplicate-pid groups) must take the object fallback and
+still agree.  The study-level twin of this guarantee (StudyResults
+across worker counts) lives in
 ``tests/analysis/test_format_equivalence.py``.
 """
 
@@ -23,7 +22,6 @@ from repro.core.detector import (
     detect_day_columns,
 )
 from repro.netbase.prefix import Prefix
-from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import (
     ArchiveReader,
     ArchiveWriter,
@@ -37,15 +35,6 @@ from repro.scenario.archive import (
 START = datetime.date(1997, 11, 8)
 PEERS = (701, 1239, 3561, 64511)
 NUM_PREFIXES = 8
-
-#: Every sharding layout the detect equivalence sweeps.
-SHARD_LAYOUTS = [None] + [
-    spec
-    for scheme in ("hash", "range")
-    for count in (2, 3)
-    for spec in ShardSpec.partition(count, scheme)
-]
-
 
 def paths_strategy():
     """A small pool of AS paths, including degenerate empty ones."""
@@ -177,9 +166,9 @@ def test_columnar_decode_equals_rows(tmp_path_factory, path_pool, day_specs):
 def test_columnar_detect_equals_object(
     tmp_path_factory, path_pool, day_specs, as_set
 ):
-    """detect_day_columns == detect_day on every shard of every scheme.
+    """detect_day_columns == detect_day on both formats.
 
-    Each layout is scanned three times: twice as decoded (the second
+    Each archive is scanned three times: twice as decoded (the second
     pass hits the v2 outcome cache) and once with every batch's flat
     view read first, so the scan gets flat columns on v2 too.
     """
@@ -187,22 +176,19 @@ def test_columnar_detect_equals_object(
     for format in ("v1", "v2"):
         records = build(base / format, format, path_pool, day_specs, as_set)
         reader = ArchiveReader(base / format)
-        for shard in SHARD_LAYOUTS:
-            expected = [
-                detect_day(record, reader, shard) for record in records
+        expected = [detect_day(record, reader) for record in records]
+        for repeat in range(2):  # second pass hits the outcome cache
+            detections = [
+                detect_day_columns(columns, reader)
+                for columns in reader.iter_day_columns()
             ]
-            for repeat in range(2):  # second pass hits the outcome cache
-                detections = [
-                    detect_day_columns(columns, reader, shard)
-                    for columns in reader.iter_day_columns()
-                ]
-                assert detections == expected, (format, shard, repeat)
-            flat = []
-            for columns in reader.iter_day_columns():
-                assert len(columns.prefix_ids) == columns.num_rows
-                assert columns.segments is None
-                flat.append(detect_day_columns(columns, reader, shard))
-            assert flat == expected, (format, shard, "flat")
+            assert detections == expected, (format, repeat)
+        flat = []
+        for columns in reader.iter_day_columns():
+            assert len(columns.prefix_ids) == columns.num_rows
+            assert columns.segments is None
+            flat.append(detect_day_columns(columns, reader))
+        assert flat == expected, (format, "flat")
 
 
 @settings(

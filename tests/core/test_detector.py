@@ -4,11 +4,10 @@ import datetime
 
 import pytest
 
-from repro.core.detector import detect_day, detect_snapshot, merge_detections
+from repro.core.detector import detect_day, detect_day_columns, detect_snapshot
 from repro.netbase.aspath import ASPath
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import PeerId, RibSnapshot, Route
-from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import (
     ArchiveReader,
     ArchiveWriter,
@@ -222,8 +221,64 @@ class TestEquivalence:
         )
 
 
-class TestShardScopedDetection:
-    def _snapshot(self):
+def write_scan_day(directory, format="v1"):
+    """One day of six two-origin /16s, one AS_SET /24 and a registered
+    prefix that is not alive that day; returns (record, reader)."""
+    writer = ArchiveWriter(directory, format=format)
+    for index in range(6):
+        writer.register_prefix(
+            Prefix.parse(f"10.{index}.0.0/16"), 100 + index, 0
+        )
+    writer.register_prefix(
+        Prefix.parse("192.0.2.0/24"), 42, 0, flags=FLAG_AS_SET_TAIL
+    )
+    writer.register_prefix(Prefix.parse("198.51.100.0/24"), 7, 0)
+    rows = []
+    for index in range(6):
+        path_a = writer.intern_path((701, 100 + index))
+        path_b = writer.intern_path((1239, 300 + index))
+        rows.append(PeerRow(index, 701, 100 + index, path_a))
+        rows.append(PeerRow(index, 1239, 300 + index, path_b))
+    record = DayRecord(
+        day=DAY,
+        day_index=0,
+        alive_count=7,
+        active_peers=(701, 1239),
+        rows=tuple(rows),
+    )
+    writer.write_day(record)
+    writer.finalize({"calendar_start": DAY.isoformat()})
+    return record, ArchiveReader(directory)
+
+
+class TestScanCounts:
+    """A scan counts every prefix alive that day, excluded ones too."""
+
+    def test_day_record_counts_every_alive_prefix(self, tmp_path):
+        record, reader = write_scan_day(tmp_path / "archive")
+        detection = detect_day(record, reader)
+        # The eighth prefix is registered but not alive on this day.
+        assert detection.prefixes_scanned == 7
+        assert detection.as_set_excluded == 1
+        assert detection.num_conflicts == 6
+
+    @pytest.mark.parametrize("format", ["v1", "v2"])
+    def test_day_columns_count_every_alive_prefix(self, tmp_path, format):
+        record, reader = write_scan_day(tmp_path / "archive", format)
+        (columns,) = reader.iter_day_columns()
+        detection = detect_day_columns(columns, reader)
+        assert detection.prefixes_scanned == columns.alive_count == 7
+        assert detection.as_set_excluded == 1
+        assert detection == detect_day(record, reader)
+
+    def test_as_set_profile_counts_flagged_ids_below_each_id(
+        self, tmp_path
+    ):
+        _, reader = write_scan_day(tmp_path / "archive")
+        assert reader.as_set_profile() == [0, 0, 0, 0, 0, 0, 0, 1, 1]
+        assert reader.as_set_profile() is reader.as_set_profile()
+
+    def test_snapshot_counts_every_prefix(self):
         routes = []
         for third_octet in range(8):
             prefix = f"10.0.{third_octet}.0/24"
@@ -231,73 +286,9 @@ class TestShardScopedDetection:
             routes.append(route(prefix, f"1239 {200 + third_octet}", PEER_B))
         routes.append(route("192.0.2.0/24", "701 {42,43}", PEER_A))
         routes.append(route("198.51.100.0/24", "701 7", PEER_A))
-        return RibSnapshot.from_routes(DAY, routes)
-
-    @pytest.mark.parametrize("scheme", ["hash", "range"])
-    @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    def test_shard_merge_equals_full_scan(self, scheme, count):
-        snapshot = self._snapshot()
-        full = detect_snapshot(snapshot)
-        parts = [
-            detect_snapshot(snapshot, shard=spec)
-            for spec in ShardSpec.partition(count, scheme)
+        detection = detect_snapshot(RibSnapshot.from_routes(DAY, routes))
+        assert detection.prefixes_scanned == 10
+        assert detection.as_set_excluded == 1
+        assert [str(conflict.prefix) for conflict in detection.conflicts] == [
+            f"10.0.{third_octet}.0/24" for third_octet in range(8)
         ]
-        assert merge_detections(parts) == full
-
-    def test_shard_counts_partition_the_scan(self):
-        snapshot = self._snapshot()
-        full = detect_snapshot(snapshot)
-        parts = [
-            detect_snapshot(snapshot, shard=spec)
-            for spec in ShardSpec.partition(4)
-        ]
-        assert sum(part.prefixes_scanned for part in parts) == (
-            full.prefixes_scanned
-        )
-        assert sum(part.as_set_excluded for part in parts) == (
-            full.as_set_excluded
-        )
-
-    def test_day_record_shard_merge_equals_full_scan(self, tmp_path):
-        writer = ArchiveWriter(tmp_path / "archive")
-        for index in range(6):
-            writer.register_prefix(
-                Prefix.parse(f"10.{index}.0.0/16"), 100 + index, 0
-            )
-        writer.register_prefix(
-            Prefix.parse("192.0.2.0/24"), 42, 0, flags=FLAG_AS_SET_TAIL
-        )
-        rows = []
-        for index in range(6):
-            path_a = writer.intern_path((701, 100 + index))
-            path_b = writer.intern_path((1239, 300 + index))
-            rows.append(PeerRow(index, 701, 100 + index, path_a))
-            rows.append(PeerRow(index, 1239, 300 + index, path_b))
-        record = DayRecord(
-            day=DAY,
-            day_index=0,
-            alive_count=7,
-            active_peers=(701, 1239),
-            rows=tuple(rows),
-        )
-        writer.write_day(record)
-        writer.finalize({"calendar_start": DAY.isoformat()})
-        reader = ArchiveReader(tmp_path / "archive")
-        full = detect_day(record, reader)
-        assert full.as_set_excluded == 1
-        parts = [
-            detect_day(record, reader, shard=spec)
-            for spec in ShardSpec.partition(3)
-        ]
-        assert merge_detections(parts) == full
-
-    def test_merge_rejects_mismatched_days(self):
-        snapshot = self._snapshot()
-        first = detect_snapshot(snapshot)
-        other = RibSnapshot.from_routes(
-            DAY + datetime.timedelta(days=1),
-            [route("10.0.0.0/24", "701 1", PEER_A)],
-        )
-        second = detect_snapshot(other)
-        with pytest.raises(ValueError, match="cannot merge"):
-            merge_detections([first, second])

@@ -1,6 +1,8 @@
 """Tests for episode tracking and the paper's duration accounting."""
 
+import copy
 import datetime
+import json
 
 import pytest
 from hypothesis import given
@@ -158,56 +160,61 @@ class TestEpisodeInvariants:
         assert episode.days_observed <= span
 
 
-class TestMerge:
-    def test_disjoint_merge_equals_combined_feed(self):
-        together = EpisodeTracker()
-        only_p1 = EpisodeTracker()
-        only_p2 = EpisodeTracker()
-        for offset in range(4):
-            p1_today = [conflict(P1, 1, 2)] if offset % 2 == 0 else []
-            p2_today = [conflict(P2, 3, 4)] if offset < 3 else []
-            together.observe_day(day(offset), p1_today + p2_today)
-            only_p1.observe_day(day(offset), p1_today)
-            only_p2.observe_day(day(offset), p2_today)
-        merged = only_p1.merge(only_p2)
-        assert merged.finalize() == together.finalize()
-        assert len(merged) == len(together)
+def feed(tracker: EpisodeTracker, offsets) -> EpisodeTracker:
+    """Feed P1 on even days and P2 (with a third origin on day 2) on
+    the first three."""
+    for offset in offsets:
+        today = [conflict(P1, 1, 2)] if offset % 2 == 0 else []
+        if offset < 3:
+            today.append(conflict(P2, 3, 4, *([5] if offset == 2 else [])))
+        tracker.observe_day(day(offset), today)
+    return tracker
 
-    def test_merge_does_not_mutate_inputs(self):
-        left = EpisodeTracker()
-        right = EpisodeTracker()
-        left.observe_day(day(0), [conflict(P1)])
-        right.observe_day(day(0), [conflict(P2)])
-        merged = left.merge(right)
-        merged.observe_day(day(1), [conflict(P1, 5, 6)])
-        assert left.finalize()[P1].days_observed == 1
-        assert len(right) == 1
-        assert merged.finalize()[P1].days_observed == 2
 
-    def test_merge_rejects_overlapping_prefixes(self):
-        left = EpisodeTracker()
-        right = EpisodeTracker()
-        left.observe_day(day(0), [conflict(P1)])
-        right.observe_day(day(0), [conflict(P1)])
-        with pytest.raises(ValueError, match="overlapping"):
-            left.merge(right)
+def restored(tracker: EpisodeTracker) -> EpisodeTracker:
+    """``tracker`` through a JSON checkpoint round trip."""
+    return EpisodeTracker.from_state(
+        json.loads(json.dumps(tracker.state_dict()))
+    )
 
-    def test_merge_rejects_mismatched_days(self):
-        left = EpisodeTracker()
-        right = EpisodeTracker()
-        left.observe_day(day(0), [conflict(P1)])
-        right.observe_day(day(1), [conflict(P2)])
-        with pytest.raises(ValueError, match="different days"):
-            left.merge(right)
 
-    def test_merged_tracker_keeps_feeding_in_order(self):
-        left = EpisodeTracker()
-        right = EpisodeTracker()
-        left.observe_day(day(3), [conflict(P1)])
-        right.observe_day(day(3), [conflict(P2)])
-        merged = left.merge(right)
+class TestRestore:
+    """A restored tracker is the original's equal, and independent."""
+
+    def test_restored_tracker_keeps_feeding_like_the_original(self):
+        straight = feed(EpisodeTracker(), range(5))
+        resumed = feed(restored(feed(EpisodeTracker(), range(2))), range(2, 5))
+        assert resumed.finalize() == straight.finalize()
+        assert resumed.state_dict() == straight.state_dict()
+
+    def test_restored_tracker_keeps_feeding_in_order(self):
+        tracker = restored(feed(EpisodeTracker(), range(4)))
         with pytest.raises(ValueError, match="increasing order"):
-            merged.observe_day(day(3), [conflict(P1)])
+            tracker.observe_day(day(3), [conflict(P1)])
+        tracker.observe_day(day(4), [conflict(P1)])
+        assert tracker.finalize()[P1].days_observed == 3
+
+    def test_restore_shares_nothing_with_its_payload(self):
+        original = feed(EpisodeTracker(), range(3))
+        payload = original.state_dict()
+        frozen = copy.deepcopy(payload)
+        clone = EpisodeTracker.from_state(payload)
+        clone.observe_day(day(3), [conflict(P1, 1, 9, 10), conflict(P2, 8)])
+        assert clone.finalize()[P1].max_origins_single_day == 3
+        assert payload == frozen
+        assert original.state_dict() == frozen
+        episode = original.finalize()[P1]
+        assert episode.max_origins_single_day == 2
+        assert episode.origins_ever == {1, 2}
+
+    def test_record_order_does_not_change_the_episodes(self):
+        """A legacy sharded checkpoint lists records shard by shard,
+        not in first-seen order; the episodes must not notice."""
+        straight = feed(EpisodeTracker(), range(5))
+        payload = feed(EpisodeTracker(), range(3)).state_dict()
+        payload["prefixes"].reverse()
+        shuffled = feed(EpisodeTracker.from_state(payload), range(3, 5))
+        assert shuffled.finalize() == straight.finalize()
 
 
 class TestEpisodeMemo:
@@ -245,15 +252,10 @@ class TestEpisodeMemo:
             finalized.finalize()
         assert finalized.state_dict() == plain.state_dict()
 
-    def test_merge_and_restore_start_memo_free(self):
-        left, right = EpisodeTracker(), EpisodeTracker()
-        left.observe_day(day(0), [conflict(P1)])
-        right.observe_day(day(0), [conflict(P2)])
-        episodes = {**left.finalize(), **right.finalize()}
-        for rebuilt in (
-            left.merge(right),
-            EpisodeTracker.from_state(left.merge(right).state_dict()),
-        ):
-            fresh = rebuilt.finalize()
-            assert fresh == episodes
-            assert all(fresh[p] is not episodes[p] for p in episodes)
+    def test_restore_starts_memo_free(self):
+        tracker = EpisodeTracker()
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
+        episodes = tracker.finalize()
+        fresh = EpisodeTracker.from_state(tracker.state_dict()).finalize()
+        assert fresh == episodes
+        assert all(fresh[p] is not episodes[p] for p in episodes)

@@ -27,7 +27,6 @@ from repro.core.verdict import (
 )
 from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
-from repro.netbase.sharding import ShardSpec
 from repro.scenario.archive import (
     FLAG_AS_SET_TAIL,
     FLAG_EXCHANGE_POINT,
@@ -46,8 +45,7 @@ class ReferenceFold:
     evidence through a fresh engine.
     """
 
-    def __init__(self, *, shard=None, roa_table=None):
-        self.shard = shard
+    def __init__(self, *, roa_table=None):
         self.roa_table = roa_table
         self.total_days = 0
         self.evidence: dict[Prefix, dict] = {}
@@ -56,8 +54,6 @@ class ReferenceFold:
         self.total_days += 1
         for daily in detection.conflicts:
             prefix = daily.prefix
-            if self.shard is not None and not self.shard.contains(prefix):
-                continue
             row = self.evidence.get(prefix)
             if row is None:
                 row = self.evidence[prefix] = {
@@ -90,7 +86,7 @@ class ReferenceFold:
     def state_dict(self) -> dict:
         return {
             "config": VerdictConfig().to_dict(),
-            "shard": self.shard.to_dict() if self.shard is not None else None,
+            "shard": None,
             "total_days": self.total_days,
             "roas": (
                 [roa.to_dict() for roa in self.roa_table]
@@ -309,54 +305,15 @@ class TestStructuralShapes:
         assert VerdictEngine().finalize(registry=registry) == {}
 
 
-class TestShardMerge:
-    def _detections(self):
-        prefixes = [f"10.{index}.0.0/16" for index in range(8)]
-        days = []
-        for offset in range(12):
-            conflicts = [
-                conflict(prefix, 1, 2 + offset % 3)
-                for index, prefix in enumerate(prefixes)
-                if (offset + index) % 2 == 0
-            ]
-            days.append(detection(offset, *conflicts))
-        return days
+class TestCheckpointShardKey:
+    def test_state_dict_writes_a_null_shard(self):
+        assert VerdictEngine().state_dict()["shard"] is None
 
-    def test_merged_shards_equal_serial(self):
-        days = self._detections()
-        serial = VerdictEngine()
-        shards = [
-            VerdictEngine(shard=spec)
-            for spec in ShardSpec.partition(3, "hash")
-        ]
-        for day in days:
-            serial.feed_day(day)
-            for engine in shards:
-                engine.feed_day(day)
-        merged = VerdictEngine.merged(shards)
-        assert merged.total_days == serial.total_days
-        assert merged.finalize() == serial.finalize()
-
-    def test_merge_rejects_different_day_streams(self):
-        left = VerdictEngine(shard=ShardSpec.partition(2, "hash")[0])
-        right = VerdictEngine(shard=ShardSpec.partition(2, "hash")[1])
-        left.feed_day(detection(0))
-        with pytest.raises(ValueError, match="different day streams"):
-            left.merge(right)
-
-    def test_merge_rejects_overlapping_prefixes(self):
-        left = VerdictEngine()
-        right = VerdictEngine()
-        left.feed_day(detection(0, conflict("10.0.0.0/8", 1, 2)))
-        right.feed_day(detection(0, conflict("10.0.0.0/8", 1, 2)))
-        with pytest.raises(ValueError, match="overlapping"):
-            left.merge(right)
-
-    def test_merge_rejects_different_configs(self):
-        left = VerdictEngine(VerdictConfig(short_days=5))
-        right = VerdictEngine(VerdictConfig(short_days=9))
-        with pytest.raises(ValueError, match="configs"):
-            left.merge(right)
+    def test_from_state_rejects_a_shard_scoped_payload(self):
+        payload = VerdictEngine().state_dict()
+        payload["shard"] = {"indices": [0], "count": 2, "scheme": "hash"}
+        with pytest.raises(ValueError, match="prefix shard"):
+            VerdictEngine.from_state(payload)
 
 
 ORIG_TRAN_PATHS = {1: ((9, 2, 1),), 2: ((9, 2),)}  # origin 2 transits for 1
@@ -542,20 +499,3 @@ class TestVerdictMemo:
         assert json.dumps(finalized.state_dict()) == json.dumps(
             plain.state_dict()
         )
-
-    def test_merged_engine_starts_memo_free(self):
-        engines = [
-            VerdictEngine(shard=shard)
-            for shard in ShardSpec.partition(2, "hash")
-        ]
-        daily = [conflict("10.0.0.0/8", 1, 2), conflict("11.0.0.0/8", 3, 4)]
-        for offset in range(3):
-            for engine in engines:
-                engine.feed_day(detection(offset, *daily))
-        before = [engine.finalize() for engine in engines]
-        merged = VerdictEngine.merged(engines)
-        after = merged.finalize()
-        for verdicts in before:
-            for prefix, verdict in verdicts.items():
-                assert after[prefix] == verdict
-                assert after[prefix] is not verdict

@@ -1,18 +1,24 @@
-"""Regenerate the committed checkpoint golden fixtures.
+"""Regenerate the committed single-file checkpoint golden fixture.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/fixtures/make_checkpoint_fixtures.py
 
-Writes ``checkpoint_v1.json`` (a version-1, single-state payload) and
-``checkpoint_v2/`` (a version-2 sharded checkpoint directory) from a
-small hand-crafted detection stream, then prints the results digest
+Writes ``checkpoint_v1.json`` (a version-1, single-state payload) from
+a small hand-crafted detection stream, then prints the results digest
 that ``tests/api/test_checkpoint_golden.py`` pins.
 
-Only regenerate these fixtures for an *intentional*, documented
-checkpoint format change — and when you do, keep the old fixtures
-loading too (that is the compatibility promise the golden test
-enforces).
+The sharded checkpoint directories beside it, ``checkpoint_v2/`` and
+``checkpoint_v2_rpki/``, are frozen output of the sharded checkpoint
+writer that earlier releases had: the program can no longer write
+them, only read them.  Both hold the stream below; the RPKI one
+carries a three-row ROA table and three ``range`` shards, one of them
+empty.  Never regenerate or edit them.
+
+Only regenerate ``checkpoint_v1.json`` for an *intentional*,
+documented checkpoint format change — and when you do, keep the old
+fixtures loading too (that is the compatibility promise the golden
+test enforces).
 """
 
 import datetime
@@ -72,10 +78,6 @@ def main() -> None:
     (FIXTURES / "checkpoint_v1.json").write_text(
         json.dumps(v1, indent=2) + "\n"
     )
-
-    sharded = MoasService(shards=2)
-    sharded.feed(stream)
-    sharded.save_checkpoint(FIXTURES / "checkpoint_v2")
 
     from test_checkpoint_golden import results_digest  # noqa: E402
 
