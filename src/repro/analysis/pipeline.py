@@ -8,7 +8,14 @@ evidence), never the full per-day conflict sets.
 
 The streaming state lives in :class:`StudyState`, an incrementally
 feedable accumulator that can serialize itself mid-study
-(:meth:`StudyState.state_dict` / :meth:`StudyState.from_state`).
+(:meth:`StudyState.state_dict` / :meth:`StudyState.from_state`).  Its
+per-prefix part is one fold: the
+:class:`~repro.core.episodes.EpisodeTracker` record carries each
+episode's class votes and RPKI rollup beside its days and origins, so
+the state's verdicts (:meth:`StudyState.verdicts`) are judged from the
+same records its episodes come from.  The state also keeps the last
+fed day's conflict origin map, from which the serve daemon derives its
+alerts (:class:`~repro.core.realtime.DaySnapshotAlerter`).
 :class:`StudyPipeline` is the batch convenience over it, and
 :class:`repro.api.MoasService` is the session facade that adds
 checkpoint files and pluggable sources on top.
@@ -23,7 +30,8 @@ from __future__ import annotations
 
 import datetime
 import statistics
-from collections import Counter, deque
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.parallel import iter_detections
@@ -44,12 +52,9 @@ from repro.core.stats import (
     yearly_increase_rates,
     yearly_medians,
 )
+from repro.core.verdict import Verdict, VerdictEngine
 from repro.netbase.prefix import Prefix
-from repro.netbase.rpki import (
-    RoaTable,
-    STATE_NOT_EVALUATED,
-    ValidationState,
-)
+from repro.netbase.rpki import STATE_NOT_EVALUATED, RoaTable
 from repro.scenario.timeline import CLASSIFICATION_WINDOW
 from repro.topology.ixp import IXP_BLOCK
 
@@ -201,66 +206,73 @@ class StudyState:
         roa_table: RoaTable | None = None,
     ) -> None:
         self.pipeline = pipeline or StudyPipeline()
-        #: Immutable ROA database conflicts are validated against;
-        #: shared (not copied) with clones — see
-        #: :mod:`repro.netbase.rpki`.
-        self.roa_table = roa_table
-        self._rpki_states: dict[Prefix, ValidationState] = {}
-        self._tracker = EpisodeTracker()
-        self._daily_series: list[tuple[datetime.date, int]] = []
-        self._recent_counts: deque[int] = deque(
-            maxlen=self.pipeline.spike_window_days
-        )
+        #: The one per-prefix fold: episodes, class votes and, with a
+        #: ROA table, RPKI rollups (see :mod:`repro.netbase.rpki`).
+        self._tracker = EpisodeTracker(roa_table=roa_table)
+        #: Conflicts per fed day, in the tracker's fed-day order.
+        self._daily_counts: list[int] = []
         self._length_sums: dict[int, Counter[int]] = {}
-        self._days_per_year: Counter[int] = Counter()
         self._classification: list[
             tuple[datetime.date, dict[ConflictClass, int]]
         ] = []
         self._case_studies: list[CaseStudy] = []
         self._as_set_excluded_max = 0
-        self._total_days = 0
+        #: prefix -> origin set of each conflict of the last fed day.  A
+        #: prefix keeps its slot while its conflict streak lasts and
+        #: goes to the end when it comes back; the order of departure
+        #: alerts follows it, so it is part of the alert contract.
+        self._conflict_origins: dict[Prefix, frozenset[int]] = {}
+        #: The engine judging :attr:`_tracker`, built on first use and
+        #: kept so registry shapes are derived once per registry object.
+        self._verdict_engine: VerdictEngine | None = None
+
+    @property
+    def roa_table(self) -> RoaTable | None:
+        """The immutable ROA database conflicts are validated against."""
+        return self._tracker.roa_table
 
     @property
     def total_days(self) -> int:
         """Days fed so far."""
-        return self._total_days
+        return self._tracker.total_days
 
     @property
     def last_day(self) -> datetime.date | None:
         """The most recent day fed, or None before the first feed."""
-        return self._daily_series[-1][0] if self._daily_series else None
+        return self._tracker.last_fed_day
+
+    @property
+    def conflict_origins(self) -> dict[Prefix, frozenset[int]]:
+        """The last fed day's conflict origin map (the state's own dict:
+        read only)."""
+        return self._conflict_origins
 
     def feed_day(self, detection: DayDetection) -> None:
         """Fold one day's detection into the streaming aggregates.
 
         Days must arrive in strictly increasing order (enforced by the
-        episode tracker).
+        episode tracker before anything is folded).
         """
         pipeline = self.pipeline
         day = detection.day
         conflicts = detection.conflicts
         count = len(conflicts)
         self._tracker.observe_day(day, conflicts)
-        roa_table = self.roa_table
-        if roa_table is not None:
-            states = self._rpki_states
-            for conflict in conflicts:
-                prefix = conflict.prefix
-                folded = roa_table.fold_episode_state(
-                    states.get(prefix), prefix, conflict.origins, day=day
-                )
-                if folded is not None:
-                    states[prefix] = folded
-        self._total_days += 1
-        self._daily_series.append((day, count))
         self._as_set_excluded_max = max(
             self._as_set_excluded_max, detection.as_set_excluded
         )
 
-        self._days_per_year[day.year] += 1
         bucket = self._length_sums.setdefault(day.year, Counter())
+        current = self._conflict_origins
         for conflict in conflicts:
-            bucket[conflict.prefix.length] += 1
+            prefix = conflict.prefix
+            bucket[prefix.length] += 1
+            if current.get(prefix) != conflict.origins:
+                current[prefix] = frozenset(conflict.origins)
+        if len(current) != count:
+            today = {conflict.prefix for conflict in conflicts}
+            for prefix in [prefix for prefix in current if prefix not in today]:
+                del current[prefix]
 
         window_start, window_end = pipeline.classification_window
         if window_start <= day <= window_end:
@@ -269,13 +281,15 @@ class StudyState:
         # Spike detection needs some baseline history; a full
         # window is ideal but 7+ observed days suffice (studies
         # shorter than the window would otherwise never alarm).
-        if len(self._recent_counts) >= min(pipeline.spike_window_days, 7):
-            baseline = statistics.median(self._recent_counts)
+        window = pipeline.spike_window_days
+        recent = self._daily_counts[-window:] if window else []
+        if len(recent) >= min(window, 7):
+            baseline = statistics.median(recent)
             if baseline > 0 and count >= pipeline.spike_factor * baseline:
                 self._case_studies.append(
                     _case_study(day, conflicts, count, baseline)
                 )
-        self._recent_counts.append(count)
+        self._daily_counts.append(count)
 
     def results(self) -> StudyResults:
         """Assemble the full statistics from the current state.
@@ -291,23 +305,27 @@ class StudyState:
         assemble under the service lock, render outside it.
         """
         episodes = self._tracker.finalize()
-        length_distribution = {
-            year: {
-                length: bucket[length] / self._days_per_year[year]
-                for length in sorted(bucket)
+        days = self._tracker.days
+        daily_series = list(zip(days, self._daily_counts))
+        length_distribution = {}
+        for year, bucket in sorted(self._length_sums.items()):
+            # Fed days of the year: the days are sorted.
+            fed = bisect_right(days, datetime.date(year, 12, 31)) - bisect_left(
+                days, datetime.date(year, 1, 1)
+            )
+            length_distribution[year] = {
+                length: bucket[length] / fed for length in sorted(bucket)
             }
-            for year, bucket in sorted(self._length_sums.items())
-        }
         exchange_point = sum(
             1 for prefix in episodes if IXP_BLOCK.contains(prefix)
         )
-        medians = yearly_medians(self._daily_series)
+        medians = yearly_medians(daily_series)
         return StudyResults(
-            daily_series=list(self._daily_series),
+            daily_series=daily_series,
             episodes=episodes,
             yearly_medians=medians,
             yearly_increase_rates=yearly_increase_rates(medians),
-            peak_days=peak_days(self._daily_series),
+            peak_days=peak_days(daily_series),
             duration_histogram=duration_histogram(episodes.values()),
             duration_expectations=duration_expectations(
                 episodes.values(), self.pipeline.duration_thresholds
@@ -321,54 +339,31 @@ class StudyState:
             case_studies=list(self._case_studies),
             exchange_point_conflicts=exchange_point,
             as_set_excluded_max=self._as_set_excluded_max,
-            total_days=self._total_days,
-            rpki_episode_states={
-                prefix: state.value
-                for prefix, state in self._rpki_states.items()
-            },
+            total_days=self.total_days,
+            rpki_episode_states=self._tracker.rpki_states(),
         )
 
-    def clone(self) -> "StudyState":
-        """An independent copy of the complete streaming state.
-
-        Feeding the clone never touches the original (and vice versa);
-        the immutable ROA table is shared, not copied.
-        Built on the :meth:`state_dict` round-trip, so the clone is by
-        construction exactly what a checkpoint-restore would produce.
-        """
-        copied = StudyState.from_state(
-            self.state_dict(), pipeline=self.pipeline
-        )
-        if self.roa_table is not None:
-            # from_state rebuilds the table from rows; share the
-            # original instance instead so validation memos stay warm.
-            copied.roa_table = self.roa_table
-        return copied
+    def verdicts(self, registry=None) -> dict[Prefix, Verdict]:
+        """Verdicts judged from the state's own episode records under
+        the default :class:`~repro.core.verdict.VerdictConfig` (see
+        :meth:`VerdictEngine.finalize`); one engine serves every call,
+        so a registry's shapes are derived once per registry object."""
+        if self._verdict_engine is None:
+            self._verdict_engine = VerdictEngine(tracker=self._tracker)
+        return self._verdict_engine.finalize(registry=registry)
 
     # -- checkpoint serialization ------------------------------------------
 
     def state_dict(self) -> dict:
         """The complete streaming state as a JSON-serializable dict."""
         return {
-            # Always null.  Releases that split the prefix space into
-            # shards recorded the state's shard here; the key stays so
-            # checkpoint bytes and the committed schema do not change.
-            "shard": None,
             "tracker": self._tracker.state_dict(),
-            "daily_series": [
-                [day.isoformat(), count]
-                for day, count in self._daily_series
-            ],
-            "recent_counts": list(self._recent_counts),
+            "daily_counts": list(self._daily_counts),
             "length_sums": {
                 str(year): {
                     str(length): count for length, count in bucket.items()
                 }
                 for year, bucket in self._length_sums.items()
-            },
-            "days_per_year": {
-                str(year): count
-                for year, count in self._days_per_year.items()
             },
             "classification": [
                 [
@@ -394,74 +389,33 @@ class StudyState:
                 for case in self._case_studies
             ],
             "as_set_excluded_max": self._as_set_excluded_max,
-            "total_days": self._total_days,
-            # The RPKI block exists only for RPKI-enabled sessions, so
-            # pre-RPKI checkpoints stay loadable (and new checkpoints
-            # without a table stay byte-compatible with them).
-            **(
-                {
-                    "rpki": {
-                        "roas": [
-                            roa.to_dict() for roa in self.roa_table
-                        ],
-                        "states": {
-                            str(prefix): state.value
-                            for prefix, state in sorted(
-                                self._rpki_states.items(),
-                                key=lambda item: item[0].sort_key(),
-                            )
-                        },
-                    }
-                }
-                if self.roa_table is not None
-                else {}
-            ),
+            # In map order: the order is part of the alert contract.
+            "conflict_origins": [
+                [prefix.network, prefix.length, sorted(origins)]
+                for prefix, origins in self._conflict_origins.items()
+            ],
         }
 
     @classmethod
     def from_state(
         cls, state: dict, *, pipeline: StudyPipeline | None = None
     ) -> "StudyState":
-        """Rebuild mid-study streaming state from :meth:`state_dict`.
-
-        A state scoped to a prefix shard (a non-null ``shard``) is
-        rejected: a legacy sharded checkpoint is merged into one
-        whole-space state at load (see :mod:`repro.api.service`).
-        """
-        if state.get("shard") is not None:
-            raise ValueError(
-                "study state covers one prefix shard; merge the "
-                "checkpoint's shards before restoring it"
-            )
-        rpki_payload = state.get("rpki")
-        restored = cls(
-            pipeline,
-            roa_table=(
-                RoaTable.from_rows(rpki_payload["roas"])
-                if rpki_payload is not None
-                else None
-            ),
-        )
-        if rpki_payload is not None:
-            restored._rpki_states = {
-                Prefix.parse(text): ValidationState(value)
-                for text, value in rpki_payload["states"].items()
-            }
+        """Rebuild mid-study streaming state from :meth:`state_dict`."""
+        restored = cls(pipeline)
         restored._tracker = EpisodeTracker.from_state(state["tracker"])
-        restored._daily_series = [
-            (datetime.date.fromisoformat(day), count)
-            for day, count in state["daily_series"]
-        ]
-        restored._recent_counts.extend(state["recent_counts"])
+        restored._daily_counts = list(state["daily_counts"])
+        if len(restored._daily_counts) != restored._tracker.total_days:
+            raise ValueError(
+                f"study state counts conflicts on "
+                f"{len(restored._daily_counts)} days but its tracker "
+                f"was fed {restored._tracker.total_days}"
+            )
         restored._length_sums = {
             int(year): Counter(
                 {int(length): count for length, count in bucket.items()}
             )
             for year, bucket in state["length_sums"].items()
         }
-        restored._days_per_year = Counter(
-            {int(year): count for year, count in state["days_per_year"].items()}
-        )
         restored._classification = [
             (
                 datetime.date.fromisoformat(day),
@@ -488,7 +442,10 @@ class StudyState:
             for case in state["case_studies"]
         ]
         restored._as_set_excluded_max = state["as_set_excluded_max"]
-        restored._total_days = state["total_days"]
+        restored._conflict_origins = {
+            Prefix(network, length, strict=False): frozenset(origins)
+            for network, length, origins in state["conflict_origins"]
+        }
         return restored
 
 

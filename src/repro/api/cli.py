@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.analysis.compare import compare_to_paper, comparison_table
 from repro.analysis.pipeline import StudyResults
 from repro.api.renderers import render
-from repro.api.service import MoasService
+from repro.api.service import LEGACY_RESUME_NOTE, MoasService, answer_keys
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import parse_date
 
@@ -289,39 +289,25 @@ def _run_analyze(args: argparse.Namespace) -> int:
     try:
         if args.resume is not None:
             service = MoasService.load_checkpoint(
-                args.resume, workers=args.workers
+                args.resume, workers=args.workers, roa_table=args.rpki
             )
-            if args.rpki is not None:
-                if service.roa_table is None:
-                    raise ValueError(
-                        "checkpoint was not validating against a ROA "
-                        "table; --rpki cannot be turned on mid-study"
-                    )
-                from repro.netbase.rpki import RoaTable
-
-                if RoaTable.load(args.rpki) != service.roa_table:
-                    raise ValueError(
-                        f"--rpki {args.rpki} differs from the ROA "
-                        f"table the checkpoint was validating "
-                        f"against; a study cannot switch databases "
-                        f"mid-stream"
-                    )
-            if args.profile:
-                from repro.analysis.profiling import profile_feed
-
-                profile = profile_feed(
-                    service, args.archive_dir, skip_seen=True
+            if service.resumed_legacy:
+                print(
+                    f"repro analyze: resumed {args.resume}, "
+                    f"{LEGACY_RESUME_NOTE}",
+                    file=sys.stderr,
                 )
-            else:
-                service.feed(args.archive_dir, skip_seen=True)
         else:
             service = MoasService(workers=args.workers, roa_table=args.rpki)
-            if args.profile:
-                from repro.analysis.profiling import profile_feed
+        resumed = args.resume is not None
+        if args.profile:
+            from repro.analysis.profiling import profile_feed
 
-                profile = profile_feed(service, args.archive_dir)
-            else:
-                service.feed(args.archive_dir)
+            profile = profile_feed(
+                service, args.archive_dir, skip_seen=resumed
+            )
+        else:
+            service.feed(args.archive_dir, skip_seen=resumed)
     except (
         FileNotFoundError,
         ValueError,
@@ -357,12 +343,13 @@ def _run_analyze(args: argparse.Namespace) -> int:
             else args.archive_dir / INDEX_FILENAME
         )
         try:
-            # Verdict enrichment re-streams the source through the
-            # verdict engine (exactly `repro evaluate`); a source
-            # without a CDS manifest indexes episodes and RPKI only.
+            # The session's own verdicts, judged against the archive's
+            # registry; a source without a CDS manifest has no
+            # registry and indexes episodes and RPKI only.
             verdicts = None
             if (args.archive_dir / "manifest.json").is_file():
-                verdicts = service.evaluate(args.archive_dir).verdicts
+                registry, _injected, _organic = answer_keys(args.archive_dir)
+                verdicts = service.verdicts(registry)
             service.build_index(index_path, verdicts=verdicts)
         except (
             FileNotFoundError,

@@ -59,11 +59,10 @@ from urllib.parse import parse_qs, unquote
 
 from repro import __version__
 from repro.api.renderers import available_renderings, render
-from repro.api.service import MoasService
+from repro.api.service import LEGACY_RESUME_NOTE, MoasService, answer_keys
 from repro.api.sources import open_source
 from repro.core.detector import DayDetection
 from repro.core.realtime import DaySnapshotAlerter, MoasAlert
-from repro.core.verdict import VerdictEngine
 from repro.util.concurrency import guarded_by
 
 #: Content types per renderer format.
@@ -235,12 +234,12 @@ class ServeConfig:
     ``checkpoint_every_days`` newly folded days (0 = only at feed
     boundaries and shutdown), and on clean shutdown — and an existing
     checkpoint at boot resumes the session, skipping archive days it
-    already covers.  Verdict/alert state is rebuilt from days folded
-    after the resume; figures and episodes restore exactly.  A failed
-    checkpoint write is reported (``ingest.last_error``) and ingestion
-    goes on.  The checkpoint must be a file: the daemon writes back to
-    the path it resumed from, so a legacy sharded checkpoint
-    directory is refused at boot.
+    already covers.  With ``rpki`` set, the resumed checkpoint must have
+    been validating against that same ROA table.  A failed checkpoint
+    write is reported (``ingest.last_error``) and ingestion goes on.
+    The checkpoint must be a file: the daemon writes back to the path
+    it resumed from, so a legacy sharded checkpoint directory is
+    refused at boot.
 
     ``ingest_delay`` throttles the fold loop (seconds between days) so
     tests and benchmarks can hold the daemon in its "ingesting" phase;
@@ -297,10 +296,12 @@ class ServeApp:
     """The daemon's synchronous core: shared state + request routing.
 
     One instance wraps one :class:`MoasService` plus the serving
-    extras — a :class:`~repro.core.verdict.VerdictEngine` fed the same
-    day stream, the :class:`~repro.core.realtime.DaySnapshotAlerter`
-    that derives live alerts, and the archive's answer keys (incident
-    labels, ground truth, registry) for ``/v1/evaluation``.
+    extras — the :class:`~repro.core.realtime.DaySnapshotAlerter` that
+    derives live alerts from the session's conflict origin map, and the
+    archive's answer keys (incident labels, ground truth, registry) for
+    ``/v1/verdicts`` and ``/v1/evaluation``.  Verdicts are the
+    session's own (:meth:`MoasService.verdicts`), so a session resumed
+    from a checkpoint serves what an uninterrupted one would.
 
     Thread model: the ingestion loop calls :meth:`fold_detection` from
     a worker thread; request handlers call :meth:`handle` from others.
@@ -331,31 +332,12 @@ class ServeApp:
         #: same prefixes as a set)`` for the last verdict dict served.
         self._verdict_fragments: dict = {}
         self._verdict_order: tuple | None = None
-        self._registry = None
-        self._injected: list = []
-        self._organic: list = []
-        if self.archive is not None and (
-            self.archive / "manifest.json"
-        ).is_file():
-            self._load_answer_keys()
-        self.engine = VerdictEngine(roa_table=service.roa_table)
-
-    def _load_answer_keys(self) -> None:
-        from repro.scenario.archive import ArchiveReader
-        from repro.scenario.incidents import IncidentLabel
-
-        reader = ArchiveReader(self.archive)
-        try:
-            self._registry = reader.registry
-            if reader.has_incidents():
-                self._injected = [
-                    IncidentLabel.from_dict(row)
-                    for row in reader.incident_labels()
-                ]
-            if (self.archive / "ground_truth.json").is_file():
-                self._organic = reader.ground_truth()
-        finally:
-            reader.close()
+        self._registry, self._injected, self._organic = (
+            answer_keys(self.archive)
+            if self.archive is not None
+            and (self.archive / "manifest.json").is_file()
+            else (None, [], [])
+        )
 
     # -- ingestion side ------------------------------------------------------
 
@@ -375,16 +357,20 @@ class ServeApp:
         return self.service.days_fed
 
     def fold_detection(self, detection: DayDetection) -> list[MoasAlert]:
-        """Fold one day into session + verdict engine + alerter.
+        """Fold one day into the session; returns the day's alerts.
 
-        Called from the ingestion worker thread; atomic with respect to
-        every reader, and returns the alerts the day triggered so the
-        daemon can publish them to SSE subscribers.
+        The alerts are derived from the session's conflict origin map as
+        it stood before the day, then the day folds.  Called from the
+        ingestion worker thread; atomic with respect to every reader,
+        and returns the alerts the day triggered so the daemon can
+        publish them to SSE subscribers.
         """
         with self._lock:
+            alerts = self.alerter.feed_day(
+                detection, self.service.conflict_origins()
+            )
             self.service.feed_day(detection)
-            self.engine.feed_day(detection)
-            return self.alerter.feed_day(detection)
+            return alerts
 
     # -- consistent read snapshots -------------------------------------------
 
@@ -416,10 +402,7 @@ class ServeApp:
             days = self.service.days_fed
             cache = self._verdict_cache
             if cache is None or cache[0] != days:
-                cache = (
-                    days,
-                    self.engine.finalize(registry=self._registry),
-                )
+                cache = (days, self.service.verdicts(self._registry))
                 self._verdict_cache = cache
             return cache
 
@@ -569,9 +552,7 @@ class ServeApp:
             },
             "alerts": {
                 "emitted": self.alerter.alerts_emitted,
-                "current_conflicts": len(
-                    self.alerter.current_conflicts()
-                ),
+                "current_conflicts": len(service.conflict_origins()),
             },
             "evaluation": {
                 "incident_labels": len(self._injected),
@@ -791,7 +772,9 @@ class ServeDaemon:
             config.checkpoint is not None
             and config.checkpoint.exists()
         ):
-            service = MoasService.load_checkpoint(config.checkpoint)
+            service = MoasService.load_checkpoint(
+                config.checkpoint, roa_table=config.rpki
+            )
             self.resumed = True
         else:
             roa_source = config.rpki
@@ -841,10 +824,13 @@ class ServeDaemon:
         self.port = self._server.sockets[0].getsockname()[1]
         print(f"[serve] listening on {self.url}", flush=True)
         if self.resumed:
+            note = ""
+            if self.app.service.resumed_legacy:
+                note = f" ({LEGACY_RESUME_NOTE})"
             print(
                 f"[serve] resumed checkpoint "
                 f"{self.config.checkpoint} at "
-                f"{self.app.days_fed} days",
+                f"{self.app.days_fed} days{note}",
                 flush=True,
             )
         if on_ready is not None:

@@ -17,12 +17,14 @@ identical for every worker count — the engine's core invariant — and
 for both CDS archive day-store formats (v1 and v2; the reader
 auto-detects, see :mod:`repro.scenario.archive`).
 
-Earlier releases could also split the study state into prefix-space
-shards, and checkpointed such a session as a directory: a
-``manifest.json`` naming one state file per shard.  Those legacy
-checkpoints, and version-2 payloads holding several shard states,
-still load: :func:`_merge_legacy_shards` folds the shard states into
-one state once, at load.  Checkpoints are only ever written as files.
+A checkpoint is one version-3 file holding one study state, whose
+episode records carry the verdict evidence and whose conflict origin
+map drives serve's alerts: a resumed session answers and alerts as an
+uninterrupted one would.  Version-1/2 files and the legacy sharded
+directories earlier releases wrote still load, converted once by
+:func:`_checkpoint_state` (:func:`_merge_legacy_shards` folds shard
+states into one); they carry no class votes and no alert map
+(:data:`LEGACY_RESUME_NOTE`).
 """
 
 from __future__ import annotations
@@ -42,8 +44,19 @@ from repro.util.concurrency import guarded_by
 from repro.util.io import atomic_write_text
 
 #: Checkpoint payload version; bump on incompatible layout changes.
-#: Version 1 (single ``state`` payload) is still readable.
-CHECKPOINT_VERSION = 2
+#: Versions 1 and 2 (:data:`LEGACY_VERSIONS`) are still readable.
+CHECKPOINT_VERSION = 3
+
+#: Checkpoint versions written by earlier releases that still load.
+LEGACY_VERSIONS = (1, 2)
+
+#: What resuming a :data:`LEGACY_VERSIONS` checkpoint reports: those
+#: carry no class votes and no alert map.
+LEGACY_RESUME_NOTE = (
+    "a version-1/2 checkpoint: verdict class tags count only days fed "
+    "after the resume, and the first day re-announces every ongoing "
+    "conflict"
+)
 
 #: File name of the manifest inside a legacy sharded checkpoint
 #: directory.
@@ -157,6 +170,101 @@ def _roa_rows(state: dict) -> list | None:
     return rpki["roas"] if rpki is not None else None
 
 
+def _legacy_state(state: dict) -> dict:
+    """A version-1/2 study state in the version-3 layout: records gain
+    empty votes and their ``rpki.states`` rollup, the fed days move into
+    the tracker, and the alert map starts empty."""
+    rpki = state.get("rpki")
+    rollups = rpki["states"] if rpki is not None else {}
+    prefixes = [
+        [*record, [0, 0, 0], rollups.get(str(Prefix(*record[:2], strict=False)))]
+        for record in state["tracker"]["prefixes"]
+    ]
+    series = state["daily_series"]
+    return {
+        "tracker": {
+            "days": [day for day, _count in series],
+            "roas": _roa_rows(state),
+            "prefixes": prefixes,
+        },
+        "daily_counts": [count for _day, count in series],
+        **{name: state[name] for name in _CARRIED_FIELDS},
+        "conflict_origins": [],
+    }
+
+
+#: Fields a version-3 state keeps as earlier versions wrote them.
+_CARRIED_FIELDS = (
+    "length_sums",
+    "classification",
+    "case_studies",
+    "as_set_excluded_max",
+)
+
+
+def _checkpoint_state(snapshot) -> tuple[int, dict, dict]:
+    """``(version, pipeline config, version-3 state)`` of a checkpoint
+    payload of any loadable version.
+
+    A version-2 payload's shard states are merged first
+    (:func:`_merge_legacy_shards`).  Shape errors below the top level
+    surface as ``KeyError``/``TypeError``/``AttributeError``, which
+    :meth:`MoasService.resume` turns into a :class:`ValueError`.
+    """
+    if not isinstance(snapshot, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    version = snapshot.get("version")
+    if version != CHECKPOINT_VERSION and version not in LEGACY_VERSIONS:
+        raise ValueError(
+            f"unsupported checkpoint version {version!r}; "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    pipeline = _typed(snapshot, "pipeline", dict)
+    if version == 2:
+        shards = _typed(snapshot, "shards", list)
+        if not shards:
+            raise ValueError("checkpoint contains no shard states")
+        return version, pipeline, _legacy_state(_merge_legacy_shards(shards))
+    state = _typed(snapshot, "state", dict)
+    if version == 1:
+        state = _legacy_state(_merge_legacy_shards([state]))
+    return version, pipeline, state
+
+
+def _typed(payload: dict, key: str, kind: type):
+    """``payload[key]``, which must be a ``kind``."""
+    value = payload[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"checkpoint key {key!r} is not a {kind.__name__}")
+    return value
+
+
+def answer_keys(directory) -> tuple[list, list, list]:
+    """``(registry, incident labels, organic events)`` of a CDS archive.
+
+    The prefix registry verdicts are judged against, and the injected
+    (``incidents.json``) and organic (``ground_truth.json``) answer
+    keys evaluation scores them with; a missing key file reads as
+    empty.
+    """
+    from repro.scenario.archive import ArchiveReader
+    from repro.scenario.incidents import IncidentLabel
+
+    reader = ArchiveReader(directory)
+    try:
+        return (
+            reader.registry,
+            [IncidentLabel.from_dict(row) for row in reader.incident_labels()],
+            (
+                reader.ground_truth()
+                if (Path(directory) / "ground_truth.json").is_file()
+                else []
+            ),
+        )
+    finally:
+        reader.close()
+
+
 @guarded_by("_lock", "_state")
 class MoasService:
     """An incrementally-feedable, checkpointable MOAS study session.
@@ -190,6 +298,9 @@ class MoasService:
 
             roa_table = RoaTable.load(roa_table)
         self.roa_table = roa_table
+        #: Version of the checkpoint the session resumed from (see
+        #: :meth:`resume`), or None for a session started fresh.
+        self.checkpoint_version: int | None = None
         self._state = self.pipeline.start(roa_table=roa_table)
         # Snapshot isolation for concurrent readers (the serve daemon
         # folds days on one thread while request handlers read).  Every
@@ -228,6 +339,12 @@ class MoasService:
         """
         with self._lock:
             self._state.feed_day(detection)
+
+    def conflict_origins(self) -> dict:
+        """:attr:`StudyState.conflict_origins` (read only), which the
+        serve daemon derives its alerts from."""
+        with self._lock:
+            return self._state.conflict_origins
 
     def feed(
         self,
@@ -300,7 +417,7 @@ class MoasService:
         another thread always equals the index of a batch analyze
         stopped at some fed-day prefix.  ``verdicts`` optionally
         enriches each record with the verdict engine's tag/suspicion
-        view (e.g. ``service.evaluate(archive).verdicts``).
+        view (e.g. ``service.verdicts(registry)``).
         """
         from repro.analysis.index import EpisodeIndex
 
@@ -323,6 +440,14 @@ class MoasService:
 
     # -- verdicts and evaluation ---------------------------------------------
 
+    def verdicts(self, registry=None) -> dict:
+        """The session's own verdicts (:meth:`StudyState.verdicts`),
+        judged under the session lock: those of a batch run stopped at
+        some fed-day prefix.  RPKI tags follow the session's ROA
+        table."""
+        with self._lock:
+            return self._state.verdicts(registry)
+
     def evaluate(
         self, source, *, config=None, workers=None, rpki=None, **options
     ):
@@ -330,7 +455,9 @@ class MoasService:
 
         Streams the source's daily detections (worker-parallel exactly
         like :meth:`feed`) through a
-        :class:`~repro.core.verdict.VerdictEngine`, finalizes one
+        :class:`~repro.core.verdict.VerdictEngine`'s own tracker (a
+        session's verdicts over what it was fed come from
+        :meth:`verdicts`, without a second pass), finalizes one
         :class:`~repro.core.verdict.Verdict` per prefix, and — when the
         source is a CDS archive carrying answer keys — scores the
         predicted kinds against ``incidents.json`` (injected labels)
@@ -355,37 +482,21 @@ class MoasService:
         )
         from repro.core.verdict import VerdictConfig, VerdictEngine
         from repro.netbase.rpki import RoaTable
-        from repro.scenario.incidents import IncidentLabel
 
         config = config or VerdictConfig()
         adapted = open_source(source, **options)
 
         # Resolve the archive's answer keys (and its ROA database)
-        # before streaming: the engines validate while they feed.
-        registry = None
-        injected: list[IncidentLabel] = []
-        organic: list[dict] = []
+        # before streaming: the engine validates while it feeds.
+        registry, injected, organic = None, [], []
         roa_table = self.roa_table if rpki is None else RoaTable.load(rpki)
         directory = getattr(adapted, "directory", None)
         if directory is not None and (
             Path(directory) / "manifest.json"
         ).is_file():
-            from repro.scenario.archive import ArchiveReader
-
-            reader = ArchiveReader(directory)
-            try:
-                registry = reader.registry
-                if reader.has_incidents():
-                    injected = [
-                        IncidentLabel.from_dict(row)
-                        for row in reader.incident_labels()
-                    ]
-                if (Path(directory) / "ground_truth.json").is_file():
-                    organic = reader.ground_truth()
-                if roa_table is None and reader.has_roas():
-                    roa_table = RoaTable.from_rows(reader.roas())
-            finally:
-                reader.close()
+            registry, injected, organic = answer_keys(directory)
+            if roa_table is None and (Path(directory) / "roas.json").is_file():
+                roa_table = RoaTable.load(directory)
 
         engine = VerdictEngine(config, roa_table=roa_table)
         for detection in iter_detections(
@@ -412,43 +523,45 @@ class MoasService:
         Taken atomically at a day boundary even while :meth:`feed_day`
         runs on another thread: the payload always equals the state
         after some prefix of the fed day stream, never a torn mid-fold
-        mixture.  ``shards`` holds the one study state: the version-2
-        payload keeps the list its sharded writer used.
+        mixture.
         """
         with self._lock:
             return {
                 "version": CHECKPOINT_VERSION,
                 "pipeline": self.pipeline.config_dict(),
-                "shards": [self._state.state_dict()],
+                "state": self._state.state_dict(),
             }
+
+    @property
+    def resumed_legacy(self) -> bool:
+        """True when the session resumed from a version-1/2 checkpoint
+        (see :data:`LEGACY_RESUME_NOTE`)."""
+        return self.checkpoint_version in LEGACY_VERSIONS
 
     @classmethod
     def resume(cls, snapshot: dict, *, workers: int = 1) -> "MoasService":
         """Rebuild a session from a :meth:`snapshot_state` payload.
 
-        Accepts version-2 payloads and legacy single-state version-1
-        checkpoints.  A version-2 payload holding several shard states
-        is merged once, here (:func:`_merge_legacy_shards`).  The worker
-        count is an execution-resource choice, not study state, so it
-        is never part of the checkpoint — pass ``workers`` to continue
-        in parallel.
+        Accepts version-3 payloads and the legacy versions 1 and 2,
+        converted once, here (:func:`_checkpoint_state`); a version-2
+        payload holding several shard states is merged.  A payload of
+        the wrong shape raises :class:`ValueError` naming the key.  The
+        worker count is an execution-resource choice, not study state,
+        so it is never part of the checkpoint — pass ``workers`` to
+        continue in parallel.
         """
-        version = snapshot.get("version")
-        if version not in (1, CHECKPOINT_VERSION):
-            raise ValueError(
-                f"unsupported checkpoint version {version!r}; "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        pipeline = StudyPipeline.from_config_dict(snapshot["pipeline"])
-        if version == 1:
-            state = snapshot["state"]
-        elif not snapshot["shards"]:
-            raise ValueError("checkpoint contains no shard states")
-        else:
-            state = _merge_legacy_shards(snapshot["shards"])
+        try:
+            version, config, state = _checkpoint_state(snapshot)
+            pipeline = StudyPipeline.from_config_dict(config)
+            restored = StudyState.from_state(state, pipeline=pipeline)
+        except KeyError as missing:
+            raise ValueError(f"checkpoint is missing key {missing}") from None
+        except (AttributeError, TypeError) as error:
+            raise ValueError(f"checkpoint has a mistyped key: {error}") from None
         service = cls(pipeline, workers=workers)
-        service._state = StudyState.from_state(state, pipeline=pipeline)
-        service.roa_table = service._state.roa_table
+        service._state = restored
+        service.roa_table = restored.roa_table
+        service.checkpoint_version = version
         return service
 
     def save_checkpoint(self, path: Path | str) -> Path:
@@ -471,7 +584,7 @@ class MoasService:
 
     @classmethod
     def load_checkpoint(
-        cls, path: Path | str, *, workers: int = 1
+        cls, path: Path | str, *, workers: int = 1, roa_table=None
     ) -> "MoasService":
         """Rebuild a session from a :meth:`save_checkpoint` file.
 
@@ -480,25 +593,53 @@ class MoasService:
         (:func:`_merge_legacy_shards`).  ``workers`` sets the resumed
         session's pool size (checkpoints never record one; see
         :meth:`resume`).
+
+        ``roa_table`` (anything :meth:`RoaTable.load` accepts) asks
+        that the study go on validating against that database: a
+        checkpoint that was validating against none, or against a
+        different one, is refused with a :class:`ValueError`.
         """
         path = Path(path)
         if path.is_dir():
             manifest = json.loads(
                 (path / CHECKPOINT_MANIFEST).read_text()
             )
-            version = manifest.get("version")
-            if version != CHECKPOINT_VERSION:
+            version = (
+                manifest.get("version") if isinstance(manifest, dict) else None
+            )
+            if version != 2:
                 raise ValueError(
                     f"unsupported checkpoint version {version!r}; "
-                    f"expected {CHECKPOINT_VERSION}"
+                    f"expected 2 in a sharded checkpoint directory"
                 )
-            snapshot = {
-                "version": version,
-                "pipeline": manifest["pipeline"],
-                "shards": [
-                    json.loads((path / name).read_text())
-                    for name in manifest["shard_files"]
-                ],
-            }
-            return cls.resume(snapshot, workers=workers)
-        return cls.resume(json.loads(path.read_text()), workers=workers)
+            try:
+                snapshot = {
+                    "version": version,
+                    "pipeline": manifest["pipeline"],
+                    "shards": [
+                        json.loads((path / name).read_text())
+                        for name in manifest["shard_files"]
+                    ],
+                }
+            except KeyError as missing:
+                raise ValueError(
+                    f"checkpoint manifest is missing key {missing}"
+                ) from None
+        else:
+            snapshot = json.loads(path.read_text())
+        service = cls.resume(snapshot, workers=workers)
+        if roa_table is not None:
+            from repro.netbase.rpki import RoaTable
+
+            if service.roa_table is None:
+                raise ValueError(
+                    "checkpoint was not validating against a ROA "
+                    "table; --rpki cannot be turned on mid-study"
+                )
+            if RoaTable.load(roa_table) != service.roa_table:
+                raise ValueError(
+                    f"--rpki {roa_table} differs from the ROA table the "
+                    f"checkpoint was validating against; a study cannot "
+                    f"switch databases mid-stream"
+                )
+        return service

@@ -115,34 +115,52 @@ def classify_conflict(conflict: DailyConflict) -> ConflictClass:
     )
 
 
-#: id(conflict) -> (weakref to it, its class).  DailyConflict is frozen
-#: and classification is a pure function of it, so when the columnar
-#: detector hands back the same cached object day after day its class
-#: is looked up, not recomputed.  The weakref guards against id reuse
-#: (the referent must still *be* the conflict) and its callback evicts
-#: the entry when the conflict dies, so nothing is pinned.
+#: id(conflict) -> (weakref to it, its class or None).  DailyConflict is
+#: frozen and classification is a pure function of it, so when the
+#: columnar detector hands back the same cached object day after day its
+#: class is looked up, not recomputed.  The weakref guards against id
+#: reuse (the referent must still *be* the conflict) and its callback
+#: evicts the entry when the conflict dies, so nothing is pinned.
 _CLASS_MEMO: dict[int, tuple] = {}
+
+
+def conflict_class(conflict: DailyConflict) -> ConflictClass | None:
+    """:func:`classify_conflict`, memoized per conflict object.
+
+    ``None`` for a conflict that cannot be classified (no paths for two
+    origins): it counts toward no figure-6 class and casts no verdict
+    vote.  The one class memo both the figure-6 tally and the episode
+    tracker's votes read.
+    """
+    key = id(conflict)
+    entry = _CLASS_MEMO.get(key)
+    if entry is not None and entry[0]() is conflict:
+        return entry[1]
+    try:
+        found = classify_conflict(conflict)
+    except ValueError:
+        found = None
+    _CLASS_MEMO[key] = (
+        weakref.ref(
+            conflict,
+            lambda _ref, _memo=_CLASS_MEMO, _key=key: _memo.pop(_key, None),
+        ),
+        found,
+    )
+    return found
 
 
 def classify_day(
     conflicts: Sequence[DailyConflict],
 ) -> dict[ConflictClass, int]:
-    """Per-class conflict counts for one day (the figure-6 series)."""
-    memo = _CLASS_MEMO
-    counts = {conflict_class: 0 for conflict_class in ConflictClass}
+    """Per-class conflict counts for one day (the figure-6 series).
+
+    Conflicts :func:`conflict_class` cannot classify count toward no
+    class.
+    """
+    counts = {found: 0 for found in ConflictClass}
     for conflict in conflicts:
-        key = id(conflict)
-        entry = memo.get(key)
-        if entry is not None and entry[0]() is conflict:
-            conflict_class = entry[1]
-        else:
-            conflict_class = classify_conflict(conflict)
-            memo[key] = (
-                weakref.ref(
-                    conflict,
-                    lambda _ref, _memo=memo, _key=key: _memo.pop(_key, None),
-                ),
-                conflict_class,
-            )
-        counts[conflict_class] += 1
+        found = conflict_class(conflict)
+        if found is not None:
+            counts[found] += 1
     return counts

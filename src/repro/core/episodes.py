@@ -11,23 +11,38 @@ So: one episode per prefix for the whole study, and duration = number
 of observation days on which the prefix was in conflict.  A conflict
 seen on exactly one snapshot "lasted less than one day" — the paper's
 one-time conflicts — which we encode as duration 1 (days observed).
+
+The :class:`EpisodeTracker` record is the study's one per-prefix
+accumulator: it also folds each conflict-day's Section V class vote and
+RFC 6811 rollup, which :class:`~repro.core.verdict.VerdictEngine`
+judges verdicts from.
 """
 
 from __future__ import annotations
 
 import datetime
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 
+from repro.core.classifier import ConflictClass, conflict_class
 from repro.core.detector import DailyConflict
 from repro.netbase.prefix import Prefix
+from repro.netbase.rpki import RoaTable, ValidationState
 
-#: Mutable per-prefix episode record: [first, last, days, origins, width,
-#: episode].  ``episode`` is the :class:`ConflictEpisode` the last
-#: :meth:`EpisodeTracker.finalize` built from the record, or ``None``;
-#: every observation clears it.  Pure memoization: never compared,
-#: never checkpointed, empty after ``from_state``.
-_FIRST, _LAST, _DAYS, _ORIGINS, _WIDTH, _EPISODE = range(6)
+#: Mutable per-prefix record: [first, last, days, origins, width, votes,
+#: rpki, episode, verdict].  ``votes`` counts Section V class votes per
+#: :data:`CLASS_SLOTS` slot (a conflict-day without paths for two
+#: origins casts none); ``rpki`` is the RFC 6811 rollup or ``None``.
+#: ``episode`` (the :class:`ConflictEpisode` the last :meth:`finalize`
+#: built) and ``verdict`` (``(registry shapes, Verdict)`` from the last
+#: :meth:`~repro.core.verdict.VerdictEngine.finalize`) are pure
+#: memoization, cleared by every observation: never compared, never
+#: checkpointed, empty after :meth:`EpisodeTracker.from_state`.
+FIRST, LAST, DAYS, ORIGINS, WIDTH, VOTES, RPKI, EPISODE, VERDICT = range(9)
+
+#: Each class's slot in a record's ``votes`` list.
+CLASS_SLOTS = {found: slot for slot, found in enumerate(ConflictClass)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +64,7 @@ class ConflictEpisode:
 
 
 class EpisodeTracker:
-    """Accumulates daily detections into per-prefix episodes.
+    """Accumulates daily detections into per-prefix episode records.
 
     The fold is the per-day cost every study pays after detection, so
     it is built around two constant-factor facts of the conflict
@@ -57,67 +72,125 @@ class EpisodeTracker:
     conflict instead of one per field), and an *identity* fast path —
     the columnar detector hands back the same cached
     :class:`DailyConflict` object for a conflict that persists across
-    days, so a recurring conflict costs two list writes, not a
-    prefix-keyed lookup plus origin-set union.  The fast path is pure
-    memoization: a conflict object only ever hits it after the slow
-    path absorbed that exact object's origins once, so fed state is
-    identical whichever path runs.
+    days, so a recurring conflict costs a few list writes, not a
+    prefix-keyed lookup, an origin-set union and a classification.  The
+    fast path is pure memoization: a conflict object only ever hits it
+    after the slow path absorbed that exact object's origins and class
+    vote once, so fed state is identical whichever path runs.
+
+    The tracker also keeps the fed-day sequence: a day's ordinal (its
+    1-based position in it) is what the verdict engine's flapping span
+    counts in.
     """
 
-    __slots__ = ("_records", "_seen", "_last_fed_day")
+    __slots__ = ("roa_table", "_records", "_seen", "_days")
 
-    def __init__(self) -> None:
-        #: prefix -> [first, last, days, origins, max_width, episode]
+    def __init__(self, *, roa_table: RoaTable | None = None) -> None:
+        #: Immutable ROA database each conflict-day is validated
+        #: against; ``None`` leaves every record's rollup empty.
+        self.roa_table = roa_table
+        #: prefix -> record (see :data:`FIRST` ... :data:`VERDICT`)
         self._records: dict[Prefix, list] = {}
-        #: id(conflict) -> (weakref to it, its prefix's record).  The
-        #: weakref both guards against id reuse (the stored referent
-        #: must still *be* the conflict) and evicts the entry when the
-        #: conflict object dies, so nothing is pinned.
+        #: id(conflict) -> (weakref to it, its prefix's record, its
+        #: vote slot or None).  The weakref both guards against id
+        #: reuse (the stored referent must still *be* the conflict) and
+        #: evicts the entry when the conflict object dies, so nothing
+        #: is pinned.
         self._seen: dict[int, tuple] = {}
-        self._last_fed_day: datetime.date | None = None
+        self._days: list[datetime.date] = []
+
+    @property
+    def days(self) -> list[datetime.date]:
+        """The fed days in order (the tracker's own list: read only)."""
+        return self._days
+
+    @property
+    def total_days(self) -> int:
+        """Days fed so far."""
+        return len(self._days)
+
+    @property
+    def last_fed_day(self) -> datetime.date | None:
+        """The most recent day fed, or None before the first feed."""
+        return self._days[-1] if self._days else None
+
+    def ordinal(self, day: datetime.date) -> int:
+        """The 1-based position of fed day ``day`` in the fed-day
+        sequence."""
+        return bisect_left(self._days, day) + 1
 
     def observe_day(
         self, day: datetime.date, conflicts: list[DailyConflict]
     ) -> None:
         """Feed one day's conflicts.  Days must arrive in order."""
-        if self._last_fed_day is not None and day <= self._last_fed_day:
+        days = self._days
+        if days and day <= days[-1]:
             raise ValueError(
                 f"days must be fed in increasing order: {day} after "
-                f"{self._last_fed_day}"
+                f"{days[-1]}"
             )
-        self._last_fed_day = day
+        days.append(day)
         records = self._records
         seen = self._seen
+        roa_table = self.roa_table
         for conflict in conflicts:
             key = id(conflict)
             entry = seen.get(key)
             if entry is not None and entry[0]() is conflict:
-                record = entry[1]
-                record[_LAST] = day
-                record[_DAYS] += 1
-                record[_EPISODE] = None
-                continue
-            prefix = conflict.prefix
-            record = records.get(prefix)
-            width = len(conflict.origins)
-            if record is None:
-                records[prefix] = record = [
-                    day, day, 1, set(conflict.origins), width, None,
-                ]
+                _ref, record, vote = entry
+                record[LAST] = day
+                record[DAYS] += 1
+                record[EPISODE] = record[VERDICT] = None
             else:
-                record[_LAST] = day
-                record[_DAYS] += 1
-                record[_EPISODE] = None
-                record[_ORIGINS].update(conflict.origins)
-                if width > record[_WIDTH]:
-                    record[_WIDTH] = width
-            seen[key] = (
-                weakref.ref(
-                    conflict,
-                    lambda _ref, _seen=seen, _key=key: _seen.pop(_key, None),
-                ),
-                record,
-            )
+                prefix = conflict.prefix
+                record = records.get(prefix)
+                width = len(conflict.origins)
+                if record is None:
+                    records[prefix] = record = [
+                        day, day, 1, set(conflict.origins), width,
+                        [0] * len(CLASS_SLOTS), None, None, None,
+                    ]
+                else:
+                    record[LAST] = day
+                    record[DAYS] += 1
+                    record[EPISODE] = record[VERDICT] = None
+                    record[ORIGINS].update(conflict.origins)
+                    if width > record[WIDTH]:
+                        record[WIDTH] = width
+                found = conflict_class(conflict)
+                vote = None if found is None else CLASS_SLOTS[found]
+                seen[key] = (
+                    weakref.ref(
+                        conflict,
+                        lambda _ref, _seen=seen, _key=key: _seen.pop(
+                            _key, None
+                        ),
+                    ),
+                    record,
+                    vote,
+                )
+            if vote is not None:
+                record[VOTES][vote] += 1
+            if roa_table is not None:
+                record[RPKI] = roa_table.fold_episode_state(
+                    record[RPKI], conflict.prefix, conflict.origins, day=day
+                )
+
+    def records(self):
+        """``(prefix, record)`` pairs in first-seen order.
+
+        The records are the fold's own lists: readers may fill the
+        ``verdict`` memo slot and must write nothing else.
+        """
+        return self._records.items()
+
+    def rpki_states(self) -> dict[Prefix, str]:
+        """Prefix -> RFC 6811 rollup value, for records that have one."""
+        return {
+            prefix: record[RPKI].value
+            for prefix, record in self._records.items()
+            if record[RPKI] is not None
+        }
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the tracker's streaming state.
@@ -125,23 +198,28 @@ class EpisodeTracker:
         Together with :meth:`from_state` this lets long-running studies
         checkpoint mid-stream and resume without replaying earlier days.
         Prefixes are stored as ``[network, length]`` integer pairs so the
-        payload survives a JSON round trip exactly.
+        payload survives a JSON round trip exactly; a record's votes
+        follow :data:`CLASS_SLOTS` and its rollup is a
+        :class:`ValidationState` value or null.
         """
         return {
-            "last_fed_day": (
-                self._last_fed_day.isoformat()
-                if self._last_fed_day is not None
+            "days": [day.isoformat() for day in self._days],
+            "roas": (
+                [roa.to_dict() for roa in self.roa_table]
+                if self.roa_table is not None
                 else None
             ),
             "prefixes": [
                 [
                     prefix.network,
                     prefix.length,
-                    record[_FIRST].isoformat(),
-                    record[_LAST].isoformat(),
-                    record[_DAYS],
-                    sorted(record[_ORIGINS]),
-                    record[_WIDTH],
+                    record[FIRST].isoformat(),
+                    record[LAST].isoformat(),
+                    record[DAYS],
+                    sorted(record[ORIGINS]),
+                    record[WIDTH],
+                    list(record[VOTES]),
+                    record[RPKI].value if record[RPKI] is not None else None,
                 ]
                 for prefix, record in self._records.items()
             ],
@@ -150,23 +228,31 @@ class EpisodeTracker:
     @classmethod
     def from_state(cls, state: dict) -> "EpisodeTracker":
         """Rebuild a tracker from a :meth:`state_dict` payload."""
-        tracker = cls()
-        last_fed = state.get("last_fed_day")
-        tracker._last_fed_day = (
-            datetime.date.fromisoformat(last_fed)
-            if last_fed is not None
-            else None
+        roas = state["roas"]
+        tracker = cls(
+            roa_table=RoaTable.from_rows(roas) if roas is not None else None
         )
-        for network, length, first, last, days, origins, width in state[
-            "prefixes"
-        ]:
-            prefix = Prefix(network, length, strict=False)
-            tracker._records[prefix] = [
+        tracker._days = [
+            datetime.date.fromisoformat(day) for day in state["days"]
+        ]
+        slots = len(CLASS_SLOTS)
+        for (
+            network, length, first, last, days, origins, width, votes, rpki
+        ) in state["prefixes"]:
+            if len(votes) != slots:
+                raise ValueError(
+                    f"episode record votes hold {len(votes)} counts, "
+                    f"not {slots}"
+                )
+            tracker._records[Prefix(network, length, strict=False)] = [
                 datetime.date.fromisoformat(first),
                 datetime.date.fromisoformat(last),
                 days,
                 set(origins),
                 width,
+                list(votes),
+                ValidationState(rpki) if rpki is not None else None,
+                None,
                 None,
             ]
         return tracker
@@ -185,20 +271,20 @@ class EpisodeTracker:
         latest days left alone answers with the same object as before.
         """
         if last_observed_day is None:
-            last_observed_day = self._last_fed_day
+            last_observed_day = self.last_fed_day
         episodes: dict[Prefix, ConflictEpisode] = {}
         for prefix, record in self._records.items():
-            last_day = record[_LAST]
+            last_day = record[LAST]
             ongoing = last_day == last_observed_day
-            episode = record[_EPISODE]
+            episode = record[EPISODE]
             if episode is None or episode.ongoing is not ongoing:
-                episode = record[_EPISODE] = ConflictEpisode(
+                episode = record[EPISODE] = ConflictEpisode(
                     prefix=prefix,
-                    first_day=record[_FIRST],
+                    first_day=record[FIRST],
                     last_day=last_day,
-                    days_observed=record[_DAYS],
-                    origins_ever=frozenset(record[_ORIGINS]),
-                    max_origins_single_day=record[_WIDTH],
+                    days_observed=record[DAYS],
+                    origins_ever=frozenset(record[ORIGINS]),
+                    max_origins_single_day=record[WIDTH],
                     ongoing=ongoing,
                 )
             episodes[prefix] = episode

@@ -242,8 +242,8 @@ class StreamingMoasDetector:
         self._announced[key] = origin
         counts = self._origin_counts.setdefault(prefix, {})
         counts[origin] = counts.get(origin, 0) + 1
-        return self._transition_alerts(
-            prefix, before, timestamp, changed=origin
+        return _transition(
+            prefix, before, self.origins_of(prefix), timestamp, origin
         )
 
     def _withdraw(
@@ -254,8 +254,8 @@ class StreamingMoasDetector:
             return []
         before = self.origins_of(prefix)
         self._decrement(prefix, origin)
-        return self._transition_alerts(
-            prefix, before, timestamp, changed=origin
+        return _transition(
+            prefix, before, self.origins_of(prefix), timestamp, origin
         )
 
     def _decrement(self, prefix: Prefix, origin: int) -> None:
@@ -266,76 +266,27 @@ class StreamingMoasDetector:
         if not counts:
             del self._origin_counts[prefix]
 
-    def _transition_alerts(
-        self,
-        prefix: Prefix,
-        before: frozenset[int],
-        timestamp: int,
-        *,
-        changed: int,
-    ) -> list[MoasAlert]:
-        after = self.origins_of(prefix)
-        if after == before:
-            return []
-        kind: AlertKind | None = None
-        if len(before) < 2 and len(after) >= 2:
-            kind = AlertKind.MOAS_STARTED
-        elif len(before) >= 2 and len(after) >= 2:
-            # Still in MOAS but the set changed: the stream stays
-            # loss-free by reporting the origin that moved.  A single
-            # update shifts at most one origin in and one out; a swap
-            # reports the arrival (the departure stays visible in
-            # previous_origins).
-            arrived = after - before
-            departed = before - after
-            if arrived:
-                kind = AlertKind.MOAS_ORIGIN_ADDED
-                changed = next(iter(arrived))
-            elif departed:
-                kind = AlertKind.MOAS_ORIGIN_REMOVED
-                changed = next(iter(departed))
-        elif len(before) >= 2 and len(after) < 2:
-            kind = AlertKind.MOAS_ENDED
-        if kind is None:
-            return []
-        return [
-            MoasAlert(
-                timestamp=timestamp,
-                prefix=prefix,
-                kind=kind,
-                origins=after,
-                previous_origins=before,
-                changed_origin=changed,
-            )
-        ]
-
 
 class DaySnapshotAlerter:
     """Day-granularity :class:`MoasAlert` stream from daily detections.
 
-    The serve daemon's ingestion loop folds one
-    :class:`~repro.core.detector.DayDetection` at a time — a daily
-    origin-set snapshot, not an update stream.  This bridge turns
-    successive snapshots into the update-level alert vocabulary by
-    driving a real :class:`StreamingMoasDetector`: each conflict origin
-    is modeled as a peer announcing the prefix itself (path
-    ``[origin]``), origins that disappear withdraw, and a prefix that
-    leaves the day's conflict set withdraws every synthetic route.
-
-    The derived stream is deterministic (origins are applied in sorted
-    order, prefixes in detection order) and loss-free at day
-    granularity: every origin-set transition between consecutive days
-    surfaces as one or more alerts, covering all four
-    :class:`AlertKind` values.  Timestamps are UTC midnight of the
-    observation day (:func:`day_timestamp`).
+    The serve daemon folds one daily origin-set snapshot at a time, not
+    an update stream.  This alerter replays each day as updates, with
+    :class:`StreamingMoasDetector`'s semantics: each conflict origin is
+    a peer announcing the prefix itself, new origins announce and gone
+    ones withdraw (each in sorted order), and a prefix that leaves the
+    day's conflict set withdraws every origin.  Changed prefixes alert
+    in detection order, departed ones in the order of the study state's
+    conflict origin map
+    (:attr:`~repro.analysis.pipeline.StudyState.conflict_origins`),
+    which :meth:`feed_day` reads and which a checkpoint carries, so a
+    resumed session alerts exactly like an uninterrupted one.
+    Timestamps are UTC midnight of the day (:func:`day_timestamp`).
     """
 
-    __slots__ = ("_detector", "_current", "_alerts_emitted")
+    __slots__ = ("_alerts_emitted",)
 
     def __init__(self) -> None:
-        self._detector = StreamingMoasDetector()
-        #: prefix -> origin set announced into the detector.
-        self._current: dict[Prefix, frozenset[int]] = {}
         self._alerts_emitted = 0
 
     @property
@@ -343,44 +294,86 @@ class DaySnapshotAlerter:
         """Total alerts derived so far."""
         return self._alerts_emitted
 
-    def current_conflicts(self) -> list[Prefix]:
-        """Prefixes in MOAS as of the last fed day, sorted."""
-        return self._detector.current_conflicts()
-
-    def feed_day(self, detection: DayDetection) -> list[MoasAlert]:
-        """Fold one day's detection; returns the alerts it triggered."""
+    def feed_day(
+        self,
+        detection: DayDetection,
+        current: dict[Prefix, frozenset[int]],
+    ) -> list[MoasAlert]:
+        """The alerts of one day against ``current``, the conflict
+        origin map as of the day before (not modified)."""
         timestamp = day_timestamp(detection.day)
-        detector = self._detector
         alerts: list[MoasAlert] = []
-        seen: set[Prefix] = set()
         for conflict in detection.conflicts:
-            prefix = conflict.prefix
-            seen.add(prefix)
-            new = frozenset(conflict.origins)
-            old = self._current.get(prefix, frozenset())
-            if new == old:
-                continue
-            for origin in sorted(new - old):
-                alerts.extend(
-                    detector.announce_route(
-                        origin,
-                        prefix,
-                        ASPath.from_sequence((origin,)),
-                        timestamp,
-                    )
-                )
-            for origin in sorted(old - new):
-                alerts.extend(
-                    detector.withdraw_route(origin, prefix, timestamp)
-                )
-            self._current[prefix] = new
-        departed = [
-            prefix for prefix in self._current if prefix not in seen
-        ]
-        for prefix in departed:
-            for origin in sorted(self._current.pop(prefix)):
-                alerts.extend(
-                    detector.withdraw_route(origin, prefix, timestamp)
-                )
+            old = current.get(conflict.prefix, _NO_ORIGINS)
+            if old != conflict.origins:
+                _replay(alerts, conflict.prefix, old, conflict.origins, timestamp)
+        today = {conflict.prefix for conflict in detection.conflicts}
+        for prefix, old in current.items():
+            if prefix not in today:
+                _replay(alerts, prefix, old, _NO_ORIGINS, timestamp)
         self._alerts_emitted += len(alerts)
         return alerts
+
+
+_NO_ORIGINS: frozenset[int] = frozenset()
+
+
+def _replay(
+    alerts: list[MoasAlert],
+    prefix: Prefix,
+    old: frozenset[int],
+    new: frozenset[int],
+    timestamp: int,
+) -> None:
+    """Append the alerts of moving ``prefix`` from ``old`` to ``new``
+    one origin at a time: arrivals first, then departures, each in
+    sorted order."""
+    before = old
+    for origin in (*sorted(new - old), *sorted(old - new)):
+        after = before ^ {origin}
+        alerts.extend(_transition(prefix, before, after, timestamp, origin))
+        before = after
+
+
+def _transition(
+    prefix: Prefix,
+    before: frozenset[int],
+    after: frozenset[int],
+    timestamp: int,
+    changed: int,
+) -> list[MoasAlert]:
+    """The alert, if any, of ``prefix``'s origin set moving from
+    ``before`` to ``after`` because ``changed`` appeared or left."""
+    if after == before:
+        return []
+    kind: AlertKind | None = None
+    if len(before) < 2 and len(after) >= 2:
+        kind = AlertKind.MOAS_STARTED
+    elif len(before) >= 2 and len(after) >= 2:
+        # Still in MOAS but the set changed: the stream stays
+        # loss-free by reporting the origin that moved.  A single
+        # update shifts at most one origin in and one out; a swap
+        # reports the arrival (the departure stays visible in
+        # previous_origins).
+        arrived = after - before
+        departed = before - after
+        if arrived:
+            kind = AlertKind.MOAS_ORIGIN_ADDED
+            changed = next(iter(arrived))
+        elif departed:
+            kind = AlertKind.MOAS_ORIGIN_REMOVED
+            changed = next(iter(departed))
+    elif len(before) >= 2 and len(after) < 2:
+        kind = AlertKind.MOAS_ENDED
+    if kind is None:
+        return []
+    return [
+        MoasAlert(
+            timestamp=timestamp,
+            prefix=prefix,
+            kind=kind,
+            origins=after,
+            previous_origins=before,
+            changed_origin=changed,
+        )
+    ]

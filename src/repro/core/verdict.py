@@ -7,15 +7,20 @@ anomalies per VI-E).  Modern systems — GRIP for MOAS, the RPKI conflict
 classifiers — run all of those signals at once and emit one *tagged
 verdict* per event.  This module is that engine for our substrate:
 
-- :class:`VerdictEngine` streams daily
-  :class:`~repro.core.detector.DayDetection` records (the same stream
-  the study state folds), accumulating per-prefix evidence: duration,
-  origin sets, presence gaps, Section V class votes, private-ASN
-  sightings;
-- :meth:`VerdictEngine.finalize` combines that evidence with the
+- the evidence is the study's own per-prefix fold: an
+  :class:`~repro.core.episodes.EpisodeTracker` record carries the
+  duration, origin union and width, first and last day (whose fed-day
+  ordinals give the presence gaps), Section V class votes and the RPKI
+  rollup, and the private-ASN signal is read off the origin union;
+- :meth:`VerdictEngine.finalize` combines those records with the
   archive's prefix registry (for sub-prefix / aggregate shapes and
   owner attribution) into one :class:`Verdict` per prefix: a tag set, a
   predicted incident kind, and a benign..suspicious score.
+
+A study session judges its own tracker
+(:meth:`~repro.analysis.pipeline.StudyState.verdicts`); ``repro
+evaluate`` streams a bare source through :meth:`VerdictEngine.feed_day`,
+which feeds the engine's own tracker.
 
 The predicted kinds use the same vocabulary as the injectable incidents
 (:class:`~repro.scenario.incidents.IncidentKind`), which is what lets
@@ -25,13 +30,24 @@ ground truth.
 
 from __future__ import annotations
 
-import datetime
-import weakref
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.classifier import ConflictClass, classify_conflict
+# classify_conflict is imported only so perfbench/layers.py's
+# ``verdict.classify`` patch target resolves: the episode tracker's fold
+# casts the class votes.
+from repro.core.classifier import ConflictClass, classify_conflict  # noqa: F401
 from repro.core.detector import DayDetection
+from repro.core.episodes import (
+    DAYS,
+    FIRST,
+    LAST,
+    ORIGINS,
+    RPKI,
+    VERDICT,
+    VOTES,
+    WIDTH,
+    EpisodeTracker,
+)
 from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import RoaTable, ValidationState
@@ -70,6 +86,15 @@ _CLASS_TAGS = {
     ConflictClass.SPLIT_VIEW: TAG_SPLIT_VIEW,
     ConflictClass.DISTINCT_PATHS: TAG_DISTINCT_PATHS,
 }
+
+#: ``(vote slot, class tag)`` in the order a tie between slots with the
+#: most votes is broken: the greater class value wins.
+_VOTE_ORDER = tuple(
+    (slot, _CLASS_TAGS[found])
+    for slot, found in sorted(
+        enumerate(ConflictClass), key=lambda item: item[1].value, reverse=True
+    )
+)
 
 #: tag -> suspicion shift; the base is 0.5 ("no idea"), positive pushes
 #: toward malicious, negative toward benign.  Magnitudes follow the
@@ -119,18 +144,6 @@ class VerdictConfig:
             "flapping_min_days": self.flapping_min_days,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "VerdictConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            short_days=payload["short_days"],
-            long_days=payload["long_days"],
-            anycast_min_origins=payload["anycast_min_origins"],
-            anycast_min_share=payload["anycast_min_share"],
-            flapping_min_gap=payload["flapping_min_gap"],
-            flapping_min_days=payload["flapping_min_days"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
@@ -178,262 +191,43 @@ class Verdict:
         return payload
 
 
-@dataclass(slots=True)
-class _Evidence:
-    """Streaming per-prefix accumulator (one conflicted prefix)."""
-
-    first_ordinal: int
-    last_ordinal: int
-    days: int = 0
-    origins: set[int] = field(default_factory=set)
-    max_width: int = 0
-    class_votes: Counter = field(default_factory=Counter)
-    private_asn: bool = False
-    first_day: datetime.date | None = None
-    last_day: datetime.date | None = None
-    rpki_state: ValidationState | None = None
-    #: The last conflict folded for this prefix (held weakly, so
-    #: nothing is pinned) and its Section V class vote (``None`` for a
-    #: conflict without path information).  The columnar detector hands
-    #: back the same object while a conflict is unchanged, so a
-    #: recurring conflict is classified once.  Pure memoization: never
-    #: compared, never checkpointed, empty after :meth:`from_state`.
-    last_conflict: weakref.ref | None = field(
-        default=None, compare=False, repr=False
-    )
-    last_vote: ConflictClass | None = field(
-        default=None, compare=False, repr=False
-    )
-    #: ``(registry shapes, verdict)`` from the last
-    #: :meth:`VerdictEngine.finalize` that judged this evidence; every
-    #: fed conflict-day clears it.  The shapes tuple names the registry
-    #: object and config the verdict was derived under, so the memo
-    #: never refers to an engine.  Pure memoization like
-    #: ``last_conflict``: never compared, never checkpointed, and never
-    #: matched by another engine's shapes, so empty after
-    #: :meth:`~VerdictEngine.from_state`.
-    verdict_memo: tuple | None = field(
-        default=None, compare=False, repr=False
-    )
-
-
 class VerdictEngine:
-    """Streaming evidence accumulation toward per-prefix verdicts.
+    """Per-prefix verdicts judged from episode tracker records.
 
-    Mirrors the :class:`~repro.analysis.pipeline.StudyState` contract:
-    feed every day's full detection in order.  Verdicts come from
-    :meth:`finalize`, and
-    :meth:`state_dict` / :meth:`from_state` round-trip the streaming
-    evidence so checkpointed sessions can resume mid-study.
+    The engine holds no evidence of its own: :meth:`finalize` reads the
+    records of :attr:`tracker`.  A session passes its study tracker
+    (``tracker=``); without one the engine builds a tracker validating
+    against ``roa_table``, and :meth:`feed_day` feeds it — the ``repro
+    evaluate`` path over a bare source.
     """
 
-    __slots__ = (
-        "config",
-        "roa_table",
-        "_evidence",
-        "_total_days",
-        "_registry_shapes",
-    )
+    __slots__ = ("config", "tracker", "_registry_shapes")
 
     def __init__(
         self,
         config: VerdictConfig | None = None,
         *,
         roa_table: RoaTable | None = None,
+        tracker: EpisodeTracker | None = None,
     ) -> None:
         self.config = config or VerdictConfig()
-        #: Immutable ROA database every origin-day is validated against
-        #: (see :mod:`repro.netbase.rpki`); ``None`` disables the RPKI
-        #: signal entirely.
-        self.roa_table = roa_table
-        self._evidence: dict[Prefix, _Evidence] = {}
-        self._total_days = 0
+        #: The records every verdict is judged from; its ROA table (or
+        #: ``None``, which disables the RPKI signal) is the engine's.
+        self.tracker = (
+            tracker
+            if tracker is not None
+            else EpisodeTracker(roa_table=roa_table)
+        )
         #: ``(registry, config, owner map, structural tags,
         #: registry-only verdicts)`` for the last registry object and
         #: config :meth:`finalize` saw; the registry is held so the
-        #: identity check can never match a recycled id.  Evidence
+        #: identity check can never match a recycled id.  Record
         #: verdict memos name the tuple they were derived under.
         self._registry_shapes: tuple | None = None
 
-    @property
-    def total_days(self) -> int:
-        """Observed days fed so far."""
-        return self._total_days
-
-    def __len__(self) -> int:
-        return len(self._evidence)
-
-    # -- streaming ----------------------------------------------------------
-
     def feed_day(self, detection: DayDetection) -> None:
-        """Fold one day's detection into the evidence tables."""
-        self._total_days += 1
-        ordinal = self._total_days
-        roa_table = self.roa_table
-        for conflict in detection.conflicts:
-            prefix = conflict.prefix
-            evidence = self._evidence.get(prefix)
-            if evidence is None:
-                evidence = self._evidence[prefix] = _Evidence(
-                    first_ordinal=ordinal,
-                    last_ordinal=ordinal,
-                    first_day=detection.day,
-                )
-            evidence.last_ordinal = ordinal
-            evidence.last_day = detection.day
-            evidence.days += 1
-            evidence.verdict_memo = None
-            if roa_table is not None:
-                evidence.rpki_state = roa_table.fold_episode_state(
-                    evidence.rpki_state,
-                    prefix,
-                    conflict.origins,
-                    day=detection.day,
-                )
-            last = evidence.last_conflict
-            if last is not None and last() is conflict:
-                # The last conflict folded for this prefix, again:
-                # its origins, width and private-ASN flag are in.
-                vote = evidence.last_vote
-            else:
-                evidence.origins.update(conflict.origins)
-                evidence.max_width = max(
-                    evidence.max_width, len(conflict.origins)
-                )
-                if not evidence.private_asn:
-                    evidence.private_asn = any(
-                        is_private_asn(origin) for origin in conflict.origins
-                    )
-                # Section V class vote; conflicts without path
-                # information simply contribute no vote.
-                try:
-                    vote = classify_conflict(conflict)
-                except ValueError:
-                    vote = None
-                evidence.last_conflict = weakref.ref(conflict)
-                evidence.last_vote = vote
-            if vote is not None:
-                evidence.class_votes[vote] += 1
-
-    # -- checkpointing --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the streaming evidence.
-
-        Prefixes serialize as ``[network, length]`` integer pairs and
-        class votes by their :class:`ConflictClass` value, so the
-        payload survives a JSON round trip exactly and equal engines
-        always produce equal documents.
-        """
-        return {
-            "config": self.config.to_dict(),
-            # Always null.  Releases that split the prefix space into
-            # shards recorded the state's shard here; the key stays so
-            # checkpoint bytes and the committed schema do not change.
-            "shard": None,
-            "total_days": self._total_days,
-            "roas": (
-                [roa.to_dict() for roa in self.roa_table]
-                if self.roa_table is not None
-                else None
-            ),
-            "evidence": [
-                [
-                    prefix.network,
-                    prefix.length,
-                    {
-                        "first_ordinal": evidence.first_ordinal,
-                        "last_ordinal": evidence.last_ordinal,
-                        "days": evidence.days,
-                        "origins": sorted(evidence.origins),
-                        "max_width": evidence.max_width,
-                        "class_votes": {
-                            conflict_class.value: votes
-                            for conflict_class, votes in sorted(
-                                evidence.class_votes.items(),
-                                key=lambda item: item[0].value,
-                            )
-                        },
-                        "private_asn": evidence.private_asn,
-                        "first_day": (
-                            evidence.first_day.isoformat()
-                            if evidence.first_day is not None
-                            else None
-                        ),
-                        "last_day": (
-                            evidence.last_day.isoformat()
-                            if evidence.last_day is not None
-                            else None
-                        ),
-                        "rpki_state": (
-                            evidence.rpki_state.value
-                            if evidence.rpki_state is not None
-                            else None
-                        ),
-                    },
-                ]
-                for prefix, evidence in self._evidence.items()
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "VerdictEngine":
-        """Rebuild an engine from a :meth:`state_dict` payload.
-
-        A payload scoped to a prefix shard (a non-null ``shard``, from
-        a release that could split the prefix space) is rejected:
-        only a whole-space engine can be rebuilt.
-        """
-        if state["shard"] is not None:
-            raise ValueError(
-                "verdict state covers one prefix shard; only a "
-                "whole-space engine can be restored"
-            )
-        roa_payload = state["roas"]
-        engine = cls(
-            VerdictConfig.from_dict(state["config"]),
-            roa_table=(
-                RoaTable.from_rows(roa_payload)
-                if roa_payload is not None
-                else None
-            ),
-        )
-        engine._total_days = state["total_days"]
-        for network, length, payload in state["evidence"]:
-            prefix = Prefix(network, length, strict=False)
-            first_day = payload["first_day"]
-            last_day = payload["last_day"]
-            rpki_state = payload["rpki_state"]
-            engine._evidence[prefix] = _Evidence(
-                first_ordinal=payload["first_ordinal"],
-                last_ordinal=payload["last_ordinal"],
-                days=payload["days"],
-                origins=set(payload["origins"]),
-                max_width=payload["max_width"],
-                class_votes=Counter(
-                    {
-                        ConflictClass(value): votes
-                        for value, votes in payload["class_votes"].items()
-                    }
-                ),
-                private_asn=payload["private_asn"],
-                first_day=(
-                    datetime.date.fromisoformat(first_day)
-                    if first_day is not None
-                    else None
-                ),
-                last_day=(
-                    datetime.date.fromisoformat(last_day)
-                    if last_day is not None
-                    else None
-                ),
-                rpki_state=(
-                    ValidationState(rpki_state)
-                    if rpki_state is not None
-                    else None
-                ),
-            )
-        return engine
+        """Fold one day's detection into the engine's tracker."""
+        self.tracker.observe_day(detection.day, detection.conflicts)
 
     # -- verdicts -------------------------------------------------------------
 
@@ -450,7 +244,7 @@ class VerdictEngine:
         The registry is treated as immutable: its owner map, shapes and
         registry-only verdicts are derived once per registry object and
         reused by every later call with that same object.  A prefix's
-        verdict is likewise reused while its evidence is unfed since
+        verdict is likewise reused while its record is unfed since
         the last call under the same registry object and config,
         unless its origin set is wide enough for the anycast test,
         which reads the study length.
@@ -473,28 +267,24 @@ class VerdictEngine:
         _registry, _config, owners, structural, shape_verdicts = shapes
         wide = config.anycast_min_origins
         verdicts: dict[Prefix, Verdict] = {}
-        for prefix, evidence in self._evidence.items():
-            memo = evidence.verdict_memo
-            if (
-                memo is not None
-                and memo[0] is shapes
-                and evidence.max_width < wide
-            ):
+        for prefix, record in self.tracker.records():
+            memo = record[VERDICT]
+            if memo is not None and memo[0] is shapes and record[WIDTH] < wide:
                 verdicts[prefix] = memo[1]
                 continue
-            tags = self._episode_tags(prefix, evidence)
+            tags = self._episode_tags(prefix, record)
             tag = structural.get(prefix)
             if tag is not None:
                 tags.add(tag)
             verdict = verdicts[prefix] = self._verdict(
                 prefix,
                 tags,
-                days=evidence.days,
-                origins=frozenset(evidence.origins),
+                days=record[DAYS],
+                origins=frozenset(record[ORIGINS]),
                 owner=owners.get(prefix),
-                rpki_state=evidence.rpki_state,
+                rpki_state=record[RPKI],
             )
-            evidence.verdict_memo = (shapes, verdict)
+            record[VERDICT] = (shapes, verdict)
         # Registry-only shapes: announced-space anomalies that never
         # conflicted (the AS7007 signature same-prefix MOAS cannot see).
         for prefix, tag in structural.items():
@@ -513,10 +303,11 @@ class VerdictEngine:
     ) -> Verdict:
         """The verdict of a registry shape with no conflict evidence."""
         rpki_state = None
-        if self.roa_table is not None and owner is not None:
+        roa_table = self.tracker.roa_table
+        if roa_table is not None and owner is not None:
             # No conflict days to validate: judge the announcer's
             # registration itself against the whole database.
-            rpki_state = self.roa_table.validate(prefix, owner)
+            rpki_state = roa_table.validate(prefix, owner)
         return self._verdict(
             prefix,
             {tag},
@@ -528,33 +319,35 @@ class VerdictEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _episode_tags(self, prefix: Prefix, evidence: _Evidence) -> set[str]:
+    def _episode_tags(self, prefix: Prefix, record: list) -> set[str]:
         config = self.config
+        tracker = self.tracker
+        days = record[DAYS]
         tags: set[str] = set()
         if IXP_BLOCK.contains(prefix):
             tags.add(TAG_IXP)
-        if evidence.private_asn:
+        if any(map(is_private_asn, record[ORIGINS])):
             tags.add(TAG_PRIVATE_ASN)
-        if evidence.days <= config.short_days:
+        if days <= config.short_days:
             tags.add(TAG_SHORT_LIVED)
-        if evidence.days >= config.long_days:
+        if days >= config.long_days:
             tags.add(TAG_LONG_LIVED)
-        if evidence.max_width >= config.anycast_min_origins:
+        if record[WIDTH] >= config.anycast_min_origins:
             tags.add(TAG_WIDE_ORIGIN_SET)
-        span = evidence.last_ordinal - evidence.first_ordinal + 1
-        gap = 1.0 - evidence.days / span
+        span = (
+            tracker.ordinal(record[LAST]) - tracker.ordinal(record[FIRST]) + 1
+        )
+        gap = 1.0 - days / span
         if (
             gap >= config.flapping_min_gap
-            and evidence.days >= config.flapping_min_days
+            and days >= config.flapping_min_days
             and TAG_IXP not in tags
         ):
             tags.add(TAG_FLAPPING)
-        if evidence.class_votes:
-            winner, _votes = max(
-                evidence.class_votes.items(),
-                key=lambda item: (item[1], item[0].value),
-            )
-            tags.add(_CLASS_TAGS[winner])
+        votes = record[VOTES]
+        most = max(votes)
+        if most:
+            tags.add(next(tag for slot, tag in _VOTE_ORDER if votes[slot] == most))
         return tags
 
     def _verdict(
@@ -573,8 +366,8 @@ class VerdictEngine:
         kind = KIND_ORGANIC
         wide_and_standing = (
             TAG_WIDE_ORIGIN_SET in tags
-            and self._total_days > 0
-            and days >= config.anycast_min_share * self._total_days
+            and self.tracker.total_days > 0
+            and days >= config.anycast_min_share * self.tracker.total_days
         )
         if TAG_IXP in tags:
             kind = "ixp_conflict"

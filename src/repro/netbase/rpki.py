@@ -350,8 +350,8 @@ class RoaTable:
     ) -> ValidationState | None:
         """Fold one conflict-day into an episode's running rollup.
 
-        The one streaming-fold step both the study state and the
-        verdict engine perform per conflict: ``INVALID`` is absorbing,
+        The streaming-fold step the episode tracker performs per
+        conflict-day: ``INVALID`` is absorbing,
         otherwise the day's :meth:`validate_origins` rollup combines
         into ``current`` by worst-first precedence.
         """

@@ -1,8 +1,10 @@
 """Property harness for the checkpointable per-prefix accumulators.
 
-For *arbitrary* detection streams, :class:`~repro.core.verdict.VerdictEngine`
-must equal a per-conflict-day reference fold (its identity memo is pure
-memoization, also across a mid-stream resume), and both it and
+For *arbitrary* detection streams, the one per-prefix fold (the
+:class:`~repro.core.episodes.EpisodeTracker` records a
+:class:`~repro.core.verdict.VerdictEngine` judges) must equal a
+per-conflict-day reference fold (its identity memo is pure
+memoization, also across a mid-stream resume), and both the tracker and
 :class:`~repro.analysis.pipeline.StudyState` must survive a JSON
 checkpoint round trip exactly.  A legacy sharded checkpoint of any
 stream, in any layout the removed writer supported and listed in any
@@ -40,7 +42,6 @@ from tests.fixtures import legacy_checkpoint_writer as legacy
 MERGE_ALGEBRA_REGISTRY = (
     "repro.analysis.pipeline.StudyState",
     "repro.core.episodes.EpisodeTracker",
-    "repro.core.verdict.VerdictEngine",
 )
 
 START = datetime.date(1998, 1, 1)
@@ -210,7 +211,7 @@ def play(plan):
 
 
 class TestVerdictEngineIdentityMemo:
-    """The engine classifies distinct objects once, yet equals the
+    """The fold classifies distinct objects once, yet equals the
     per-conflict-day reference fold on any stream of recurring, twin,
     alternating, replaced and pathless conflicts."""
 
@@ -227,8 +228,8 @@ class TestVerdictEngineIdentityMemo:
                 fold.feed_day(detection)
             del detection  # let replaced conflicts die before the next day
         expected = reference.state_dict()
-        assert serial.state_dict() == expected
-        assert roundtrip(serial).state_dict() == expected
+        assert serial.tracker.state_dict() == expected
+        assert roundtrip(serial).tracker.state_dict() == expected
         assert serial.finalize() == reference.finalize()
 
 
@@ -245,10 +246,9 @@ class TestMergeAlgebraRegistry:
     @given(detection_streams(), roa_tables())
     def test_engine_state_survives_json_roundtrip(self, detections, table):
         engine = feed_engine(detections, roa_table=table)
-        payload = json.loads(json.dumps(engine.state_dict()))
-        clone = VerdictEngine.from_state(payload)
+        clone = roundtrip(engine)
         assert clone.finalize() == engine.finalize()
-        assert clone.state_dict() == engine.state_dict()
+        assert clone.tracker.state_dict() == engine.tracker.state_dict()
 
     @given(detection_streams(), roa_tables())
     def test_study_state_survives_json_roundtrip(self, detections, table):
@@ -301,6 +301,6 @@ class TestLegacyShardMerge:
         service.feed(detections[split:])
         assert service.results() == feed_state(detections).results()
         restored = StudyState.from_state(
-            json.loads(json.dumps(service.snapshot_state()["shards"][0]))
+            json.loads(json.dumps(service.snapshot_state()["state"]))
         )
         assert restored.results() == service.results()

@@ -8,11 +8,17 @@ holding the hand-crafted detection stream of
 - ``checkpoint_v2/``: a version-2 sharded directory (two ``hash``
   shards);
 - ``checkpoint_v2_rpki/``: a version-2 sharded directory validated
-  against a three-row ROA table (three ``range`` shards, one empty).
+  against a three-row ROA table (three ``range`` shards, one empty);
+- ``checkpoint_v3.json``: the version-3 payload the program writes,
+  from the same stream with AS paths and the same ROA table, so its
+  records carry class votes and RPKI rollups and its alert map is not
+  empty.
 
-The directories are frozen output of the sharded writer earlier
-releases had; the program only reads them now, merging their shards
-once at load.  Loading each must keep producing byte-for-byte the same
+The version-1 file and the directories are frozen output of writers
+earlier releases had; the program only reads them now, converting them
+to one version-3 state (merging shards) once at load.  They carry no
+class votes and no alert map, and ``TestLegacyResumeReport`` pins what
+a resume from them reports.  Loading each must keep producing byte-for-byte the same
 study results, pinned here as digests, and the fixture files are
 pinned by sha256, so checkpoint compatibility can never silently
 break: a load failure means old checkpoints stopped parsing, a digest
@@ -29,6 +35,7 @@ copy of a golden one way each and expect a ``ValueError`` naming the
 problem, and a one-line ``repro analyze --resume`` error.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -36,13 +43,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.pipeline import StudyState
 from repro.api.cli import main
 from repro.api.renderers import render
-from repro.api.service import MoasService
+from repro.api.serve import ServeApp
+from repro.api.service import CHECKPOINT_VERSION, MoasService
+from repro.core.detector import DailyConflict
 from repro.netbase.rpki import RoaTable
 from tests.fixtures import legacy_checkpoint_writer as legacy
-from tests.fixtures.make_checkpoint_fixtures import detections
+from tests.fixtures.make_checkpoint_fixtures import (
+    RPKI_ROAS,
+    detections,
+    detections_with_paths,
+    next_day,
+    v3_session,
+)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -58,6 +72,35 @@ GOLDEN_DIGEST = (
 RPKI_DIGEST = (
     "d805a853be8e43bb94dd8afaf38506971abd1d1ce56f1779c93492716dcbe102"
 )
+
+#: :data:`RPKI_FIGURES` over ``checkpoint_v3.json``: the paths change no
+#: figure (figure 6's window lies after the stream), so the digest is
+#: the path-free stream's.
+V3_DIGEST = RPKI_DIGEST
+
+#: sha256 over ``checkpoint_v3.json``'s verdicts (:func:`verdicts_digest`).
+V3_VERDICTS_DIGEST = (
+    "f6fcd376f9082413feeb36e4a3d75a8221ab30fec4253ef28981b76db47bce5c"
+)
+
+#: The alerts :func:`next_day` raises after resuming ``checkpoint_v3.json``.
+V3_NEXT_DAY_ALERTS = [
+    {
+        "timestamp": 884044800,
+        "day": "1998-01-06",
+        "prefix": prefix,
+        "kind": kind,
+        "origins": origins,
+        "previous_origins": previous,
+        "changed_origin": changed,
+    }
+    for prefix, kind, origins, previous, changed in (
+        ("10.0.0.0/8", "moas_origin_added", [7, 9, 11], [7, 9], 11),
+        ("10.0.0.0/8", "moas_origin_removed", [7, 11], [7, 9, 11], 9),
+        ("172.16.0.0/12", "moas_started", [30, 31], [30], 31),
+        ("192.0.2.0/24", "moas_ended", [22], [20, 22], 20),
+    )
+]
 
 #: sha256 of every committed checkpoint golden file.
 FIXTURE_SHA256 = {
@@ -85,14 +128,10 @@ FIXTURE_SHA256 = {
     "checkpoint_v2_rpki/shard-02.g0.json": (
         "0242234d63cc24c65d9675d7bed67a2db04f36c8fdd562f73a86497adeb16000"
     ),
+    "checkpoint_v3.json": (
+        "434f7fbad3aad1fb045651b2af08049f544d44f78c16c260f4e9c9bb425ad27c"
+    ),
 }
-
-#: The ROA table ``checkpoint_v2_rpki/`` validates against.
-RPKI_ROAS = (
-    {"prefix": "10.0.0.0/8", "max_length": 8, "origin": 7},
-    {"prefix": "172.16.0.0/12", "max_length": 12, "origin": 30},
-    {"prefix": "172.16.0.0/12", "max_length": 12, "origin": 31},
-)
 
 #: The figures every fixture digest renders.
 FIGURES = (
@@ -114,10 +153,25 @@ def results_digest(results, figures=FIGURES) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def verdicts_digest(verdicts: dict) -> str:
+    """A stable digest over a session's verdicts, in prefix order."""
+    rows = [
+        verdicts[prefix].to_dict()
+        for prefix in sorted(verdicts, key=lambda prefix: prefix.sort_key())
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def next_day_alerts(service: MoasService) -> list[dict]:
+    """The alerts :func:`next_day` raises in a serve app over ``service``."""
+    app = ServeApp(service)
+    return [alert.to_dict() for alert in app.fold_detection(next_day())]
+
+
 def test_fixture_files_are_pinned():
     committed = {
         str(path.relative_to(FIXTURES))
-        for pattern in ("checkpoint_v1.json", "checkpoint_v2*/*")
+        for pattern in ("checkpoint_v*.json", "checkpoint_v2*/*")
         for path in FIXTURES.glob(pattern)
     }
     assert committed == set(FIXTURE_SHA256)
@@ -254,9 +308,9 @@ def test_fixture_layouts_differ_but_agree():
 def test_merged_directory_state_equals_the_v1_state():
     """The load-time merge rebuilds exactly the serial state."""
     merged = MoasService.load_checkpoint(FIXTURES / "checkpoint_v2")
-    v1 = json.loads((FIXTURES / "checkpoint_v1.json").read_text())
-    assert json.dumps(merged.snapshot_state()["shards"][0]) == json.dumps(
-        v1["state"]
+    v1 = MoasService.load_checkpoint(FIXTURES / "checkpoint_v1.json")
+    assert json.dumps(merged.snapshot_state()["state"]) == json.dumps(
+        v1.snapshot_state()["state"]
     )
 
 
@@ -275,8 +329,9 @@ def test_legacy_directory_migrates_to_a_file(
     path = service.save_checkpoint(tmp_path / "study.ckpt")
     assert path.is_file()
     payload = json.loads(path.read_text())
-    assert len(payload["shards"]) == 1
-    assert payload["shards"][0]["shard"] is None
+    assert set(payload) == {"version", "pipeline", "state"}
+    assert payload["version"] == CHECKPOINT_VERSION
+    assert "shard" not in payload["state"]
     reloaded = MoasService.load_checkpoint(path)
     assert results_digest(reloaded.results(), figures) == digest
 
@@ -301,11 +356,13 @@ def test_fixture_checkpoints_remain_feedable():
 
 
 def test_a_shard_state_alone_is_not_restorable():
+    """A shard's state passed off as a version-1 whole-space state."""
+    v1 = json.loads((FIXTURES / "checkpoint_v1.json").read_text())
     state = json.loads(
         (FIXTURES / "checkpoint_v2" / "shard-00.g0.json").read_text()
     )
-    with pytest.raises(ValueError, match="prefix shard"):
-        StudyState.from_state(state)
+    with pytest.raises(ValueError, match="missing shard index 1 of 2"):
+        MoasService.resume({**v1, "state": state})
 
 
 def legacy_copy(tmp_path, fixture="checkpoint_v2") -> Path:
@@ -520,3 +577,230 @@ class TestLegacyShardValidation:
             lambda state: state.update(shard=spec),
         )
         self.assert_rejected(path, "different partitionings", capsys)
+
+
+class TestV3Golden:
+    """The version-3 golden: what the live writer checkpoints."""
+
+    PATH = FIXTURES / "checkpoint_v3.json"
+
+    def test_loads_to_pinned_results_and_verdicts(self):
+        service = MoasService.load_checkpoint(self.PATH)
+        assert service.checkpoint_version == CHECKPOINT_VERSION == 3
+        assert not service.resumed_legacy
+        assert service.days_fed == 5
+        assert results_digest(service.results(), RPKI_FIGURES) == V3_DIGEST
+        assert verdicts_digest(service.verdicts()) == V3_VERDICTS_DIGEST
+
+    def test_resume_answers_like_the_live_session(self):
+        live = v3_session()
+        loaded = MoasService.load_checkpoint(self.PATH)
+        assert loaded.snapshot_state() == live.snapshot_state()
+        assert loaded.verdicts() == live.verdicts()
+        assert next_day_alerts(loaded) == V3_NEXT_DAY_ALERTS
+        assert next_day_alerts(live) == V3_NEXT_DAY_ALERTS
+
+    def test_state_carries_votes_rollups_and_the_alert_map(self):
+        payload = json.loads(self.PATH.read_text())
+        assert set(payload) == {"version", "pipeline", "state"}
+        state = payload["state"]
+        records = state["tracker"]["prefixes"]
+        # Every conflict-day carried paths, so every one voted.
+        assert [sum(record[7]) for record in records] == [
+            record[4] for record in records
+        ]
+        assert sorted(record[8] for record in records) == [
+            "invalid",
+            "not_found",
+            "valid",
+        ]
+        assert state["conflict_origins"] == [
+            [167772160, 8, [7, 9]],
+            [3221225984, 24, [20, 22]],
+        ]
+        assert RoaTable.from_rows(state["tracker"]["roas"]) == (
+            RoaTable.from_rows(RPKI_ROAS)
+        )
+
+    def test_straight_run_over_the_stream_matches(self):
+        straight = MoasService(roa_table=RoaTable.from_rows(RPKI_ROAS))
+        for detection in detections_with_paths():
+            straight.feed_day(detection)
+        loaded = MoasService.load_checkpoint(self.PATH)
+        assert verdicts_digest(straight.verdicts()) == V3_VERDICTS_DIGEST
+        assert loaded.results() == straight.results()
+
+
+#: ``(fixture, figures, digest)`` of each legacy golden.
+LEGACY_GOLDENS = [
+    ("checkpoint_v1.json", FIGURES, GOLDEN_DIGEST),
+    ("checkpoint_v2", FIGURES, GOLDEN_DIGEST),
+    ("checkpoint_v2_rpki", RPKI_FIGURES, RPKI_DIGEST),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,figures,digest",
+    LEGACY_GOLDENS,
+    ids=[fixture for fixture, _figures, _digest in LEGACY_GOLDENS],
+)
+class TestLegacyResumeReport:
+    """What a session resumed from a version-1/2 golden reports.
+
+    Those checkpoints recorded no class votes and no alert map: the
+    figures are exact, verdict class tags count only the days fed after
+    the resume, and the first day re-announces every ongoing conflict.
+    """
+
+    def test_results_digests_are_unchanged(self, fixture, figures, digest):
+        service = MoasService.load_checkpoint(FIXTURES / fixture)
+        assert service.resumed_legacy
+        assert results_digest(service.results(), figures) == digest
+
+    def test_class_tags_cover_only_post_resume_days(
+        self, fixture, figures, digest
+    ):
+        service = MoasService.load_checkpoint(FIXTURES / fixture)
+        prefix = detections()[0].conflicts[0].prefix
+        records = service.snapshot_state()["state"]["tracker"]["prefixes"]
+        assert [record[7] for record in records] == [[0, 0, 0]] * 3
+        assert "distinct-paths" not in service.verdicts()[prefix].tags
+        # One post-resume day whose paths share a transit hop.
+        service.feed_day(
+            dataclasses.replace(
+                next_day(),
+                conflicts=(
+                    DailyConflict(
+                        prefix=prefix,
+                        origins=frozenset((7, 11)),
+                        paths_by_origin=((7, ((6, 7),)), (11, ((6, 11),))),
+                    ),
+                ),
+            )
+        )
+        verdict = service.verdicts()[prefix]
+        assert verdict.days_observed == 6
+        assert "split-view" in verdict.tags
+        records = service.snapshot_state()["state"]["tracker"]["prefixes"]
+        assert records[0][:2] == [prefix.network, prefix.length]
+        assert records[0][7] == [0, 1, 0]
+
+    def test_first_post_resume_day_announces_every_ongoing_conflict(
+        self, fixture, figures, digest
+    ):
+        service = MoasService.load_checkpoint(FIXTURES / fixture)
+        alerts = next_day_alerts(service)
+        assert [(alert["prefix"], alert["kind"]) for alert in alerts] == [
+            (str(conflict.prefix), "moas_started")
+            for conflict in next_day().conflicts
+        ]
+
+
+def malformed_payloads() -> dict:
+    """Checkpoint payloads of the wrong shape, by test id."""
+    v3 = json.loads((FIXTURES / "checkpoint_v3.json").read_text())
+    return {
+        "no-pipeline": {"version": 2},
+        "not-an-object": [],
+        "empty-shard-state": {"version": 2, "pipeline": {}, "shards": [{}]},
+        "v3-without-state": {"version": 3, "pipeline": v3["pipeline"]},
+        "mistyped-state": {**v3, "state": []},
+        "mistyped-tracker": {**v3, "state": {**v3["state"], "tracker": 7}},
+    }
+
+
+class TestMalformedCheckpoints:
+    """A checkpoint of the wrong shape is one clean error line."""
+
+    @pytest.mark.parametrize("name", sorted(malformed_payloads()))
+    def test_load_raises_a_value_error(self, name, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(malformed_payloads()[name]))
+        with pytest.raises(ValueError, match="checkpoint"):
+            MoasService.load_checkpoint(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "serve"])
+    @pytest.mark.parametrize("name", sorted(malformed_payloads()))
+    def test_cli_prints_one_line(self, name, command, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(malformed_payloads()[name]))
+        archive = str(tmp_path / "archive")
+        argv = (
+            ["analyze", archive, str(tmp_path / "out"), "--resume", str(path)]
+            if command == "analyze"
+            else ["serve", archive, "--port", "0", "--checkpoint", str(path)]
+        )
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro {command}: ")
+        assert "checkpoint" in err[0]
+        assert "Traceback" not in captured.err + captured.out
+
+
+class TestServeRpkiResume:
+    """``repro serve --rpki`` holds a resumed checkpoint to its table,
+    exactly as ``repro analyze --resume --rpki`` does."""
+
+    def roas(self, tmp_path, rows) -> str:
+        path = tmp_path / "roas.json"
+        path.write_text(RoaTable.from_rows(rows).to_json())
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "fixture,rows,message",
+        [
+            (
+                "checkpoint_v1.json",
+                RPKI_ROAS,
+                "checkpoint was not validating against a ROA table; "
+                "--rpki cannot be turned on mid-study",
+            ),
+            (
+                "checkpoint_v3.json",
+                RPKI_ROAS[:2],
+                "differs from the ROA table the checkpoint was "
+                "validating against; a study cannot switch databases "
+                "mid-stream",
+            ),
+        ],
+        ids=["table-less", "different-table"],
+    )
+    def test_serve_and_analyze_refuse_alike(
+        self, fixture, rows, message, tmp_path, capsys
+    ):
+        checkpoint = tmp_path / "study.ckpt"
+        shutil.copyfile(FIXTURES / fixture, checkpoint)
+        roas = self.roas(tmp_path, rows)
+        archive = str(tmp_path / "archive")
+        lines = {}
+        for command, argv in (
+            ("serve", ["serve", archive, "--port", "0"]),
+            ("analyze", ["analyze", archive, str(tmp_path / "out")]),
+        ):
+            flag = "--checkpoint" if command == "serve" else "--resume"
+            assert main([*argv, flag, str(checkpoint), "--rpki", roas]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0]
+            lines[command] = err[0].removeprefix(f"repro {command}: ")
+        assert lines["serve"] == lines["analyze"]
+
+    def test_an_equal_table_resumes(self, tmp_path):
+        from repro.api.serve import ServeConfig, ServeDaemon
+
+        checkpoint = tmp_path / "study.ckpt"
+        shutil.copyfile(FIXTURES / "checkpoint_v3.json", checkpoint)
+        daemon = ServeDaemon(
+            ServeConfig(
+                archive=tmp_path / "archive",
+                port=0,
+                checkpoint=checkpoint,
+                rpki=self.roas(tmp_path, RPKI_ROAS),
+            )
+        )
+        assert daemon.resumed
+        assert daemon.app.service.roa_table == RoaTable.from_rows(RPKI_ROAS)
+        status = json.loads(daemon.app.handle("GET", "/v1/status").body)
+        assert status["rpki"] is True
+        assert status["days_fed"] == 5

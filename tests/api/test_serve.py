@@ -40,7 +40,7 @@ from repro.api.serve import (
     ServeConfig,
     ServeDaemon,
 )
-from repro.api.service import MoasService
+from repro.api.service import LEGACY_RESUME_NOTE, MoasService
 from repro.api.sources import open_source
 from repro.core.realtime import MoasAlert
 from repro.scenario.world import ScenarioConfig, simulate_study
@@ -624,7 +624,7 @@ class TestLegacyCheckpoints:
     back as one state; it refuses a legacy checkpoint directory."""
 
     def test_resumes_a_legacy_payload_file_as_one_state(
-        self, serve_archive, serve_detections, tmp_path
+        self, serve_archive, serve_detections, tmp_path, capsys
     ):
         checkpoint = tmp_path / "serve.ckpt"
         checkpoint.write_text(
@@ -643,8 +643,17 @@ class TestLegacyCheckpoints:
             assert summary == render(
                 straight.results(), "summary", "json"
             ).encode()
+        resumed_lines = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[serve] resumed checkpoint")
+        ]
+        assert resumed_lines == [
+            f"[serve] resumed checkpoint {checkpoint} at 20 days "
+            f"({LEGACY_RESUME_NOTE})"
+        ]
         payload = json.loads(checkpoint.read_text())
-        assert [state["shard"] for state in payload["shards"]] == [None]
+        assert set(payload) == {"version", "pipeline", "state"}
         resumed = MoasService.load_checkpoint(checkpoint)
         assert resumed.results() == straight.results()
 

@@ -1,13 +1,13 @@
 """Serve's fresh reads against cold rebuilds, at every day boundary.
 
-A fresh read after a fold reuses what the fold left alone: the verdict
-engine's and the episode tracker's memos keep an untouched prefix's
+A fresh read after a fold reuses what the fold left alone: the episode
+and verdict memos on each tracker record keep an untouched prefix's
 objects identical, ``ServeApp.current_index`` re-derives only the
 records whose objects changed, and ``/v1/verdicts`` is assembled from
 per-verdict JSON fragments.  These tests feed a ``ServeApp`` day by day
 and compare every such answer with one rebuilt from nothing: results
-and verdicts restored from the checkpoint payloads (so no memo can
-take part), a cold ``EpisodeIndex.build`` and ``Response.json``.  The
+and verdicts of a session restored from the checkpoint payload (so no
+memo can take part), a cold ``EpisodeIndex.build`` and ``Response.json``.  The
 same holds for a session loaded from a legacy sharded checkpoint, whose
 tracker lists records in shard order rather than first-seen order.
 """
@@ -22,7 +22,6 @@ from repro.analysis.index import EpisodeIndex
 from repro.api.serve import Response, ServeApp
 from repro.api.service import MoasService
 from repro.api.sources import open_source
-from repro.core.verdict import VerdictEngine
 from repro.netbase.rpki import RoaTable
 from repro.scenario.incidents import IncidentKind, IncidentScript
 from repro.scenario.rpki import RpkiConfig
@@ -91,10 +90,9 @@ def reads_archive(request, tmp_path_factory):
 
 def cold_state(app: ServeApp):
     """Memo-free results and verdicts of the app's session, restored
-    from its checkpoint payloads (which carry no memo)."""
+    from its checkpoint payload (which carries no memo)."""
     service = MoasService.resume(app.service.snapshot_state())
-    engine = VerdictEngine.from_state(app.engine.state_dict())
-    return service.results(), engine.finalize(registry=app._registry)
+    return service.results(), service.verdicts(app._registry)
 
 
 def cold_verdicts(days: int, verdicts: dict, query: dict) -> Response:
@@ -184,7 +182,6 @@ def test_fresh_reads_equal_cold_rebuilds_at_every_day(reads_archive):
     assert app.days_fed == len(detections) == CALENDAR.num_days
     # The memos never reach a checkpoint.
     assert app.service.snapshot_state() == unread.service.snapshot_state()
-    assert app.engine.state_dict() == unread.engine.state_dict()
     # Snapshot isolation: what a reader got at day d still reads as
     # day d after every later fold.
     for snapshot, served, served_index, results, verdicts, index in held:

@@ -146,15 +146,8 @@ class TestSessionLayout:
 
     def test_legacy_version1_payload_still_resumes(self, api_detections):
         """Pre-shard checkpoints (version 1, single `state`) load."""
-        service = MoasService()
-        service.feed(api_detections[:8])
-        snapshot = service.snapshot_state()
-        legacy = {
-            "version": 1,
-            "pipeline": snapshot["pipeline"],
-            "state": snapshot["shards"][0],
-        }
-        resumed = MoasService.resume(json.loads(json.dumps(legacy)))
+        payload = legacy.v1_payload(api_detections[:8])
+        resumed = MoasService.resume(json.loads(json.dumps(payload)))
         assert resumed.days_fed == 8
         resumed.feed(api_detections[8:])
         full = MoasService()
@@ -231,7 +224,8 @@ class TestLegacyShardedCheckpoints:
         )
         payload = json.loads(converted.read_text())
         assert payload["version"] == CHECKPOINT_VERSION
-        assert [state["shard"] for state in payload["shards"]] == [None]
+        assert set(payload) == {"version", "pipeline", "state"}
+        assert "shard" not in payload["state"]
         resumed = MoasService.load_checkpoint(converted)
         resumed.feed(api_detections[midpoint:])
         assert resumed.results() == straight_results
@@ -375,3 +369,36 @@ class TestArchiveReadersClosed:
         next(stream)
         stream.close()
         self.assert_all_closed(*readers)
+
+
+class TestUnclassifiableConflicts:
+    """A conflict without paths for two origins counts toward no
+    figure-6 class and casts no verdict vote, inside the
+    classification window as outside it."""
+
+    def test_pathless_conflict_in_the_window_folds_its_day(self):
+        from datetime import date
+
+        from repro.core.classifier import ConflictClass
+        from repro.core.detector import DailyConflict, DayDetection
+        from repro.netbase.prefix import Prefix
+
+        prefix = Prefix.parse("10.0.0.0/8")
+        day = DayDetection(
+            date(2001, 6, 1),
+            (DailyConflict(prefix, frozenset({7, 9})),),
+            10,
+            0,
+        )
+        service = MoasService()
+        service.feed_day(day)
+        assert service.days_fed == 1
+        results = service.results()
+        assert results.classification_series == [
+            (day.day, {found: 0 for found in ConflictClass})
+        ]
+        assert prefix in results.episodes
+        verdict = service.verdicts()[prefix]
+        assert not {"orig-tran-as", "split-view", "distinct-paths"} & (
+            verdict.tags
+        )

@@ -65,7 +65,7 @@ class TestSnapshotConsistency:
         observed.append(service.snapshot_state())  # the final state
 
         total_days = [
-            state["shards"][0]["total_days"] for state in observed
+            len(state["state"]["daily_counts"]) for state in observed
         ]
         assert total_days[-1] == len(day_stream)
         for state, days in zip(observed, total_days):

@@ -1,9 +1,10 @@
-"""Alert JSON round-trips and the day-snapshot alert bridge.
+"""Alert JSON round-trips and the day-snapshot alerter.
 
 The serve daemon's SSE stream speaks ``MoasAlert.to_dict()``; these
 tests pin that wire contract (every :class:`AlertKind`, exact
 round-trip) and the :class:`DaySnapshotAlerter` that derives streaming
-alerts from daily detections.
+alerts from daily detections and the study state's conflict origin
+map (fed as serve feeds it, through ``SnapshotFeed``).
 """
 
 import datetime
@@ -11,13 +12,9 @@ import datetime
 import pytest
 
 from repro.core.detector import DailyConflict, DayDetection
-from repro.core.realtime import (
-    AlertKind,
-    DaySnapshotAlerter,
-    MoasAlert,
-    day_timestamp,
-)
+from repro.core.realtime import AlertKind, MoasAlert, day_timestamp
 from repro.netbase.prefix import Prefix
+from tests.core.snapshot_bridge import SnapshotFeed
 
 PREFIX = Prefix.parse("10.0.0.0/8")
 
@@ -103,7 +100,7 @@ class TestDaySnapshotAlerter:
             for i in range(6)]
 
     def test_full_lifecycle_covers_every_kind(self):
-        alerter = DaySnapshotAlerter()
+        alerter = SnapshotFeed()
         feed = [
             {PREFIX: {1, 2}},       # started
             {PREFIX: {1, 2, 3}},    # origin added
@@ -122,25 +119,25 @@ class TestDaySnapshotAlerter:
             AlertKind.MOAS_ENDED,
             AlertKind.MOAS_STARTED,
         ]
-        assert alerter.alerts_emitted == 5
+        assert alerter.alerter.alerts_emitted == 5
         assert alerter.current_conflicts() == [PREFIX]
 
     def test_alert_timestamps_are_day_midnights(self):
-        alerter = DaySnapshotAlerter()
+        alerter = SnapshotFeed()
         day = self.DAYS[0]
         alerts = alerter.feed_day(detection(day, {PREFIX: {1, 2}}))
         assert [a.timestamp for a in alerts] == [day_timestamp(day)]
         assert alerts[0].to_dict()["day"] == day.isoformat()
 
     def test_unchanged_day_is_silent(self):
-        alerter = DaySnapshotAlerter()
+        alerter = SnapshotFeed()
         alerter.feed_day(detection(self.DAYS[0], {PREFIX: {1, 2}}))
         assert alerter.feed_day(
             detection(self.DAYS[1], {PREFIX: {1, 2}})
         ) == []
 
     def test_ended_emitted_once_per_episode(self):
-        alerter = DaySnapshotAlerter()
+        alerter = SnapshotFeed()
         alerter.feed_day(detection(self.DAYS[0], {PREFIX: {1, 2, 3}}))
         ended = alerter.feed_day(detection(self.DAYS[1], {}))
         kinds = [a.kind for a in ended]
@@ -150,7 +147,7 @@ class TestDaySnapshotAlerter:
 
     def test_multiple_prefixes_alert_independently(self):
         other = Prefix.parse("192.0.2.0/24")
-        alerter = DaySnapshotAlerter()
+        alerter = SnapshotFeed()
         first = alerter.feed_day(
             detection(self.DAYS[0], {PREFIX: {1, 2}, other: {7, 8}})
         )
@@ -173,7 +170,7 @@ class TestDaySnapshotAlerter:
         ]
 
         def run():
-            alerter = DaySnapshotAlerter()
+            alerter = SnapshotFeed()
             out = []
             for day, conflicts in zip(self.DAYS, feed):
                 out.extend(

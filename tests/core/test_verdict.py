@@ -1,4 +1,9 @@
-"""Tests for the unified per-episode verdict engine."""
+"""Tests for the unified per-episode verdict engine.
+
+The engine judges :class:`~repro.core.episodes.EpisodeTracker` records,
+so its evidence is the one per-prefix fold; :class:`ReferenceFold` is
+the per-conflict-day reference that fold is checked against.
+"""
 
 import datetime
 import gc
@@ -8,9 +13,11 @@ from collections import Counter
 
 import pytest
 
+from repro.core import classifier as classifier_module
 from repro.core import verdict as verdict_module
-from repro.core.classifier import classify_conflict
+from repro.core.classifier import ConflictClass, classify_conflict
 from repro.core.detector import DailyConflict, DayDetection
+from repro.core.episodes import EpisodeTracker
 from repro.core.verdict import (
     KIND_ORGANIC,
     TAG_FLAPPING,
@@ -25,7 +32,6 @@ from repro.core.verdict import (
     VerdictConfig,
     VerdictEngine,
 )
-from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import (
     FLAG_AS_SET_TAIL,
@@ -40,42 +46,36 @@ class ReferenceFold:
     """The per-conflict-day verdict fold, kept here as the test oracle.
 
     Classifies every conflict-day afresh and memoizes nothing.  Its
-    :meth:`state_dict` is the payload :meth:`VerdictEngine.state_dict`
-    must equal after the same days, and :meth:`finalize` judges that
-    evidence through a fresh engine.
+    :meth:`state_dict` is the payload an engine's
+    ``tracker.state_dict()`` must equal after the same days, and
+    :meth:`finalize` judges that evidence through a fresh engine.
     """
 
     def __init__(self, *, roa_table=None):
         self.roa_table = roa_table
-        self.total_days = 0
+        self.days = []
         self.evidence: dict[Prefix, dict] = {}
 
     def feed_day(self, detection: DayDetection) -> None:
-        self.total_days += 1
+        self.days.append(detection.day)
         for daily in detection.conflicts:
             prefix = daily.prefix
             row = self.evidence.get(prefix)
             if row is None:
                 row = self.evidence[prefix] = {
-                    "first_ordinal": self.total_days,
+                    "first_day": detection.day,
                     "days": 0,
                     "origins": set(),
                     "max_width": 0,
                     "class_votes": Counter(),
-                    "private_asn": False,
-                    "first_day": detection.day,
                     "rpki_state": None,
                 }
-            row["last_ordinal"] = self.total_days
             row["last_day"] = detection.day
             row["days"] += 1
             row["origins"] |= daily.origins
             row["max_width"] = max(row["max_width"], len(daily.origins))
-            row["private_asn"] = row["private_asn"] or any(
-                is_private_asn(origin) for origin in daily.origins
-            )
             try:
-                row["class_votes"][classify_conflict(daily).value] += 1
+                row["class_votes"][classify_conflict(daily)] += 1
             except ValueError:
                 pass
             if self.roa_table is not None:
@@ -85,63 +85,62 @@ class ReferenceFold:
 
     def state_dict(self) -> dict:
         return {
-            "config": VerdictConfig().to_dict(),
-            "shard": None,
-            "total_days": self.total_days,
+            "days": [day.isoformat() for day in self.days],
             "roas": (
                 [roa.to_dict() for roa in self.roa_table]
                 if self.roa_table is not None
                 else None
             ),
-            "evidence": [
+            "prefixes": [
                 [
                     prefix.network,
                     prefix.length,
-                    {
-                        "first_ordinal": row["first_ordinal"],
-                        "last_ordinal": row["last_ordinal"],
-                        "days": row["days"],
-                        "origins": sorted(row["origins"]),
-                        "max_width": row["max_width"],
-                        "class_votes": dict(sorted(row["class_votes"].items())),
-                        "private_asn": row["private_asn"],
-                        "first_day": row["first_day"].isoformat(),
-                        "last_day": row["last_day"].isoformat(),
-                        "rpki_state": (
-                            row["rpki_state"].value
-                            if row["rpki_state"] is not None
-                            else None
-                        ),
-                    },
+                    row["first_day"].isoformat(),
+                    row["last_day"].isoformat(),
+                    row["days"],
+                    sorted(row["origins"]),
+                    row["max_width"],
+                    [row["class_votes"][found] for found in ConflictClass],
+                    (
+                        row["rpki_state"].value
+                        if row["rpki_state"] is not None
+                        else None
+                    ),
                 ]
                 for prefix, row in self.evidence.items()
             ],
         }
 
     def finalize(self, registry=None):
-        return VerdictEngine.from_state(self.state_dict()).finalize(
-            registry=registry
-        )
+        tracker = EpisodeTracker.from_state(self.state_dict())
+        return VerdictEngine(tracker=tracker).finalize(registry=registry)
 
 
 def roundtrip(engine: VerdictEngine) -> VerdictEngine:
-    """``engine`` through a JSON checkpoint and back."""
-    return VerdictEngine.from_state(
-        json.loads(json.dumps(engine.state_dict()))
+    """``engine`` over its tracker taken through a JSON checkpoint."""
+    return VerdictEngine(
+        tracker=EpisodeTracker.from_state(
+            json.loads(json.dumps(engine.tracker.state_dict()))
+        )
     )
 
 
-def counting(monkeypatch, name: str) -> list:
-    """Record every call to ``repro.core.verdict.<name>``."""
+def counting(monkeypatch, name: str, module=verdict_module) -> list:
+    """Record every call to ``<module>.<name>``."""
     calls = []
-    real = getattr(verdict_module, name)
+    real = getattr(module, name)
 
     def wrapper(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(verdict_module, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def classifications(monkeypatch) -> list:
+    """Record every conflict the class memo classifies."""
+    return counting(monkeypatch, "classify_conflict", classifier_module)
 
 
 def conflict(prefix: str, *origins: int, paths=None) -> DailyConflict:
@@ -241,6 +240,33 @@ class TestTags:
         assert TAG_ORIG_TRAN_AS in verdict.tags
         assert verdict.kind == KIND_ORGANIC
 
+    @pytest.mark.parametrize(
+        "first,second,winner",
+        [
+            ("orig-tran-as", "split-view", "split-view"),
+            ("split-view", "distinct-paths", "split-view"),
+            ("orig-tran-as", "distinct-paths", "orig-tran-as"),
+        ],
+    )
+    def test_class_vote_tie_goes_to_the_greater_class_value(
+        self, first, second, winner
+    ):
+        paths = {
+            "orig-tran-as": ORIG_TRAN_PATHS,
+            "split-view": {1: ((9, 1),), 2: ((9, 2),)},
+            "distinct-paths": {1: ((8, 1),), 2: ((9, 2),)},
+        }
+        engine = VerdictEngine()
+        for offset in range(4):
+            kind = (first, second)[offset % 2]
+            engine.feed_day(
+                detection(offset, conflict("10.0.0.0/8", 1, 2, paths=paths[kind]))
+            )
+        tags = engine.finalize()[Prefix.parse("10.0.0.0/8")].tags
+        assert tags & {"orig-tran-as", "split-view", "distinct-paths"} == {
+            winner
+        }
+
     def test_perpetrator_attribution_with_registry(self):
         engine = VerdictEngine()
         engine.feed_day(detection(0, conflict("10.0.0.0/8", 7, 666)))
@@ -305,17 +331,6 @@ class TestStructuralShapes:
         assert VerdictEngine().finalize(registry=registry) == {}
 
 
-class TestCheckpointShardKey:
-    def test_state_dict_writes_a_null_shard(self):
-        assert VerdictEngine().state_dict()["shard"] is None
-
-    def test_from_state_rejects_a_shard_scoped_payload(self):
-        payload = VerdictEngine().state_dict()
-        payload["shard"] = {"indices": [0], "count": 2, "scheme": "hash"}
-        with pytest.raises(ValueError, match="prefix shard"):
-            VerdictEngine.from_state(payload)
-
-
 ORIG_TRAN_PATHS = {1: ((9, 2, 1),), 2: ((9, 2),)}  # origin 2 transits for 1
 
 
@@ -328,38 +343,42 @@ def feed_all(folds, conflicts, start=0):
 
 
 class TestIdentityMemo:
-    """Each distinct conflict object is classified once per engine."""
+    """Each distinct conflict object is classified once, and the one
+    fold still counts its vote on every conflict-day."""
 
     def test_recurring_object_classified_once(self, monkeypatch):
-        calls = counting(monkeypatch, "classify_conflict")
+        calls = classifications(monkeypatch)
         recurring = conflict("10.0.0.0/8", 1, 2, paths=ORIG_TRAN_PATHS)
         engine, reference = VerdictEngine(), ReferenceFold()
         feed_all((engine, reference), [recurring] * 30)
         assert len(calls) == 1
-        assert engine.state_dict() == reference.state_dict()
+        assert engine.tracker.state_dict() == reference.state_dict()
 
-    def test_restored_engine_classifies_once_more(self, monkeypatch):
+    def test_restored_engine_reuses_the_class_memo(self, monkeypatch):
+        """The class memo is per conflict object, not per tracker: a
+        tracker restored from a checkpoint classifies a conflict it
+        meets again no more."""
         recurring = conflict("10.0.0.0/8", 1, 2, paths=ORIG_TRAN_PATHS)
         engine, reference = VerdictEngine(), ReferenceFold()
         feed_all((engine, reference), [recurring] * 20)
-        calls = counting(monkeypatch, "classify_conflict")
+        calls = classifications(monkeypatch)
         restored = roundtrip(engine)
         feed_all((restored, reference), [recurring] * 10, start=20)
-        assert len(calls) == 1
-        assert restored.state_dict() == reference.state_dict()
+        assert calls == []
+        assert restored.tracker.state_dict() == reference.state_dict()
         verdict = restored.finalize()[Prefix.parse("10.0.0.0/8")]
         assert verdict.days_observed == 30
         assert TAG_ORIG_TRAN_AS in verdict.tags
 
     def test_equal_but_distinct_objects_each_vote(self, monkeypatch):
-        calls = counting(monkeypatch, "classify_conflict")
+        calls = classifications(monkeypatch)
         first = conflict("10.0.0.0/8", 1, 2)
         twin = conflict("10.0.0.0/8", 1, 2)
         assert first == twin and first is not twin
         engine, reference = VerdictEngine(), ReferenceFold()
         feed_all((engine, reference), [first, twin] * 3)
-        assert len(calls) == 6  # the last object differs every day
-        assert engine.state_dict() == reference.state_dict()
+        assert len(calls) == 2  # each object once, however they alternate
+        assert engine.tracker.state_dict() == reference.state_dict()
 
     def test_replacement_object_is_classified_afresh(self):
         engine, reference = VerdictEngine(), ReferenceFold()
@@ -372,18 +391,18 @@ class TestIdentityMemo:
         # A new object, likely at the dead one's address, of another
         # class: its votes must count as that class.
         feed_all((engine, reference), [conflict("10.0.0.0/8", 1, 2)] * 5, 3)
-        assert engine.state_dict() == reference.state_dict()
+        assert engine.tracker.state_dict() == reference.state_dict()
         verdict = engine.finalize()[Prefix.parse("10.0.0.0/8")]
         assert "distinct-paths" in verdict.tags
 
     def test_pathless_conflict_casts_no_vote(self, monkeypatch):
-        calls = counting(monkeypatch, "classify_conflict")
+        calls = classifications(monkeypatch)
         pathless = conflict("10.0.0.0/8", 1, 2, paths={})
         engine, reference = VerdictEngine(), ReferenceFold()
         feed_all((engine, reference), [pathless] * 5)
         assert len(calls) == 1
-        assert engine.state_dict() == reference.state_dict()
-        assert engine.state_dict()["evidence"][0][2]["class_votes"] == {}
+        assert engine.tracker.state_dict() == reference.state_dict()
+        assert engine.tracker.state_dict()["prefixes"][0][7] == [0, 0, 0]
 
 
 class TestRegistryShapes:
@@ -454,7 +473,7 @@ class TestVerdictMemo:
             assert verdict == roundtrip(engine).finalize()[prefix]
             kinds.append(verdict.kind)
             assert (verdict.kind == "anycast") == (
-                10 >= threshold * engine.total_days
+                10 >= threshold * engine.tracker.total_days
             )
         assert kinds[0] == "anycast" and kinds[-1] != "anycast"
 
@@ -495,7 +514,7 @@ class TestVerdictMemo:
             for engine in (plain, finalized):
                 engine.feed_day(detection(offset, daily))
             finalized.finalize(registry=TestRegistryShapes.REGISTRY)
-        assert finalized.state_dict() == plain.state_dict()
-        assert json.dumps(finalized.state_dict()) == json.dumps(
-            plain.state_dict()
+        assert finalized.tracker.state_dict() == plain.tracker.state_dict()
+        assert json.dumps(finalized.tracker.state_dict()) == json.dumps(
+            plain.tracker.state_dict()
         )

@@ -12,15 +12,26 @@ prefix-length tallies and RPKI states, under the removed ``shard_of``
 partition.  It reproduces the committed ``checkpoint_v2/`` and
 ``checkpoint_v2_rpki/`` byte for byte, and the legacy-resume suites use
 it to checkpoint any study in any layout the old writer supported.
+
+It writes the version-2 state layout on its own — the ``shard`` key,
+seven-field tracker records, the ``rpki.states`` block — and never the
+live ``state_dict``, so the live layout can change without changing
+what counts as a legacy checkpoint.  Only the figure-6 tallies and the
+spike case studies come from the live fold, through its public
+results.
 """
 
 import dataclasses
 import json
+from collections import Counter, deque
 from pathlib import Path
 
 from repro.analysis.pipeline import StudyPipeline
-from repro.api.service import CHECKPOINT_MANIFEST, CHECKPOINT_VERSION
+from repro.api.service import CHECKPOINT_MANIFEST
 from repro.netbase.prefix import Prefix
+
+#: The checkpoint version the removed writer wrote.
+VERSION = 2
 
 #: The partition schemes earlier releases offered.
 SCHEMES = ("hash", "range")
@@ -68,11 +79,10 @@ def shard_states(
     """The state dicts of a ``count``-way sharded session fed ``detections``."""
     pipeline = pipeline or StudyPipeline()
     detections = list(detections)
-    whole = _fold(pipeline, roa_table, detections).state_dict()
+    whole = _whole_state(pipeline, roa_table, detections)
     states = []
     for index in range(count):
-        own = _fold(
-            pipeline,
+        own = _prefix_fields(
             roa_table,
             [
                 dataclasses.replace(
@@ -85,7 +95,7 @@ def shard_states(
                 )
                 for detection in detections
             ],
-        ).state_dict()
+        )
         state = {
             **whole,
             "shard": {"indices": [index], "count": count, "scheme": scheme},
@@ -102,9 +112,21 @@ def shard_payload(detections, count, scheme="hash", **options) -> dict:
     """A version-2 single-file payload holding every shard's state."""
     pipeline = options.get("pipeline") or StudyPipeline()
     return {
-        "version": CHECKPOINT_VERSION,
+        "version": VERSION,
         "pipeline": pipeline.config_dict(),
         "shards": shard_states(detections, count, scheme, **options),
+    }
+
+
+def v1_payload(detections, **options) -> dict:
+    """A version-1 payload: one whole-space state under ``state``."""
+    pipeline = options.get("pipeline") or StudyPipeline()
+    return {
+        "version": 1,
+        "pipeline": pipeline.config_dict(),
+        "state": _whole_state(
+            pipeline, options.get("roa_table"), list(detections)
+        ),
     }
 
 
@@ -136,8 +158,113 @@ def write_checkpoint(
     return path
 
 
-def _fold(pipeline, roa_table, detections):
-    state = pipeline.start(roa_table=roa_table)
+def _prefix_fields(roa_table, detections) -> dict:
+    """The tracker, prefix-length tallies and RPKI block of a version-2
+    state fed ``detections``."""
+    records: dict[Prefix, list] = {}
+    length_sums: dict[str, dict[str, int]] = {}
+    rollups: dict = {}
+    for detection in detections:
+        day = detection.day
+        bucket = length_sums.setdefault(str(day.year), {})
+        for conflict in detection.conflicts:
+            prefix = conflict.prefix
+            record = records.get(prefix)
+            if record is None:
+                records[prefix] = [
+                    day, day, 1, set(conflict.origins), len(conflict.origins)
+                ]
+            else:
+                record[1] = day
+                record[2] += 1
+                record[3] |= conflict.origins
+                record[4] = max(record[4], len(conflict.origins))
+            length = str(prefix.length)
+            bucket[length] = bucket.get(length, 0) + 1
+            if roa_table is not None:
+                folded = roa_table.fold_episode_state(
+                    rollups.get(prefix), prefix, conflict.origins, day=day
+                )
+                if folded is not None:
+                    rollups[prefix] = folded
+    fields = {
+        "tracker": {
+            "last_fed_day": (
+                detections[-1].day.isoformat() if detections else None
+            ),
+            "prefixes": [
+                [
+                    prefix.network,
+                    prefix.length,
+                    first.isoformat(),
+                    last.isoformat(),
+                    days,
+                    sorted(origins),
+                    width,
+                ]
+                for prefix, (first, last, days, origins, width) in records.items()
+            ],
+        },
+        "length_sums": length_sums,
+    }
+    if roa_table is not None:
+        fields["rpki"] = {
+            "roas": [roa.to_dict() for roa in roa_table],
+            "states": {
+                str(prefix): state.value
+                for prefix, state in sorted(
+                    rollups.items(), key=lambda item: item[0].sort_key()
+                )
+            },
+        }
+    return fields
+
+
+def _whole_state(pipeline, roa_table, detections) -> dict:
+    """The version-2 state of a whole-space session fed ``detections``."""
+    state = pipeline.start()
     for detection in detections:
         state.feed_day(detection)
-    return state
+    results = state.results()
+    own = _prefix_fields(roa_table, detections)
+    counts = [len(detection.conflicts) for detection in detections]
+    whole = {
+        "shard": None,
+        "tracker": own["tracker"],
+        "daily_series": [
+            [detection.day.isoformat(), count]
+            for detection, count in zip(detections, counts)
+        ],
+        "recent_counts": list(deque(counts, maxlen=pipeline.spike_window_days)),
+        "length_sums": own["length_sums"],
+        "days_per_year": dict(
+            Counter(str(detection.day.year) for detection in detections)
+        ),
+        "classification": [
+            [
+                day.isoformat(),
+                {found.value: tally for found, tally in counts_by.items()},
+            ]
+            for day, counts_by in results.classification_series
+        ],
+        "case_studies": [
+            {
+                "day": case.report.day.isoformat(),
+                "total_conflicts": case.report.total_conflicts,
+                "baseline_median": case.report.baseline_median,
+                "culprit_asn": case.report.culprit_asn,
+                "culprit_involved": case.report.culprit_involved,
+                "upstream_asn": case.upstream_asn,
+                "sequence_involved": case.sequence_involved,
+                "sequence_total": case.sequence_total,
+            }
+            for case in results.case_studies
+        ],
+        "as_set_excluded_max": max(
+            (detection.as_set_excluded for detection in detections), default=0
+        ),
+        "total_days": len(detections),
+    }
+    if roa_table is not None:
+        whole["rpki"] = own["rpki"]
+    return whole
