@@ -1023,35 +1023,6 @@ def _index_record(results, verdicts: dict, prefix: Prefix) -> IndexRecord:
     )
 
 
-def changed_prefixes(
-    old_results, old_verdicts: dict, results, verdicts: dict
-) -> list[Prefix] | None:
-    """Episodes whose record may differ between two build inputs.
-
-    A record derives from its prefix's episode, verdict and RPKI
-    rollup, all immutable, so a prefix whose three are the very objects
-    the old inputs held has an unchanged record, and
-    :meth:`EpisodeIndex.rederived` can skip it.  Returns ``None`` when
-    an episode of the old inputs is gone, which no fold produces.
-    """
-    old_episodes = old_results.episodes
-    old_states = old_results.rpki_episode_states
-    states = results.rpki_episode_states
-    changed = []
-    added = 0
-    for prefix, episode in results.episodes.items():
-        if (
-            episode is not old_episodes.get(prefix)
-            or verdicts.get(prefix) is not old_verdicts.get(prefix)
-            or states.get(prefix) is not old_states.get(prefix)
-        ):
-            changed.append(prefix)
-            added += prefix not in old_episodes
-    if len(results.episodes) != len(old_episodes) + added:
-        return None
-    return changed
-
-
 def _row(record: IndexRecord) -> tuple:
     """A record's value in each of :meth:`EpisodeIndex._record_columns`."""
     prefix = record.prefix

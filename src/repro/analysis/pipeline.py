@@ -33,20 +33,22 @@ import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.analysis.parallel import iter_detections
 from repro.core.causes import SpikeReport
 from repro.core.classifier import ConflictClass, classify_day
 from repro.core.detector import DayDetection
-from repro.core.episodes import ConflictEpisode, EpisodeTracker
+from repro.core.episodes import (
+    RPKI,
+    ConflictEpisode,
+    EpisodeTracker,
+    TouchCursor,
+    episode_of,
+)
 from repro.core.stats import (
-    duration_expectations,
-    duration_histogram,
+    LONG_LIVED_DAYS,
     involvement_fraction,
-    one_time_conflicts,
-    long_lived_conflicts,
-    max_duration,
-    ongoing_conflicts,
     peak_days,
     sequence_involvement_fraction,
     yearly_increase_rates,
@@ -225,6 +227,23 @@ class StudyState:
         #: The engine judging :attr:`_tracker`, built on first use and
         #: kept so registry shapes are derived once per registry object.
         self._verdict_engine: VerdictEngine | None = None
+        #: What the last :meth:`results` derived from the tracker, kept
+        #: for the next: its position in the tracker's touch log, the
+        #: episode table in record order, the prefixes then ongoing,
+        #: the days-observed histogram, the RPKI rollups and the count
+        #: of exchange-point prefixes.
+        self._cursor = TouchCursor()
+        self._episodes: dict[Prefix, ConflictEpisode] = {}
+        self._ongoing: list[Prefix] = []
+        self._histogram: Counter[int] = Counter()
+        self._rpki_states: dict[Prefix, str] = {}
+        self._exchange_point = 0
+        #: The daily series, its yearly medians and its peak days as of
+        #: the last :meth:`results` call, which only the days fed since
+        #: can change.
+        self._series: list[tuple[datetime.date, int]] = []
+        self._medians: dict[int, float] = {}
+        self._peaks: list[tuple[datetime.date, int]] = []
 
     @property
     def roa_table(self) -> RoaTable | None:
@@ -303,10 +322,19 @@ class StudyState:
         mutate a results object already handed out.  This is the
         snapshot-isolation contract the serve daemon relies on —
         assemble under the service lock, render outside it.
+
+        The episode statistics are kept from one call to the next: a
+        call re-derives only the episodes of the records fed since the
+        last call (the tracker's touch log) and of the prefixes then
+        ongoing whose flag flipped, and adjusts the duration
+        histogram that figures 3 and 4 and the summary counts derive
+        from.  The first call, and any after the log was trimmed past
+        this state's position, derives every episode.
         """
-        episodes = self._tracker.finalize()
+        self._refresh_episodes()
+        histogram = self._histogram
         days = self._tracker.days
-        daily_series = list(zip(days, self._daily_counts))
+        self._refresh_series()
         length_distribution = {}
         for year, bucket in sorted(self._length_sums.items()):
             # Fed days of the year: the days are sorted.
@@ -316,32 +344,102 @@ class StudyState:
             length_distribution[year] = {
                 length: bucket[length] / fed for length in sorted(bucket)
             }
-        exchange_point = sum(
-            1 for prefix in episodes if IXP_BLOCK.contains(prefix)
+        expectations, long_lived = _duration_summary(
+            histogram, self.pipeline.duration_thresholds
         )
-        medians = yearly_medians(daily_series)
         return StudyResults(
-            daily_series=daily_series,
-            episodes=episodes,
-            yearly_medians=medians,
-            yearly_increase_rates=yearly_increase_rates(medians),
-            peak_days=peak_days(daily_series),
-            duration_histogram=duration_histogram(episodes.values()),
-            duration_expectations=duration_expectations(
-                episodes.values(), self.pipeline.duration_thresholds
-            ),
-            one_time_conflicts=one_time_conflicts(episodes.values()),
-            long_lived_conflicts=long_lived_conflicts(episodes.values()),
-            ongoing_conflicts=ongoing_conflicts(episodes.values()),
-            max_duration=max_duration(episodes.values()),
+            daily_series=list(self._series),
+            episodes=dict(self._episodes),
+            yearly_medians=dict(self._medians),
+            yearly_increase_rates=yearly_increase_rates(self._medians),
+            peak_days=list(self._peaks),
+            duration_histogram=Counter(histogram),
+            duration_expectations=expectations,
+            one_time_conflicts=histogram.get(1, 0),
+            long_lived_conflicts=long_lived,
+            ongoing_conflicts=len(self._ongoing),
+            max_duration=max(histogram, default=0),
             length_distribution=length_distribution,
             classification_series=list(self._classification),
             case_studies=list(self._case_studies),
-            exchange_point_conflicts=exchange_point,
+            exchange_point_conflicts=self._exchange_point,
             as_set_excluded_max=self._as_set_excluded_max,
             total_days=self.total_days,
-            rpki_episode_states=self._tracker.rpki_states(),
+            rpki_episode_states=dict(self._rpki_states),
         )
+
+    def _refresh_series(self) -> None:
+        """Extend the kept daily series by the days fed since the last
+        call, and re-derive the medians of their years and the peaks.
+
+        The peak days of a longer series are the peaks of the kept
+        peaks and the new days: a day the kept peaks outrank, or tie
+        and precede, stays outranked.
+        """
+        series = self._series
+        fed = len(series)
+        added = list(zip(self._tracker.days[fed:], self._daily_counts[fed:]))
+        if not added:
+            return
+        series.extend(added)
+        # The series from the first day of the first new day's year.
+        year_start = (datetime.date(added[0][0].year, 1, 1),)
+        self._medians.update(
+            yearly_medians(series[bisect_left(series, year_start):])
+        )
+        self._peaks = peak_days(self._peaks + added)
+
+    def _refresh_episodes(self) -> None:
+        """Bring the kept episode statistics up to the tracker's state."""
+        tracker = self._tracker
+        touched = tracker.touched(self._cursor)
+        episodes = self._episodes
+        histogram = self._histogram
+        rpki_states = self._rpki_states
+        last_day = tracker.last_fed_day
+        ongoing = []
+        if touched is None:
+            episodes.clear()
+            histogram.clear()
+            rpki_states.clear()
+            self._exchange_point = 0
+            added = [prefix for prefix, _record in tracker.records()]
+            redo = added
+        else:
+            # New records first, so the table keeps record order.
+            added = tracker.newest(len(tracker) - len(episodes))
+            redo = [*added, *touched.difference(added)]
+            # An unfed prefix that was ongoing changes only if it no
+            # longer is.
+            for prefix in self._ongoing:
+                if prefix not in touched:
+                    if episodes[prefix].last_day == last_day:
+                        ongoing.append(prefix)
+                    else:
+                        redo.append(prefix)
+        self._exchange_point += sum(map(IXP_BLOCK.contains, added))
+        for prefix in redo:
+            record = tracker.record(prefix)
+            previous = episodes.get(prefix)
+            if previous is not None:
+                days = previous.days_observed
+                if histogram[days] == 1:
+                    del histogram[days]
+                else:
+                    histogram[days] -= 1
+            episode = episodes[prefix] = episode_of(prefix, record, last_day)
+            histogram[episode.days_observed] += 1
+            if episode.ongoing:
+                ongoing.append(prefix)
+            if record[RPKI] is not None:
+                rpki_states[prefix] = record[RPKI].value
+        self._ongoing = ongoing
+
+    def touched(self, cursor: TouchCursor) -> set[Prefix] | None:
+        """The prefixes fed since ``cursor``'s last call, or ``None``
+        (see :meth:`EpisodeTracker.touched`): what a reader keeping its
+        own derivations of the episodes must re-derive."""
+        return self._tracker.touched(cursor)
 
     def verdicts(self, registry=None) -> dict[Prefix, Verdict]:
         """Verdicts judged from the state's own episode records under
@@ -447,6 +545,32 @@ class StudyState:
             for network, length, origins in state["conflict_origins"]
         }
         return restored
+
+
+def _duration_summary(
+    histogram: Counter[int], thresholds
+) -> tuple[dict[int, float], int]:
+    """``(figure 4's expectations, long-lived count)`` from a
+    days-observed histogram: E[duration | duration > k] for each
+    threshold k with a qualifying conflict, in threshold order, and the
+    conflicts longer than :data:`LONG_LIVED_DAYS`."""
+    ascending = sorted(histogram)
+    descending = ascending[::-1]
+    # Conflicts and their summed days over the i + 1 longest durations.
+    counts = list(accumulate(histogram[days] for days in descending))
+    totals = list(accumulate(days * histogram[days] for days in descending))
+
+    def longer_than(threshold: int) -> int:
+        """Distinct durations exceeding ``threshold``."""
+        return len(ascending) - bisect_right(ascending, threshold)
+
+    expectations = {}
+    for threshold in thresholds:
+        longer = longer_than(threshold)
+        if longer:
+            expectations[threshold] = totals[longer - 1] / counts[longer - 1]
+    longer = longer_than(LONG_LIVED_DAYS)
+    return expectations, counts[longer - 1] if longer else 0
 
 
 def _case_study(

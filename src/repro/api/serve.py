@@ -51,9 +51,10 @@ import json
 import math
 import threading
 import time
-from bisect import insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from urllib.parse import parse_qs, unquote
 
@@ -62,7 +63,9 @@ from repro.api.renderers import available_renderings, render
 from repro.api.service import LEGACY_RESUME_NOTE, MoasService, answer_keys
 from repro.api.sources import open_source
 from repro.core.detector import DayDetection
+from repro.core.episodes import TouchCursor
 from repro.core.realtime import DaySnapshotAlerter, MoasAlert
+from repro.core.verdict import TAG_WIDE_ORIGIN_SET
 from repro.util.concurrency import guarded_by
 
 #: Content types per renderer format.
@@ -289,8 +292,9 @@ class _Snapshot:
     "_verdict_cache",
     "_evaluation_cache",
     "_index_cache",
-    "_verdict_fragments",
-    "_verdict_order",
+    "_index_cursor",
+    "_verdict_rows",
+    "_verdict_rows_cursor",
 )
 class ServeApp:
     """The daemon's synchronous core: shared state + request routing.
@@ -324,14 +328,20 @@ class ServeApp:
         self._snapshot_cache: _Snapshot | None = None
         self._verdict_cache: tuple[int, dict] | None = None
         self._evaluation_cache: tuple[int, object] | None = None
-        #: ``(days, index, results, verdicts)``: the index and the
-        #: snapshot results and verdicts it was built from.
+        #: ``(days, index, ongoing prefixes, wide prefixes)``: the index
+        #: and, of the snapshot it was built from, the prefixes then
+        #: ongoing and those whose verdict reads the study length (see
+        #: :meth:`current_index`).  The cursor is its position in the
+        #: session's touch log.
         self._index_cache: tuple | None = None
-        #: ``/v1/verdicts`` rows: prefix -> ``(verdict, its JSON
-        #: fragment)``, and ``(verdict dict, its prefixes sorted, the
-        #: same prefixes as a set)`` for the last verdict dict served.
-        self._verdict_fragments: dict = {}
-        self._verdict_order: tuple | None = None
+        self._index_cursor = TouchCursor()
+        #: ``/v1/verdicts`` rows of the last day count served: ``(days,
+        #: row keys, rows, wide prefixes)``, the rows ``[verdict, JSON
+        #: fragment or None]`` sorted by their keys, the prefixes'
+        #: ``sort_key()`` packed into one int; and the table's position
+        #: in the touch log.
+        self._verdict_rows: tuple | None = None
+        self._verdict_rows_cursor = TouchCursor()
         self._registry, self._injected, self._organic = (
             answer_keys(self.archive)
             if self.archive is not None
@@ -440,14 +450,16 @@ class ServeApp:
         query`` run stopped at that day.
 
         A new day's index is the previous one with only the records
-        whose episode, verdict or RPKI rollup is a different object
-        than before re-derived (:meth:`EpisodeIndex.rederived`).  The
-        fold's episode and verdict memos keep an untouched prefix's
-        objects identical, so that is about the prefixes the last
-        folds fed.  With no previous index, or when most records
-        changed, the index is built cold.
+        that may differ re-derived (:meth:`EpisodeIndex.rederived`):
+        the prefixes the session's touch log hands over as fed since
+        the last index, the prefixes ongoing then that no longer are,
+        and those whose verdict carries the wide-origin tag, because
+        their anycast call reads the study length.  With no previous
+        index, with no position in the log (a session restored or
+        replaced, or a reader the log's cap left behind), or when most
+        records may differ, the index is built cold.
         """
-        from repro.analysis.index import EpisodeIndex, changed_prefixes
+        from repro.analysis.index import EpisodeIndex
 
         with self._lock:
             snapshot = self.current()
@@ -455,18 +467,38 @@ class ServeApp:
             if cache is None or cache[0] != snapshot.days:
                 _days, verdicts = self.current_verdicts()
                 results = snapshot.results
-                changed = None
-                if cache is not None:
-                    changed = changed_prefixes(
-                        cache[2], cache[3], results, verdicts
-                    )
-                if changed is None or 2 * len(changed) > len(
-                    results.episodes
-                ):
+                episodes = results.episodes
+                touched = self.service.touched(self._index_cursor)
+                redo = None
+                if cache is not None and touched is not None:
+                    _days, index, ongoing, wide = cache
+                    ended = [
+                        prefix
+                        for prefix in ongoing
+                        if not episodes[prefix].ongoing
+                    ]
+                    redo = touched.union(ended, wide)
+                if redo is None or 2 * len(redo) > len(episodes):
                     index = EpisodeIndex.build(results, verdicts=verdicts)
+                    ongoing = {
+                        prefix
+                        for prefix, episode in episodes.items()
+                        if episode.ongoing
+                    }
+                    wide = {
+                        prefix for prefix in episodes if _wide(verdicts, prefix)
+                    }
                 else:
-                    index = cache[1].rederived(results, verdicts, changed)
-                cache = (snapshot.days, index, results, verdicts)
+                    index = index.rederived(results, verdicts, redo)
+                    ongoing = {
+                        prefix
+                        for prefix in touched.union(ongoing)
+                        if episodes[prefix].ongoing
+                    }
+                    wide = wide.union(
+                        prefix for prefix in touched if _wide(verdicts, prefix)
+                    )
+                cache = (snapshot.days, index, ongoing, wide)
                 self._index_cache = cache
             return snapshot, cache[1]
 
@@ -672,59 +704,72 @@ class ServeApp:
                     f"{query['min_suspicion']!r}",
                 )
         kind = query.get("kind")
-        rows = []
+        fragments = []
         with self._lock:
-            days, verdicts = self.current_verdicts()
-            fragments = self._verdict_fragments
-            for prefix in self._sorted_prefixes(verdicts):
-                verdict = verdicts[prefix]
+            days, rows = self._current_verdict_rows()
+            for row in rows:
+                verdict = row[0]
                 if verdict.suspicion < min_suspicion or (
                     kind is not None and verdict.kind != kind
                 ):
                     continue
-                entry = fragments.get(prefix)
-                if entry is None or entry[0] is not verdict:
-                    # verdict.to_dict() as Response.json nests it in
-                    # the "verdicts" list, two levels deep.
-                    entry = fragments[prefix] = (
-                        verdict,
-                        "    "
-                        + json.dumps(verdict.to_dict(), indent=2).replace(
-                            "\n", "\n    "
-                        ),
-                    )
-                rows.append(entry[1])
+                if row[1] is None:
+                    row[1] = _verdict_fragment(verdict)
+                fragments.append(row[1])
         # Byte-identical to Response.json over the row dicts.
-        listing = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        body = (
-            f'{{\n  "days_fed": {days},\n  "count": {len(rows)},\n'
-            f'  "verdicts": {listing}\n}}\n'
+        head = (
+            f'{{\n  "days_fed": {days},\n  "count": {len(fragments)},\n'
+            f'  "verdicts": '
         )
-        return Response.text(
-            body,
+        listing = (
+            (b"[\n", b",\n".join(fragments), b"\n  ]") if fragments else (b"[]",)
+        )
+        return Response(
+            status=200,
             content_type="application/json",
+            body=b"".join((head.encode(), *listing, b"\n}\n")),
             headers={"X-Repro-Days": str(days)},
         )
 
-    def _sorted_prefixes(self, verdicts: dict) -> list:
-        """The prefixes of ``verdicts`` in ``sort_key()`` order.
+    def _current_verdict_rows(self) -> tuple[int, list]:
+        """``(days fed, /v1/verdicts rows in prefix order)`` at the
+        latest day boundary.
 
-        Kept from one verdict dict to the next: only prefixes new to
-        the engine are inserted.
+        The rows are patched from one day count to the next: a row is
+        replaced or inserted (one bisect each) only for the prefixes
+        the touch log hands over and those whose verdict carries the
+        wide-origin tag, and keeps its fragment while its verdict is
+        the same object.  Without a position in the log the rows are
+        built cold.
         """
         with self._lock:
-            cached = self._verdict_order
-            if cached is not None and cached[0] is verdicts:
-                return cached[1]
-            order, known = ([], set()) if cached is None else cached[1:]
-            added = [prefix for prefix in verdicts if prefix not in known]
-            if len(known) + len(added) != len(verdicts):
-                order, known, added = [], set(), list(verdicts)
-            for prefix in added:
-                insort(order, prefix)
-                known.add(prefix)
-            self._verdict_order = (verdicts, order, known)
-            return order
+            days, verdicts = self.current_verdicts()
+            table = self._verdict_rows
+            if table is not None and table[0] == days:
+                return days, table[2]
+            touched = self.service.touched(self._verdict_rows_cursor)
+            if table is None or touched is None:
+                order = sorted(verdicts, key=_row_key)
+                keys = list(map(_row_key, order))
+                rows = [[verdicts[prefix], None] for prefix in order]
+                wide = {prefix for prefix in order if _wide(verdicts, prefix)}
+            else:
+                _days, keys, rows, wide = table
+                for prefix in touched.union(wide):
+                    verdict = verdicts[prefix]
+                    key = _row_key(prefix)
+                    position = bisect_left(keys, key)
+                    if position < len(keys) and keys[position] == key:
+                        if rows[position][0] is not verdict:
+                            rows[position] = [verdict, None]
+                    else:
+                        keys.insert(position, key)
+                        rows.insert(position, [verdict, None])
+                wide = wide.union(
+                    prefix for prefix in touched if _wide(verdicts, prefix)
+                )
+            self._verdict_rows = (days, keys, rows, wide)
+            return days, rows
 
     def _handle_evaluation(self, query: dict) -> Response:
         format = query.get("format", "json")
@@ -740,6 +785,58 @@ class ServeApp:
             content_type=_CONTENT_TYPES[format],
             headers={"X-Repro-Days": str(days)},
         )
+
+
+def _row_key(prefix) -> int:
+    """``prefix.sort_key()`` packed into one int, in the same order."""
+    return (prefix.network << 6) | prefix.length
+
+
+def _wide(verdicts: dict, prefix) -> bool:
+    """True when ``prefix``'s verdict carries the wide-origin tag: its
+    anycast call reads the study length, so any fold may change it."""
+    verdict = verdicts.get(prefix)
+    return verdict is not None and TAG_WIDE_ORIGIN_SET in verdict.tags
+
+
+def _verdict_fragment(verdict) -> bytes:
+    """``verdict.to_dict()`` as ``Response.json`` writes it two levels
+    deep, in the ``"verdicts"`` list.
+
+    Byte-identical to ``json.dumps(verdict.to_dict(), indent=2)`` with
+    every line indented four spaces, without the pure-Python encoder
+    that ``json.dumps`` falls back to whenever it indents: the keys of
+    ``to_dict()`` are fixed, so each value is formatted in place.
+    """
+    encode = encode_basestring_ascii
+    text = (
+        f'    {{\n      "prefix": {encode(str(verdict.prefix))},\n'
+        f'      "kind": {encode(verdict.kind)},\n'
+        f'      "tags": {_json_list(map(encode, sorted(verdict.tags)))},\n'
+        f'      "suspicion": {_json_float(verdict.suspicion)},\n'
+        f'      "benign": {"true" if verdict.benign else "false"},\n'
+        f'      "days_observed": {int.__repr__(verdict.days_observed)},\n'
+        f'      "origins": '
+        f"{_json_list(map(int.__repr__, sorted(verdict.origins)))},\n"
+        f'      "perpetrators": '
+        f"{_json_list(map(int.__repr__, sorted(verdict.perpetrators)))}"
+    )
+    if verdict.rpki_state is not None:
+        text += f',\n      "rpki_state": {encode(verdict.rpki_state)}'
+    return (text + "\n    }").encode()
+
+
+def _json_list(items) -> str:
+    """A list of JSON texts at the fragment's depth."""
+    items = ",\n        ".join(items)
+    return f"[\n        {items}\n      ]" if items else "[]"
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def _sse_event(event_id: int, payload: dict) -> bytes:

@@ -440,6 +440,15 @@ class MoasService:
 
     # -- verdicts and evaluation ---------------------------------------------
 
+    def touched(self, cursor) -> set | None:
+        """:meth:`StudyState.touched` under the session lock: the
+        prefixes fed since the :class:`~repro.core.episodes.TouchCursor`
+        last asked, or ``None`` when its reader must derive everything
+        (first ask, a restored session, or a reader the touch log's cap
+        left behind)."""
+        with self._lock:
+            return self._state.touched(cursor)
+
     def verdicts(self, registry=None) -> dict:
         """The session's own verdicts (:meth:`StudyState.verdicts`),
         judged under the session lock: those of a batch run stopped at

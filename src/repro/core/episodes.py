@@ -24,6 +24,7 @@ import datetime
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.core.classifier import ConflictClass, conflict_class
 from repro.core.detector import DailyConflict
@@ -31,15 +32,14 @@ from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import RoaTable, ValidationState
 
 #: Mutable per-prefix record: [first, last, days, origins, width, votes,
-#: rpki, episode, verdict].  ``votes`` counts Section V class votes per
+#: rpki, stamp].  ``votes`` counts Section V class votes per
 #: :data:`CLASS_SLOTS` slot (a conflict-day without paths for two
 #: origins casts none); ``rpki`` is the RFC 6811 rollup or ``None``.
-#: ``episode`` (the :class:`ConflictEpisode` the last :meth:`finalize`
-#: built) and ``verdict`` (``(registry shapes, Verdict)`` from the last
-#: :meth:`~repro.core.verdict.VerdictEngine.finalize`) are pure
-#: memoization, cleared by every observation: never compared, never
-#: checkpointed, empty after :meth:`EpisodeTracker.from_state`.
-FIRST, LAST, DAYS, ORIGINS, WIDTH, VOTES, RPKI, EPISODE, VERDICT = range(9)
+#: ``stamp`` is the read generation in which the record was last
+#: logged as touched (see :meth:`EpisodeTracker.touched`): never
+#: compared by readers, never checkpointed, ``None`` after
+#: :meth:`EpisodeTracker.from_state`.
+FIRST, LAST, DAYS, ORIGINS, WIDTH, VOTES, RPKI, STAMP = range(8)
 
 #: Each class's slot in a record's ``votes`` list.
 CLASS_SLOTS = {found: slot for slot, found in enumerate(ConflictClass)}
@@ -81,15 +81,31 @@ class EpisodeTracker:
     The tracker also keeps the fed-day sequence: a day's ordinal (its
     1-based position in it) is what the verdict engine's flapping span
     counts in.
+
+    Readers that keep what they derived from the records (the study's
+    results, the verdict engine, serve's index) learn what changed from
+    the touch log: each fold logs a prefix the first time it touches
+    the prefix's record in a read generation, and each
+    :meth:`touched` call hands a reader the prefixes logged since its
+    last call and starts a new generation.
     """
 
-    __slots__ = ("roa_table", "_records", "_seen", "_days")
+    __slots__ = (
+        "roa_table",
+        "_records",
+        "_seen",
+        "_days",
+        "_log",
+        "_trimmed",
+        "_stamp",
+        "_cursors",
+    )
 
     def __init__(self, *, roa_table: RoaTable | None = None) -> None:
         #: Immutable ROA database each conflict-day is validated
         #: against; ``None`` leaves every record's rollup empty.
         self.roa_table = roa_table
-        #: prefix -> record (see :data:`FIRST` ... :data:`VERDICT`)
+        #: prefix -> record (see :data:`FIRST` ... :data:`STAMP`)
         self._records: dict[Prefix, list] = {}
         #: id(conflict) -> (weakref to it, its prefix's record, its
         #: vote slot or None).  The weakref both guards against id
@@ -98,6 +114,18 @@ class EpisodeTracker:
         #: is pinned.
         self._seen: dict[int, tuple] = {}
         self._days: list[datetime.date] = []
+        #: The touch log: prefixes in the order their records were
+        #: first touched in each read generation.  ``_trimmed`` entries
+        #: were dropped from its front, so entry ``i`` of the whole log
+        #: is ``_log[i - _trimmed]``.
+        self._log: list[Prefix] = []
+        self._trimmed = 0
+        #: The current read generation: a record whose stamp is this
+        #: object is already in the log since the last :meth:`touched`.
+        self._stamp = object()
+        #: The cursors positioned in this log (readers that died drop
+        #: out), whose slowest one bounds what may be trimmed.
+        self._cursors: weakref.WeakSet[TouchCursor] = weakref.WeakSet()
 
     @property
     def days(self) -> list[datetime.date]:
@@ -133,6 +161,8 @@ class EpisodeTracker:
         records = self._records
         seen = self._seen
         roa_table = self.roa_table
+        log = self._log
+        stamp = self._stamp
         for conflict in conflicts:
             key = id(conflict)
             entry = seen.get(key)
@@ -140,7 +170,9 @@ class EpisodeTracker:
                 _ref, record, vote = entry
                 record[LAST] = day
                 record[DAYS] += 1
-                record[EPISODE] = record[VERDICT] = None
+                if record[STAMP] is not stamp:
+                    record[STAMP] = stamp
+                    log.append(conflict.prefix)
             else:
                 prefix = conflict.prefix
                 record = records.get(prefix)
@@ -148,12 +180,15 @@ class EpisodeTracker:
                 if record is None:
                     records[prefix] = record = [
                         day, day, 1, set(conflict.origins), width,
-                        [0] * len(CLASS_SLOTS), None, None, None,
+                        [0] * len(CLASS_SLOTS), None, stamp,
                     ]
+                    log.append(prefix)
                 else:
                     record[LAST] = day
                     record[DAYS] += 1
-                    record[EPISODE] = record[VERDICT] = None
+                    if record[STAMP] is not stamp:
+                        record[STAMP] = stamp
+                        log.append(prefix)
                     record[ORIGINS].update(conflict.origins)
                     if width > record[WIDTH]:
                         record[WIDTH] = width
@@ -175,22 +210,64 @@ class EpisodeTracker:
                 record[RPKI] = roa_table.fold_episode_state(
                     record[RPKI], conflict.prefix, conflict.origins, day=day
                 )
+        # Cap the log at one entry per record: a reader that fell
+        # further behind rebuilds cold, which costs no more.
+        excess = len(log) - len(records)
+        if excess > 0:
+            del log[:excess]
+            self._trimmed += excess
+
+    def touched(self, cursor: "TouchCursor") -> set[Prefix] | None:
+        """The prefixes whose records were fed since ``cursor``'s last
+        call, or ``None`` when the cursor has no position in this log.
+
+        A cursor has none on its first call here (a fresh reader, or
+        one whose session was restored or replaced) and when the cap
+        trimmed entries it had not read; its reader must then derive
+        everything afresh.  Either way the call moves the cursor to the
+        end of the log, starts a new read generation, and trims the
+        entries every cursor has read.
+        """
+        log = self._log
+        trimmed = self._trimmed
+        end = trimmed + len(log)
+        handed = None
+        if cursor.tracker is self and cursor.position >= trimmed:
+            handed = set(log[cursor.position - trimmed:])
+        else:
+            cursor.tracker = self
+            self._cursors.add(cursor)
+        cursor.position = end
+        self._stamp = object()
+        slowest = min(
+            other.position for other in self._cursors if other.tracker is self
+        )
+        if slowest > trimmed:
+            del log[:slowest - trimmed]
+            self._trimmed = slowest
+        return handed
 
     def records(self):
         """``(prefix, record)`` pairs in first-seen order.
 
-        The records are the fold's own lists: readers may fill the
-        ``verdict`` memo slot and must write nothing else.
+        The records are the fold's own lists: readers must not write
+        them.
         """
         return self._records.items()
 
-    def rpki_states(self) -> dict[Prefix, str]:
-        """Prefix -> RFC 6811 rollup value, for records that have one."""
-        return {
-            prefix: record[RPKI].value
-            for prefix, record in self._records.items()
-            if record[RPKI] is not None
-        }
+    def record(self, prefix: Prefix) -> list:
+        """The record of ``prefix`` (the fold's own list: read only)."""
+        return self._records[prefix]
+
+    def newest(self, count: int) -> list[Prefix]:
+        """The last ``count`` prefixes to get a record, in first-seen
+        order: a reader that has derived the first ``len(self) -
+        count`` records appends these."""
+        if count <= 0:
+            return []
+        newest = list(islice(reversed(self._records), count))
+        newest.reverse()
+        return newest
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the tracker's streaming state.
@@ -253,7 +330,6 @@ class EpisodeTracker:
                 list(votes),
                 ValidationState(rpki) if rpki is not None else None,
                 None,
-                None,
             ]
         return tracker
 
@@ -265,30 +341,44 @@ class EpisodeTracker:
         ``last_observed_day`` defaults to the last day fed; episodes
         still conflicted on it are marked ongoing (the paper counted
         1326 such conflicts at study end).
-
-        A record's episode object is reused until the record is
-        observed again or its ``ongoing`` flag flips, so a prefix the
-        latest days left alone answers with the same object as before.
         """
         if last_observed_day is None:
             last_observed_day = self.last_fed_day
-        episodes: dict[Prefix, ConflictEpisode] = {}
-        for prefix, record in self._records.items():
-            last_day = record[LAST]
-            ongoing = last_day == last_observed_day
-            episode = record[EPISODE]
-            if episode is None or episode.ongoing is not ongoing:
-                episode = record[EPISODE] = ConflictEpisode(
-                    prefix=prefix,
-                    first_day=record[FIRST],
-                    last_day=last_day,
-                    days_observed=record[DAYS],
-                    origins_ever=frozenset(record[ORIGINS]),
-                    max_origins_single_day=record[WIDTH],
-                    ongoing=ongoing,
-                )
-            episodes[prefix] = episode
-        return episodes
+        return {
+            prefix: episode_of(prefix, record, last_observed_day)
+            for prefix, record in self._records.items()
+        }
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+class TouchCursor:
+    """One reader's position in an :class:`EpisodeTracker`'s touch log.
+
+    A reader holds one cursor per thing it keeps and passes it to
+    :meth:`EpisodeTracker.touched`; only the tracker moves it.
+    """
+
+    __slots__ = ("tracker", "position", "__weakref__")
+
+    def __init__(self) -> None:
+        #: The tracker whose log :attr:`position` indexes, or ``None``.
+        self.tracker: EpisodeTracker | None = None
+        self.position = 0
+
+
+def episode_of(
+    prefix: Prefix, record: list, last_observed_day: datetime.date | None
+) -> ConflictEpisode:
+    """The episode of one tracker record, ongoing when the record was
+    fed on ``last_observed_day``."""
+    return ConflictEpisode(
+        prefix=prefix,
+        first_day=record[FIRST],
+        last_day=record[LAST],
+        days_observed=record[DAYS],
+        origins_ever=frozenset(record[ORIGINS]),
+        max_origins_single_day=record[WIDTH],
+        ongoing=record[LAST] == last_observed_day,
+    )

@@ -107,8 +107,12 @@ def one_time_conflicts(episodes: Iterable[ConflictEpisode]) -> int:
     return sum(1 for episode in episodes if episode.one_time)
 
 
+#: Days a conflict must exceed to count as long-lived.
+LONG_LIVED_DAYS = 300
+
+
 def long_lived_conflicts(
-    episodes: Iterable[ConflictEpisode], threshold_days: int = 300
+    episodes: Iterable[ConflictEpisode], threshold_days: int = LONG_LIVED_DAYS
 ) -> int:
     """Conflicts longer than ``threshold_days`` (paper: 1 002 > 300)."""
     return sum(

@@ -43,15 +43,14 @@ from repro.core.episodes import (
     LAST,
     ORIGINS,
     RPKI,
-    VERDICT,
     VOTES,
     WIDTH,
     EpisodeTracker,
+    TouchCursor,
 )
 from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import RoaTable, ValidationState
-from repro.netbase.trie import PrefixTrie
 from repro.topology.ixp import IXP_BLOCK
 
 # -- tags -----------------------------------------------------------------
@@ -201,7 +200,15 @@ class VerdictEngine:
     evaluate`` path over a bare source.
     """
 
-    __slots__ = ("config", "tracker", "_registry_shapes")
+    __slots__ = (
+        "config",
+        "tracker",
+        "_registry_shapes",
+        "_cursor",
+        "_verdicts",
+        "_wide",
+        "_shape_only",
+    )
 
     def __init__(
         self,
@@ -221,9 +228,17 @@ class VerdictEngine:
         #: ``(registry, config, owner map, structural tags,
         #: registry-only verdicts)`` for the last registry object and
         #: config :meth:`finalize` saw; the registry is held so the
-        #: identity check can never match a recycled id.  Record
-        #: verdict memos name the tuple they were derived under.
+        #: identity check can never match a recycled id.
         self._registry_shapes: tuple | None = None
+        #: What the last :meth:`finalize` derived, kept for the next:
+        #: its position in the tracker's touch log, the verdict of each
+        #: record in record order, the records wide enough for the
+        #: anycast test, and the registry-only verdicts of structural
+        #: prefixes without a record, in structural order.
+        self._cursor = TouchCursor()
+        self._verdicts: dict[Prefix, Verdict] = {}
+        self._wide: set[Prefix] = set()
+        self._shape_only: dict[Prefix, Verdict] = {}
 
     def feed_day(self, detection: DayDetection) -> None:
         """Fold one day's detection into the engine's tracker."""
@@ -243,13 +258,16 @@ class VerdictEngine:
 
         The registry is treated as immutable: its owner map, shapes and
         registry-only verdicts are derived once per registry object and
-        reused by every later call with that same object.  A prefix's
-        verdict is likewise reused while its record is unfed since
-        the last call under the same registry object and config,
-        unless its origin set is wide enough for the anycast test,
-        which reads the study length.
+        reused by every later call with that same object.  Under the
+        same registry object and config, a call judges afresh only the
+        records fed since the last call (the tracker's touch log) and
+        those whose origin set is wide enough for the anycast test,
+        which reads the study length; every other verdict is the object
+        the last call returned.
         """
         config = self.config
+        tracker = self.tracker
+        touched = tracker.touched(self._cursor)
         shapes = self._registry_shapes
         if (
             shapes is None
@@ -264,19 +282,27 @@ class VerdictEngine:
             shapes = self._registry_shapes = (
                 registry, config, owners, structural, {}
             )
+            touched = None
         _registry, _config, owners, structural, shape_verdicts = shapes
         wide = config.anycast_min_origins
-        verdicts: dict[Prefix, Verdict] = {}
-        for prefix, record in self.tracker.records():
-            memo = record[VERDICT]
-            if memo is not None and memo[0] is shapes and record[WIDTH] < wide:
-                verdicts[prefix] = memo[1]
-                continue
+        verdicts = self._verdicts
+        shape_only = self._shape_only
+        if touched is None:
+            verdicts.clear()
+            self._wide.clear()
+            added = [prefix for prefix, _record in tracker.records()]
+            redo = added
+        else:
+            # New records first, so the dict keeps record order.
+            added = tracker.newest(len(tracker) - len(verdicts))
+            redo = [*added, *(touched | self._wide).difference(added)]
+        for prefix in redo:
+            record = tracker.record(prefix)
             tags = self._episode_tags(prefix, record)
             tag = structural.get(prefix)
             if tag is not None:
                 tags.add(tag)
-            verdict = verdicts[prefix] = self._verdict(
+            verdicts[prefix] = self._verdict(
                 prefix,
                 tags,
                 days=record[DAYS],
@@ -284,19 +310,26 @@ class VerdictEngine:
                 owner=owners.get(prefix),
                 rpki_state=record[RPKI],
             )
-            record[VERDICT] = (shapes, verdict)
-        # Registry-only shapes: announced-space anomalies that never
-        # conflicted (the AS7007 signature same-prefix MOAS cannot see).
-        for prefix, tag in structural.items():
-            if prefix in verdicts:
-                continue
-            verdict = shape_verdicts.get(prefix)
-            if verdict is None:
-                verdict = shape_verdicts[prefix] = self._shape_verdict(
-                    prefix, tag, owners.get(prefix)
-                )
-            verdicts[prefix] = verdict
-        return verdicts
+            if record[WIDTH] >= wide:
+                self._wide.add(prefix)
+        if touched is None:
+            # Registry-only shapes: announced-space anomalies that never
+            # conflicted (the AS7007 signature same-prefix MOAS cannot
+            # see).
+            shape_only.clear()
+            for prefix, tag in structural.items():
+                if prefix in verdicts:
+                    continue
+                verdict = shape_verdicts.get(prefix)
+                if verdict is None:
+                    verdict = shape_verdicts[prefix] = self._shape_verdict(
+                        prefix, tag, owners.get(prefix)
+                    )
+                shape_only[prefix] = verdict
+        else:
+            for prefix in added:
+                shape_only.pop(prefix, None)
+        return {**verdicts, **shape_only}
 
     def _shape_verdict(
         self, prefix: Prefix, tag: str, owner: int | None
@@ -423,24 +456,35 @@ def _structural_tags(registry) -> dict[Prefix, str]:
     under an old foreign cover is the AS7007 de-aggregation shape; a new
     cover over old foreign more-specifics is faulty aggregation.
     AS_SET-flagged aggregates (excluded by the paper's methodology) and
-    exchange-point fabric registrations are skipped.
+    exchange-point fabric registrations are skipped; of a repeated
+    prefix, the last row is the registration the others are judged
+    against.
     """
-    trie: PrefixTrie = PrefixTrie()
     entries = [
         entry
         for entry in registry
         if not entry.as_set_tail and not entry.exchange_point
     ]
-    for entry in entries:
-        trie[entry.prefix] = entry
+    latest = {entry.prefix: entry for entry in entries}
+    # Sorted by (network, length), a prefix comes after every prefix
+    # covering it and before its more-specifics, so the open covers
+    # form a stack of nested ranges whose top is the closest cover.
+    covers: dict[Prefix, object] = {}
+    stack: list[tuple[int, object]] = []  # (range end, entry)
+    for prefix in sorted(
+        latest, key=lambda prefix: (prefix.network << 6) | prefix.length
+    ):
+        network = prefix.network
+        while stack and stack[-1][0] <= network:
+            stack.pop()
+        if stack:
+            covers[prefix] = stack[-1][1]
+        stack.append((network + prefix.num_addresses, latest[prefix]))
     tags: dict[Prefix, str] = {}
     for entry in entries:
         if entry.prefix.length == 0:
             continue
-        cover = None
-        for candidate in trie.covering(entry.prefix):
-            if candidate[0] != entry.prefix:
-                cover = candidate[1]  # keep the most specific cover
+        cover = covers.get(entry.prefix)
         if cover is None or cover.owner == entry.owner:
             continue
         if entry.created_day > cover.created_day:

@@ -23,8 +23,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.export import episode_record
-from repro.analysis.index import EpisodeIndex, IndexRecord, changed_prefixes
+from repro.analysis.index import EpisodeIndex, IndexRecord
 from repro.api.service import MoasService
+from repro.core.episodes import TouchCursor
+from repro.core.verdict import TAG_WIDE_ORIGIN_SET, VerdictEngine
 from repro.netbase.prefix import Prefix
 from tests.analysis.test_merge_properties import (
     START,
@@ -330,30 +332,40 @@ class TestRederived:
 
 
     @given(detection_streams(), roa_tables(), st.data())
-    def test_identity_diff_finds_every_changed_record(
+    def test_handed_over_set_finds_every_changed_record(
         self, detections, table, data
     ):
-        """Memoized folds: untouched prefixes keep their objects, so
-        the identity diff is enough to patch the index."""
+        """The prefixes the touch log hands over since the last index,
+        with the ongoing ones that ended and the wide-origin verdicts,
+        are enough to patch the index, however many days apart the
+        reads are."""
         state = feed_state([], roa_table=table)
-        engine = feed_engine([], roa_table=table)
+        engine = VerdictEngine(tracker=state._tracker)
+        cursor = TouchCursor()
         previous = None
         for detection in detections:
             state.feed_day(detection)
-            engine.feed_day(detection)
             if previous is not None and not data.draw(st.booleans()):
                 continue  # a day no reader asked about
             results, verdicts = state.results(), engine.finalize()
+            episodes = results.episodes
             cold = EpisodeIndex.build(results, verdicts=verdicts)
+            touched = state.touched(cursor)
             if previous is not None:
-                old_results, old_verdicts, old = previous
-                changed = changed_prefixes(
-                    old_results, old_verdicts, results, verdicts
+                old, ongoing = previous
+                assert touched is not None
+                handed = touched.union(
+                    (p for p in ongoing if not episodes[p].ongoing),
+                    (
+                        prefix
+                        for prefix, verdict in verdicts.items()
+                        if TAG_WIDE_ORIGIN_SET in verdict.tags
+                    ),
                 )
-                assert changed is not None
-                patched = old.rederived(results, verdicts, changed)
+                patched = old.rederived(results, verdicts, handed)
                 assert patched.to_bytes() == cold.to_bytes()
-            previous = (results, verdicts, cold)
+            ongoing = [p for p, episode in episodes.items() if episode.ongoing]
+            previous = (cold, ongoing)
 
 
 class TestFromRecordsContract:

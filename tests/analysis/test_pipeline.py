@@ -149,3 +149,74 @@ class TestMrtEquivalence:
         assert len(detections) == 1
         assert detections[0].day == MRT_DAY
         assert detections[0].num_conflicts > 0
+
+
+class TestKeptStatistics:
+    """``StudyState.results`` keeps what it derived between calls; at
+    any gap between reads it equals a state restored from the
+    checkpoint payload, which derives everything afresh."""
+
+    def test_reads_at_irregular_gaps_across_years(self):
+        from repro.analysis.pipeline import StudyState
+        from repro.core.detector import DailyConflict, DayDetection
+        from repro.netbase.prefix import Prefix
+        from repro.topology.ixp import IXP_BLOCK
+
+        prefixes = [Prefix(0x0A000000 | (n << 8), 24) for n in range(40)]
+        prefixes[15] = IXP_BLOCK
+        state = StudyState()
+        start = datetime.date(1998, 11, 1)
+        reads = 0
+        for offset in range(800):
+            # A spike every 97 days, conflicts coming and going between.
+            width = 30 if offset % 97 == 0 else 3 + offset % 11
+            live = prefixes[offset % 13 : offset % 13 + width]
+            state.feed_day(
+                DayDetection(
+                    day=start + datetime.timedelta(days=offset),
+                    conflicts=tuple(
+                        DailyConflict(
+                            prefix=prefix,
+                            origins=frozenset((1, 2 + n % (2 + offset % 3))),
+                        )
+                        for n, prefix in enumerate(live)
+                    ),
+                    prefixes_scanned=len(live),
+                    as_set_excluded=0,
+                )
+            )
+            if offset % 11 in (0, 4) or offset % 61 == 0:
+                reads += 1
+                cold = StudyState.from_state(state.state_dict()).results()
+                assert state.results() == cold
+                assert_stats_of_episodes(cold, state.pipeline)
+        assert reads > 100
+        assert list(cold.yearly_medians) == [1998, 1999, 2000, 2001]
+        assert cold.long_lived_conflicts and cold.exchange_point_conflicts
+
+
+def assert_stats_of_episodes(results, pipeline) -> None:
+    """The figure 2-4 and summary fields equal the paper's definitions
+    in :mod:`repro.core.stats` over the same episodes and series."""
+    from repro.core import stats
+    from repro.topology.ixp import IXP_BLOCK
+
+    episodes = list(results.episodes.values())
+    series = results.daily_series
+    assert results.duration_histogram == stats.duration_histogram(episodes)
+    assert list(results.duration_expectations.items()) == list(
+        stats.duration_expectations(
+            episodes, pipeline.duration_thresholds
+        ).items()
+    )
+    assert results.one_time_conflicts == stats.one_time_conflicts(episodes)
+    assert results.long_lived_conflicts == stats.long_lived_conflicts(episodes)
+    assert results.ongoing_conflicts == stats.ongoing_conflicts(episodes)
+    assert results.max_duration == stats.max_duration(episodes)
+    assert list(results.yearly_medians.items()) == list(
+        stats.yearly_medians(series).items()
+    )
+    assert results.peak_days == stats.peak_days(series)
+    assert results.exchange_point_conflicts == sum(
+        IXP_BLOCK.contains(episode.prefix) for episode in episodes
+    )

@@ -1,15 +1,20 @@
 """Serve's fresh reads against cold rebuilds, at every day boundary.
 
-A fresh read after a fold reuses what the fold left alone: the episode
-and verdict memos on each tracker record keep an untouched prefix's
-objects identical, ``ServeApp.current_index`` re-derives only the
-records whose objects changed, and ``/v1/verdicts`` is assembled from
-per-verdict JSON fragments.  These tests feed a ``ServeApp`` day by day
-and compare every such answer with one rebuilt from nothing: results
-and verdicts of a session restored from the checkpoint payload (so no
-memo can take part), a cold ``EpisodeIndex.build`` and ``Response.json``.  The
-same holds for a session loaded from a legacy sharded checkpoint, whose
-tracker lists records in shard order rather than first-seen order.
+A fresh read after a fold re-derives only what the folds touched: the
+episode tracker logs each prefix whose record a fold fed, and the
+session's results, its verdicts, ``ServeApp.current_index`` and the
+``/v1/verdicts`` row table each keep what they derived and redo only
+the prefixes the log hands them since their last read, plus the
+prefixes they last saw ongoing and those whose verdict reads the study
+length.  ``/v1/verdicts`` joins per-verdict JSON fragments.  These
+tests feed a ``ServeApp`` and read every route every day, comparing
+each answer with one rebuilt from nothing: results and verdicts of a
+session restored from the checkpoint payload (which carries no log and
+nothing kept), a cold ``EpisodeIndex.build`` and ``Response.json``.
+The same holds for a session loaded from a legacy sharded checkpoint,
+whose tracker lists records in shard order rather than first-seen
+order.  ``test_serve_touched.py`` reads on drawn days instead, so the
+readers fall behind by different amounts.
 """
 
 from __future__ import annotations

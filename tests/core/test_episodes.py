@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.detector import DailyConflict
-from repro.core.episodes import EpisodeTracker
+from repro.analysis.pipeline import StudyState
+from repro.core.detector import DailyConflict, DayDetection
+from repro.core.episodes import EpisodeTracker, TouchCursor
 from repro.netbase.prefix import Prefix
 
 P1 = Prefix.parse("10.0.0.0/8")
@@ -23,6 +24,15 @@ def day(offset: int) -> datetime.date:
 
 def conflict(prefix: Prefix, *origins: int) -> DailyConflict:
     return DailyConflict(prefix=prefix, origins=frozenset(origins or (1, 2)))
+
+
+def detection(offset: int, *conflicts: DailyConflict) -> DayDetection:
+    return DayDetection(
+        day=day(offset),
+        conflicts=conflicts,
+        prefixes_scanned=len(conflicts),
+        as_set_excluded=0,
+    )
 
 
 class TestTracking:
@@ -218,44 +228,109 @@ class TestRestore:
 
 
 class TestEpisodeMemo:
-    """finalize reuses an episode until its record is observed again
-    or its ongoing flag flips."""
+    """A study's results reuse an episode until its record is observed
+    again or its ongoing flag flips; the tracker keeps no memo."""
 
     def test_unobserved_record_keeps_its_episode_object(self):
-        tracker = EpisodeTracker()
-        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
-        tracker.observe_day(day(1), [conflict(P1)])
-        first = tracker.finalize()
-        second = tracker.finalize()
+        state = StudyState()
+        state.feed_day(detection(0, conflict(P1), conflict(P2)))
+        state.feed_day(detection(1, conflict(P1)))
+        first = state.results().episodes
+        second = state.results().episodes
         assert second == first and second is not first
         assert second[P2] is first[P2]
         assert second[P1] is first[P1] and first[P1].ongoing
         # P1 goes quiet: same counts, but no longer ongoing.
-        tracker.observe_day(day(2), [conflict(P2)])
-        third = tracker.finalize()
+        state.feed_day(detection(2, conflict(P2)))
+        third = state.results().episodes
         assert not third[P1].ongoing
         assert third[P1].days_observed == first[P1].days_observed
         assert third[P2].days_observed == 2 and third[P2].ongoing
+        assert third == state._tracker.finalize()
         # An explicit last observed day flips the flag the other way.
-        assert tracker.finalize(day(1))[P1].ongoing
-        assert tracker.finalize(day(1)) == EpisodeTracker.from_state(
-            tracker.state_dict()
+        assert state._tracker.finalize(day(1))[P1].ongoing
+        assert state._tracker.finalize(day(1)) == EpisodeTracker.from_state(
+            state._tracker.state_dict()
         ).finalize(day(1))
 
     def test_state_dict_ignores_finalize(self):
         plain, finalized = EpisodeTracker(), EpisodeTracker()
+        cursor = TouchCursor()
         recurring = conflict(P1)
         for offset in range(4):
             conflicts = [recurring] + ([conflict(P2)] if offset % 2 else [])
             for tracker in (plain, finalized):
                 tracker.observe_day(day(offset), conflicts)
             finalized.finalize()
+            finalized.touched(cursor)
         assert finalized.state_dict() == plain.state_dict()
 
     def test_restore_starts_memo_free(self):
-        tracker = EpisodeTracker()
-        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
-        episodes = tracker.finalize()
-        fresh = EpisodeTracker.from_state(tracker.state_dict()).finalize()
+        state = StudyState()
+        state.feed_day(detection(0, conflict(P1), conflict(P2)))
+        episodes = state.results().episodes
+        fresh = StudyState.from_state(state.state_dict()).results().episodes
         assert fresh == episodes
         assert all(fresh[p] is not episodes[p] for p in episodes)
+
+
+class TestTouchLog:
+    """``touched`` hands each reader the prefixes fed since its last
+    call, or ``None`` when the reader must derive everything."""
+
+    def test_first_call_has_no_position(self):
+        tracker = EpisodeTracker()
+        tracker.observe_day(day(0), [conflict(P1)])
+        cursor = TouchCursor()
+        assert tracker.touched(cursor) is None
+        assert tracker.touched(cursor) == set()
+        tracker.observe_day(day(1), [conflict(P2)])
+        assert tracker.touched(cursor) == {P2}
+
+    def test_each_reader_keeps_its_own_position(self):
+        tracker = EpisodeTracker()
+        others = [conflict(Prefix.parse(f"10.{n}.0.0/16")) for n in range(2)]
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2), *others])
+        early, late = TouchCursor(), TouchCursor()
+        tracker.touched(early)
+        tracker.touched(late)
+        recurring = conflict(P1)
+        tracker.observe_day(day(1), [recurring])
+        assert tracker.touched(early) == {P1}
+        # Logged again in the next generation, after early's position.
+        tracker.observe_day(day(2), [recurring, conflict(P2)])
+        assert tracker.touched(early) == {P1, P2}
+        assert tracker.touched(late) == {P1, P2}
+        assert tracker.touched(early) == tracker.touched(late) == set()
+
+    def test_another_tracker_has_no_position(self):
+        tracker = EpisodeTracker()
+        tracker.observe_day(day(0), [conflict(P1)])
+        cursor = TouchCursor()
+        tracker.touched(cursor)
+        restored = EpisodeTracker.from_state(tracker.state_dict())
+        assert restored.touched(cursor) is None
+        restored.observe_day(day(1), [conflict(P1)])
+        assert restored.touched(cursor) == {P1}
+        assert tracker.touched(cursor) is None
+
+    def test_cap_sends_a_reader_that_fell_behind_cold(self):
+        tracker = EpisodeTracker()
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
+        reader, behind = TouchCursor(), TouchCursor()
+        tracker.touched(reader)
+        tracker.touched(behind)
+        for offset in range(1, 6):
+            tracker.observe_day(day(offset), [conflict(P1)])
+            assert tracker.touched(reader) == {P1}
+            assert len(tracker._log) <= len(tracker)
+        assert tracker.touched(behind) is None
+
+    def test_read_log_is_trimmed(self):
+        tracker = EpisodeTracker()
+        cursor = TouchCursor()
+        tracker.touched(cursor)
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
+        assert len(tracker._log) == 2
+        tracker.touched(cursor)
+        assert len(tracker._log) == 0
