@@ -191,7 +191,6 @@ class EvaluationReport:
     verdicts: dict[Prefix, Verdict]
     result: EvaluationResult
     labels: tuple[IncidentLabel, ...] = ()
-    config: dict = field(default_factory=dict)
 
 
 def evaluate_verdicts(

@@ -14,8 +14,7 @@ with ``analyze``:
 - records are keyed in :class:`~repro.netbase.trie.PrefixTrie` walk
   order, which for disjoint keys equals ``Prefix.sort_key()`` order, so
   a point lookup is one ``bisect`` over the key column — O(log n) in
-  episodes, no trie materialization needed on the hot path (a lazily
-  built trie backs the structural ``covering``/``covered`` queries);
+  episodes, with no trie;
 - a day-interval index (the sorted first-day and last-day columns)
   answers "how many episodes were active in [A, B]?" in O(log n) in
   days: overlaps = N - #(first > B) - #(last < A), the two exclusion
@@ -103,7 +102,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.netbase.prefix import Prefix
-from repro.netbase.trie import PrefixTrie
 from repro.scenario.archive import ArchiveError
 from repro.util.io import atomic_write_bytes
 from repro.util.varint import decode_uvarint
@@ -296,7 +294,6 @@ class EpisodeIndex:
         "_verdicts",
         "_sorted_firsts",
         "_sorted_lasts",
-        "_trie",
     )
 
     def __init__(
@@ -317,7 +314,6 @@ class EpisodeIndex:
         self._verdicts: list[tuple | None] = []
         self._sorted_firsts: list[int] = []
         self._sorted_lasts: list[int] = []
-        self._trie: PrefixTrie | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -433,7 +429,6 @@ class EpisodeIndex:
         """Derive the day-interval index from the record columns."""
         self._sorted_firsts = sorted(self._first_ords)
         self._sorted_lasts = sorted(self._last_ords)
-        self._trie = None
 
     # -- queries -------------------------------------------------------------
 
@@ -544,38 +539,6 @@ class EpisodeIndex:
             days_indexed=self.days_indexed,
             last_day=self.last_day,
         )
-
-    # -- structural queries (trie-backed) ------------------------------------
-
-    def _ensure_trie(self) -> PrefixTrie:
-        """The record-position trie, built on first structural query.
-
-        Point lookups never need it (the key column *is* the trie's
-        lexicographic walk); ``covering``/``covered`` do, and a
-        million-record trie is too heavy to build speculatively.
-        """
-        if self._trie is None:
-            trie = PrefixTrie()
-            for position, prefix in enumerate(self.prefixes()):
-                trie[prefix] = position
-            self._trie = trie
-        return self._trie
-
-    def covering(self, prefix: Prefix) -> list[IndexRecord]:
-        """Indexed records whose prefix covers ``prefix`` (incl. it)."""
-        trie = self._ensure_trie()
-        return [
-            self.record_at(position)
-            for _covering, position in trie.covering(prefix)
-        ]
-
-    def covered(self, prefix: Prefix) -> list[IndexRecord]:
-        """Indexed records at or under ``prefix``, in walk order."""
-        trie = self._ensure_trie()
-        return [
-            self.record_at(position)
-            for _covered, position in trie.covered(prefix)
-        ]
 
     # -- on-disk form --------------------------------------------------------
 

@@ -39,13 +39,7 @@ from repro.analysis.parallel import iter_detections
 from repro.core.causes import SpikeReport
 from repro.core.classifier import ConflictClass, classify_day
 from repro.core.detector import DayDetection
-from repro.core.episodes import (
-    RPKI,
-    ConflictEpisode,
-    EpisodeTracker,
-    TouchCursor,
-    episode_of,
-)
+from repro.core.episodes import RPKI, ConflictEpisode, EpisodeTracker, episode_of
 from repro.core.stats import (
     LONG_LIVED_DAYS,
     involvement_fraction,
@@ -228,13 +222,13 @@ class StudyState:
         #: kept so registry shapes are derived once per registry object.
         self._verdict_engine: VerdictEngine | None = None
         #: What the last :meth:`results` derived from the tracker, kept
-        #: for the next: its position in the tracker's touch log, the
-        #: episode table in record order, the prefixes then ongoing,
-        #: the days-observed histogram, the RPKI rollups and the count
-        #: of exchange-point prefixes.
-        self._cursor = TouchCursor()
+        #: for the next: the last fed day it derived at, the episode
+        #: table in record order, the count of ongoing episodes, the
+        #: days-observed histogram, the RPKI rollups and the count of
+        #: exchange-point prefixes.
+        self._derived_day: datetime.date | None = None
         self._episodes: dict[Prefix, ConflictEpisode] = {}
-        self._ongoing: list[Prefix] = []
+        self._ongoing = 0
         self._histogram: Counter[int] = Counter()
         self._rpki_states: dict[Prefix, str] = {}
         self._exchange_point = 0
@@ -324,12 +318,11 @@ class StudyState:
         assemble under the service lock, render outside it.
 
         The episode statistics are kept from one call to the next: a
-        call re-derives only the episodes of the records fed since the
-        last call (the tracker's touch log) and of the prefixes then
-        ongoing whose flag flipped, and adjusts the duration
-        histogram that figures 3 and 4 and the summary counts derive
-        from.  The first call, and any after the log was trimmed past
-        this state's position, derives every episode.
+        call after new days re-derives only the episodes
+        :meth:`EpisodeTracker.fed_since` the last call's day hands
+        over, the records fed since and those then ongoing, whose flag
+        may flip, and adjusts the duration histogram that figures 3
+        and 4 and the summary counts derive from.
         """
         self._refresh_episodes()
         histogram = self._histogram
@@ -357,7 +350,7 @@ class StudyState:
             duration_expectations=expectations,
             one_time_conflicts=histogram.get(1, 0),
             long_lived_conflicts=long_lived,
-            ongoing_conflicts=len(self._ongoing),
+            ongoing_conflicts=self._ongoing,
             max_duration=max(histogram, default=0),
             length_distribution=length_distribution,
             classification_series=list(self._classification),
@@ -392,31 +385,19 @@ class StudyState:
     def _refresh_episodes(self) -> None:
         """Bring the kept episode statistics up to the tracker's state."""
         tracker = self._tracker
-        touched = tracker.touched(self._cursor)
+        last_day = tracker.last_fed_day
+        since = self._derived_day
+        if last_day == since:
+            return
+        self._derived_day = last_day
         episodes = self._episodes
         histogram = self._histogram
         rpki_states = self._rpki_states
-        last_day = tracker.last_fed_day
-        ongoing = []
-        if touched is None:
-            episodes.clear()
-            histogram.clear()
-            rpki_states.clear()
-            self._exchange_point = 0
-            added = [prefix for prefix, _record in tracker.records()]
-            redo = added
-        else:
-            # New records first, so the table keeps record order.
-            added = tracker.newest(len(tracker) - len(episodes))
-            redo = [*added, *touched.difference(added)]
-            # An unfed prefix that was ongoing changes only if it no
-            # longer is.
-            for prefix in self._ongoing:
-                if prefix not in touched:
-                    if episodes[prefix].last_day == last_day:
-                        ongoing.append(prefix)
-                    else:
-                        redo.append(prefix)
+        # New records first, so the table keeps record order.
+        added = tracker.newest(len(tracker) - len(episodes))
+        redo = added
+        if since is not None:
+            redo = [*added, *set(tracker.fed_since(since)).difference(added)]
         self._exchange_point += sum(map(IXP_BLOCK.contains, added))
         for prefix in redo:
             record = tracker.record(prefix)
@@ -427,23 +408,21 @@ class StudyState:
                     del histogram[days]
                 else:
                     histogram[days] -= 1
+                self._ongoing -= previous.ongoing
             episode = episodes[prefix] = episode_of(prefix, record, last_day)
             histogram[episode.days_observed] += 1
-            if episode.ongoing:
-                ongoing.append(prefix)
+            self._ongoing += episode.ongoing
             if record[RPKI] is not None:
                 rpki_states[prefix] = record[RPKI].value
-        self._ongoing = ongoing
 
-    def touched(self, cursor: TouchCursor) -> set[Prefix] | None:
-        """The prefixes fed since ``cursor``'s last call, or ``None``
-        (see :meth:`EpisodeTracker.touched`): what a reader keeping its
-        own derivations of the episodes must re-derive."""
-        return self._tracker.touched(cursor)
+    def fed_since(self, day: datetime.date) -> list[Prefix]:
+        """The prefixes whose records were fed on or after ``day``
+        (:meth:`EpisodeTracker.fed_since`), for readers that keep their
+        own derivations of the records."""
+        return self._tracker.fed_since(day)
 
     def verdicts(self, registry=None) -> dict[Prefix, Verdict]:
-        """Verdicts judged from the state's own episode records under
-        the default :class:`~repro.core.verdict.VerdictConfig` (see
+        """Verdicts judged from the state's own episode records (see
         :meth:`VerdictEngine.finalize`); one engine serves every call,
         so a registry's shapes are derived once per registry object."""
         if self._verdict_engine is None:

@@ -47,6 +47,7 @@ fresh ``render()`` over a batch ``analyze`` stopped at that day.
 from __future__ import annotations
 
 import asyncio
+import datetime
 import json
 import math
 import threading
@@ -63,7 +64,6 @@ from repro.api.renderers import available_renderings, render
 from repro.api.service import LEGACY_RESUME_NOTE, MoasService, answer_keys
 from repro.api.sources import open_source
 from repro.core.detector import DayDetection
-from repro.core.episodes import TouchCursor
 from repro.core.realtime import DaySnapshotAlerter, MoasAlert
 from repro.core.verdict import TAG_WIDE_ORIGIN_SET
 from repro.util.concurrency import guarded_by
@@ -292,9 +292,7 @@ class _Snapshot:
     "_verdict_cache",
     "_evaluation_cache",
     "_index_cache",
-    "_index_cursor",
     "_verdict_rows",
-    "_verdict_rows_cursor",
 )
 class ServeApp:
     """The daemon's synchronous core: shared state + request routing.
@@ -328,20 +326,16 @@ class ServeApp:
         self._snapshot_cache: _Snapshot | None = None
         self._verdict_cache: tuple[int, dict] | None = None
         self._evaluation_cache: tuple[int, object] | None = None
-        #: ``(days, index, ongoing prefixes, wide prefixes)``: the index
-        #: and, of the snapshot it was built from, the prefixes then
-        #: ongoing and those whose verdict reads the study length (see
-        #: :meth:`current_index`).  The cursor is its position in the
-        #: session's touch log.
+        #: ``(session, days, index, wide prefixes)``: the index, the
+        #: session and day count it was built at, and the prefixes whose
+        #: verdict reads the study length (see :meth:`current_index`).
         self._index_cache: tuple | None = None
-        self._index_cursor = TouchCursor()
-        #: ``/v1/verdicts`` rows of the last day count served: ``(days,
-        #: row keys, rows, wide prefixes)``, the rows ``[verdict, JSON
-        #: fragment or None]`` sorted by their keys, the prefixes'
-        #: ``sort_key()`` packed into one int; and the table's position
-        #: in the touch log.
+        #: ``/v1/verdicts`` rows of the last day count served:
+        #: ``(session, days, last fed day, row keys, rows, wide
+        #: prefixes)``, the rows ``[verdict, JSON fragment or None]``
+        #: sorted by their keys, the prefixes' ``sort_key()`` packed
+        #: into one int.
         self._verdict_rows: tuple | None = None
-        self._verdict_rows_cursor = TouchCursor()
         self._registry, self._injected, self._organic = (
             answer_keys(self.archive)
             if self.archive is not None
@@ -451,56 +445,44 @@ class ServeApp:
 
         A new day's index is the previous one with only the records
         that may differ re-derived (:meth:`EpisodeIndex.rederived`):
-        the prefixes the session's touch log hands over as fed since
-        the last index, the prefixes ongoing then that no longer are,
-        and those whose verdict carries the wide-origin tag, because
-        their anycast call reads the study length.  With no previous
-        index, with no position in the log (a session restored or
-        replaced, or a reader the log's cap left behind), or when most
+        the prefixes the session's :meth:`~MoasService.fed_since` hands
+        over from the previous index's last day, so those fed since and
+        those then ongoing, and those whose verdict carries the
+        wide-origin tag, because their anycast call reads the study
+        length.  With no previous index of a fed day, a previous index
+        of another session (``service`` was replaced), or when most
         records may differ, the index is built cold.
         """
         from repro.analysis.index import EpisodeIndex
 
         with self._lock:
             snapshot = self.current()
+            service = self.service
             cache = self._index_cache
-            if cache is None or cache[0] != snapshot.days:
-                _days, verdicts = self.current_verdicts()
-                results = snapshot.results
-                episodes = results.episodes
-                touched = self.service.touched(self._index_cursor)
-                redo = None
-                if cache is not None and touched is not None:
-                    _days, index, ongoing, wide = cache
-                    ended = [
-                        prefix
-                        for prefix in ongoing
-                        if not episodes[prefix].ongoing
-                    ]
-                    redo = touched.union(ended, wide)
-                if redo is None or 2 * len(redo) > len(episodes):
-                    index = EpisodeIndex.build(results, verdicts=verdicts)
-                    ongoing = {
-                        prefix
-                        for prefix, episode in episodes.items()
-                        if episode.ongoing
-                    }
-                    wide = {
-                        prefix for prefix in episodes if _wide(verdicts, prefix)
-                    }
-                else:
-                    index = index.rederived(results, verdicts, redo)
-                    ongoing = {
-                        prefix
-                        for prefix in touched.union(ongoing)
-                        if episodes[prefix].ongoing
-                    }
-                    wide = wide.union(
-                        prefix for prefix in touched if _wide(verdicts, prefix)
-                    )
-                cache = (snapshot.days, index, ongoing, wide)
-                self._index_cache = cache
-            return snapshot, cache[1]
+            if cache is not None and cache[0] is service and cache[1] == snapshot.days:
+                return snapshot, cache[2]
+            _days, verdicts = self.current_verdicts()
+            results = snapshot.results
+            episodes = results.episodes
+            redo = None
+            if (
+                cache is not None
+                and cache[0] is service
+                and cache[2].last_day is not None
+            ):
+                _service, _days, index, wide = cache
+                fed = service.fed_since(index.last_day)
+                redo = wide.union(fed)
+            if redo is None or 2 * len(redo) > len(episodes):
+                index = EpisodeIndex.build(results, verdicts=verdicts)
+                wide = {prefix for prefix in episodes if _wide(verdicts, prefix)}
+            else:
+                index = index.rederived(results, verdicts, redo)
+                wide = wide.union(
+                    prefix for prefix in fed if _wide(verdicts, prefix)
+                )
+            self._index_cache = (service, snapshot.days, index, wide)
+            return snapshot, index
 
     def _meta_headers(self, snapshot: _Snapshot) -> dict:
         headers = {"X-Repro-Days": str(snapshot.days)}
@@ -737,25 +719,28 @@ class ServeApp:
 
         The rows are patched from one day count to the next: a row is
         replaced or inserted (one bisect each) only for the prefixes
-        the touch log hands over and those whose verdict carries the
-        wide-origin tag, and keeps its fragment while its verdict is
-        the same object.  Without a position in the log the rows are
-        built cold.
+        :meth:`~MoasService.fed_since` hands over from the day after
+        the table's, so those fed since, and those whose verdict
+        carries the wide-origin tag, and keeps its fragment while its
+        verdict is the same object.  A table of another session
+        (``service`` was replaced), or of no fed day, is built afresh.
         """
         with self._lock:
             days, verdicts = self.current_verdicts()
+            service = self.service
             table = self._verdict_rows
-            if table is not None and table[0] == days:
-                return days, table[2]
-            touched = self.service.touched(self._verdict_rows_cursor)
-            if table is None or touched is None:
+            if table is not None and table[0] is service and table[1] == days:
+                return days, table[4]
+            last_day = service.last_day
+            if table is None or table[0] is not service or table[2] is None:
                 order = sorted(verdicts, key=_row_key)
                 keys = list(map(_row_key, order))
                 rows = [[verdicts[prefix], None] for prefix in order]
                 wide = {prefix for prefix in order if _wide(verdicts, prefix)}
             else:
-                _days, keys, rows, wide = table
-                for prefix in touched.union(wide):
+                _service, _days, since, keys, rows, wide = table
+                fed = service.fed_since(since + datetime.timedelta(days=1))
+                for prefix in wide.union(fed):
                     verdict = verdicts[prefix]
                     key = _row_key(prefix)
                     position = bisect_left(keys, key)
@@ -766,9 +751,9 @@ class ServeApp:
                         keys.insert(position, key)
                         rows.insert(position, [verdict, None])
                 wide = wide.union(
-                    prefix for prefix in touched if _wide(verdicts, prefix)
+                    prefix for prefix in fed if _wide(verdicts, prefix)
                 )
-            self._verdict_rows = (days, keys, rows, wide)
+            self._verdict_rows = (service, days, last_day, keys, rows, wide)
             return days, rows
 
     def _handle_evaluation(self, query: dict) -> Response:

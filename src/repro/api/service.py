@@ -346,14 +346,7 @@ class MoasService:
         with self._lock:
             return self._state.conflict_origins
 
-    def feed(
-        self,
-        source,
-        *,
-        skip_seen: bool = False,
-        workers: int | None = None,
-        **options,
-    ) -> int:
+    def feed(self, source, *, skip_seen: bool = False, **options) -> int:
         """Stream a whole source into the session; returns days fed.
 
         ``source`` is anything :func:`~repro.api.sources.open_source`
@@ -363,16 +356,13 @@ class MoasService:
         :attr:`last_day` are silently skipped, making it safe to re-feed
         a source that overlaps an earlier feed or a resumed checkpoint.
 
-        ``workers`` overrides the session's worker count for this feed;
-        with more than one worker, partitionable sources are detected
-        on a process pool (others fall back to the serial path — see
-        :mod:`repro.analysis.parallel`).
+        With more than one session worker, partitionable sources are
+        detected on a process pool (others fall back to the serial
+        path — see :mod:`repro.analysis.parallel`).
         """
         adapted = open_source(source, **options)
         fed = 0
-        for detection in iter_detections(
-            adapted, workers=self.workers if workers is None else workers
-        ):
+        for detection in iter_detections(adapted, workers=self.workers):
             # Check against the *advancing* last_day so duplicate days
             # inside one stream are skipped too, not just overlap with
             # what an earlier feed or resumed checkpoint covered.
@@ -440,14 +430,11 @@ class MoasService:
 
     # -- verdicts and evaluation ---------------------------------------------
 
-    def touched(self, cursor) -> set | None:
-        """:meth:`StudyState.touched` under the session lock: the
-        prefixes fed since the :class:`~repro.core.episodes.TouchCursor`
-        last asked, or ``None`` when its reader must derive everything
-        (first ask, a restored session, or a reader the touch log's cap
-        left behind)."""
+    def fed_since(self, day) -> list:
+        """:meth:`StudyState.fed_since` under the session lock: the
+        prefixes whose episode records were fed on or after ``day``."""
         with self._lock:
-            return self._state.touched(cursor)
+            return self._state.fed_since(day)
 
     def verdicts(self, registry=None) -> dict:
         """The session's own verdicts (:meth:`StudyState.verdicts`),
@@ -457,9 +444,7 @@ class MoasService:
         with self._lock:
             return self._state.verdicts(registry)
 
-    def evaluate(
-        self, source, *, config=None, workers=None, rpki=None, **options
-    ):
+    def evaluate(self, source, **options):
         """Run the verdict engine over ``source`` and score it.
 
         Streams the source's daily detections (worker-parallel exactly
@@ -474,12 +459,10 @@ class MoasService:
         :class:`~repro.analysis.evaluation.EvaluationReport`; its
         ``result`` renders via ``render(result, "evaluation", fmt)``.
 
-        ``rpki`` supplies a ROA database for RFC 6811 origin validation
-        (anything :meth:`~repro.netbase.rpki.RoaTable.load` accepts);
-        left unset, the session's own table is used, and failing that
-        the archive's ``roas.json`` is picked up automatically — an
-        archive generated with ``--rpki`` always evaluates with its
-        RPKI shadow on.
+        RFC 6811 origin validation uses the session's own ROA table,
+        and failing that the archive's ``roas.json``: an archive
+        generated with ``--rpki`` always evaluates with its RPKI shadow
+        on.
 
         Evaluation is independent of the session's fed study state: it
         only borrows the session's worker count (and default ROA
@@ -489,16 +472,15 @@ class MoasService:
             EvaluationReport,
             evaluate_verdicts,
         )
-        from repro.core.verdict import VerdictConfig, VerdictEngine
+        from repro.core.verdict import VerdictEngine
         from repro.netbase.rpki import RoaTable
 
-        config = config or VerdictConfig()
         adapted = open_source(source, **options)
 
         # Resolve the archive's answer keys (and its ROA database)
         # before streaming: the engine validates while it feeds.
         registry, injected, organic = None, [], []
-        roa_table = self.roa_table if rpki is None else RoaTable.load(rpki)
+        roa_table = self.roa_table
         directory = getattr(adapted, "directory", None)
         if directory is not None and (
             Path(directory) / "manifest.json"
@@ -507,10 +489,8 @@ class MoasService:
             if roa_table is None and (Path(directory) / "roas.json").is_file():
                 roa_table = RoaTable.load(directory)
 
-        engine = VerdictEngine(config, roa_table=roa_table)
-        for detection in iter_detections(
-            adapted, workers=self.workers if workers is None else workers
-        ):
+        engine = VerdictEngine(roa_table=roa_table)
+        for detection in iter_detections(adapted, workers=self.workers):
             engine.feed_day(detection)
 
         verdicts = engine.finalize(registry=registry)
@@ -518,10 +498,7 @@ class MoasService:
             verdicts, injected=injected, organic=organic
         )
         return EvaluationReport(
-            verdicts=verdicts,
-            result=result,
-            labels=tuple(injected),
-            config=config.to_dict(),
+            verdicts=verdicts, result=result, labels=tuple(injected)
         )
 
     # -- checkpointing -----------------------------------------------------

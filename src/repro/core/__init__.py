@@ -37,7 +37,7 @@ from repro.core.stats import (
     prefix_length_distribution,
     yearly_medians,
 )
-from repro.core.verdict import Verdict, VerdictConfig, VerdictEngine
+from repro.core.verdict import Verdict, VerdictEngine
 
 __all__ = [
     "ConflictClass",
@@ -58,6 +58,5 @@ __all__ = [
     "MoasAlert",
     "StreamingMoasDetector",
     "Verdict",
-    "VerdictConfig",
     "VerdictEngine",
 ]

@@ -23,8 +23,8 @@ from __future__ import annotations
 import datetime
 import weakref
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
 
 from repro.core.classifier import ConflictClass, conflict_class
 from repro.core.detector import DailyConflict
@@ -32,14 +32,13 @@ from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import RoaTable, ValidationState
 
 #: Mutable per-prefix record: [first, last, days, origins, width, votes,
-#: rpki, stamp].  ``votes`` counts Section V class votes per
+#: rpki, position].  ``votes`` counts Section V class votes per
 #: :data:`CLASS_SLOTS` slot (a conflict-day without paths for two
 #: origins casts none); ``rpki`` is the RFC 6811 rollup or ``None``.
-#: ``stamp`` is the read generation in which the record was last
-#: logged as touched (see :meth:`EpisodeTracker.touched`): never
-#: compared by readers, never checkpointed, ``None`` after
-#: :meth:`EpisodeTracker.from_state`.
-FIRST, LAST, DAYS, ORIGINS, WIDTH, VOTES, RPKI, STAMP = range(8)
+#: ``position`` is the record's first-seen position, its key in the
+#: tracker's last-fed order (never checkpointed: a restored record's
+#: position is its place in the payload).
+FIRST, LAST, DAYS, ORIGINS, WIDTH, VOTES, RPKI, POSITION = range(8)
 
 #: Each class's slot in a record's ``votes`` list.
 CLASS_SLOTS = {found: slot for slot, found in enumerate(ConflictClass)}
@@ -83,30 +82,27 @@ class EpisodeTracker:
     counts in.
 
     Readers that keep what they derived from the records (the study's
-    results, the verdict engine, serve's index) learn what changed from
-    the touch log: each fold logs a prefix the first time it touches
-    the prefix's record in a read generation, and each
-    :meth:`touched` call hands a reader the prefixes logged since its
-    last call and starts a new generation.
+    results, the verdict engine, serve's index) keep the last fed day
+    they derived at and ask :meth:`fed_since` what changed: the records
+    sit in the order they were last fed, so the ones fed on or after a
+    day are a walk back from the newest.
     """
 
-    __slots__ = (
-        "roa_table",
-        "_records",
-        "_seen",
-        "_days",
-        "_log",
-        "_trimmed",
-        "_stamp",
-        "_cursors",
-    )
+    __slots__ = ("roa_table", "_records", "_prefixes", "_order", "_seen", "_days")
 
     def __init__(self, *, roa_table: RoaTable | None = None) -> None:
         #: Immutable ROA database each conflict-day is validated
         #: against; ``None`` leaves every record's rollup empty.
         self.roa_table = roa_table
-        #: prefix -> record (see :data:`FIRST` ... :data:`STAMP`)
+        #: prefix -> record (see :data:`FIRST` ... :data:`POSITION`)
         self._records: dict[Prefix, list] = {}
+        #: The prefixes in first-seen order: a record's position is its
+        #: index here.
+        self._prefixes: list[Prefix] = []
+        #: position -> record, in the order the records were last fed
+        #: (so by :data:`LAST`): each conflict-day moves its record to
+        #: the end.
+        self._order: OrderedDict[int, list] = OrderedDict()
         #: id(conflict) -> (weakref to it, its prefix's record, its
         #: vote slot or None).  The weakref both guards against id
         #: reuse (the stored referent must still *be* the conflict) and
@@ -114,18 +110,6 @@ class EpisodeTracker:
         #: is pinned.
         self._seen: dict[int, tuple] = {}
         self._days: list[datetime.date] = []
-        #: The touch log: prefixes in the order their records were
-        #: first touched in each read generation.  ``_trimmed`` entries
-        #: were dropped from its front, so entry ``i`` of the whole log
-        #: is ``_log[i - _trimmed]``.
-        self._log: list[Prefix] = []
-        self._trimmed = 0
-        #: The current read generation: a record whose stamp is this
-        #: object is already in the log since the last :meth:`touched`.
-        self._stamp = object()
-        #: The cursors positioned in this log (readers that died drop
-        #: out), whose slowest one bounds what may be trimmed.
-        self._cursors: weakref.WeakSet[TouchCursor] = weakref.WeakSet()
 
     @property
     def days(self) -> list[datetime.date]:
@@ -159,10 +143,10 @@ class EpisodeTracker:
             )
         days.append(day)
         records = self._records
+        order = self._order
+        move = order.move_to_end
         seen = self._seen
         roa_table = self.roa_table
-        log = self._log
-        stamp = self._stamp
         for conflict in conflicts:
             key = id(conflict)
             entry = seen.get(key)
@@ -170,25 +154,22 @@ class EpisodeTracker:
                 _ref, record, vote = entry
                 record[LAST] = day
                 record[DAYS] += 1
-                if record[STAMP] is not stamp:
-                    record[STAMP] = stamp
-                    log.append(conflict.prefix)
+                move(record[POSITION])
             else:
                 prefix = conflict.prefix
                 record = records.get(prefix)
                 width = len(conflict.origins)
                 if record is None:
-                    records[prefix] = record = [
+                    position = len(records)
+                    records[prefix] = order[position] = record = [
                         day, day, 1, set(conflict.origins), width,
-                        [0] * len(CLASS_SLOTS), None, stamp,
+                        [0] * len(CLASS_SLOTS), None, position,
                     ]
-                    log.append(prefix)
+                    self._prefixes.append(prefix)
                 else:
                     record[LAST] = day
                     record[DAYS] += 1
-                    if record[STAMP] is not stamp:
-                        record[STAMP] = stamp
-                        log.append(prefix)
+                    move(record[POSITION])
                     record[ORIGINS].update(conflict.origins)
                     if width > record[WIDTH]:
                         record[WIDTH] = width
@@ -210,50 +191,22 @@ class EpisodeTracker:
                 record[RPKI] = roa_table.fold_episode_state(
                     record[RPKI], conflict.prefix, conflict.origins, day=day
                 )
-        # Cap the log at one entry per record: a reader that fell
-        # further behind rebuilds cold, which costs no more.
-        excess = len(log) - len(records)
-        if excess > 0:
-            del log[:excess]
-            self._trimmed += excess
 
-    def touched(self, cursor: "TouchCursor") -> set[Prefix] | None:
-        """The prefixes whose records were fed since ``cursor``'s last
-        call, or ``None`` when the cursor has no position in this log.
+    def fed_since(self, day: datetime.date) -> list[Prefix]:
+        """The prefixes whose records were fed on or after ``day``,
+        newest first.
 
-        A cursor has none on its first call here (a fresh reader, or
-        one whose session was restored or replaced) and when the cap
-        trimmed entries it had not read; its reader must then derive
-        everything afresh.  Either way the call moves the cursor to the
-        end of the log, starts a new read generation, and trims the
-        entries every cursor has read.
+        A reader that last derived when ``day`` was the newest fed day
+        gets exactly the records fed since and those then ongoing;
+        asking from the next day leaves out the ones not fed since.
         """
-        log = self._log
-        trimmed = self._trimmed
-        end = trimmed + len(log)
-        handed = None
-        if cursor.tracker is self and cursor.position >= trimmed:
-            handed = set(log[cursor.position - trimmed:])
-        else:
-            cursor.tracker = self
-            self._cursors.add(cursor)
-        cursor.position = end
-        self._stamp = object()
-        slowest = min(
-            other.position for other in self._cursors if other.tracker is self
-        )
-        if slowest > trimmed:
-            del log[:slowest - trimmed]
-            self._trimmed = slowest
-        return handed
-
-    def records(self):
-        """``(prefix, record)`` pairs in first-seen order.
-
-        The records are the fold's own lists: readers must not write
-        them.
-        """
-        return self._records.items()
+        prefixes = self._prefixes
+        fed = []
+        for position, record in reversed(self._order.items()):
+            if record[LAST] < day:
+                break
+            fed.append(prefixes[position])
+        return fed
 
     def record(self, prefix: Prefix) -> list:
         """The record of ``prefix`` (the fold's own list: read only)."""
@@ -263,11 +216,7 @@ class EpisodeTracker:
         """The last ``count`` prefixes to get a record, in first-seen
         order: a reader that has derived the first ``len(self) -
         count`` records appends these."""
-        if count <= 0:
-            return []
-        newest = list(islice(reversed(self._records), count))
-        newest.reverse()
-        return newest
+        return self._prefixes[len(self._prefixes) - count:]
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of the tracker's streaming state.
@@ -313,6 +262,7 @@ class EpisodeTracker:
             datetime.date.fromisoformat(day) for day in state["days"]
         ]
         slots = len(CLASS_SLOTS)
+        records = tracker._records
         for (
             network, length, first, last, days, origins, width, votes, rpki
         ) in state["prefixes"]:
@@ -321,7 +271,8 @@ class EpisodeTracker:
                     f"episode record votes hold {len(votes)} counts, "
                     f"not {slots}"
                 )
-            tracker._records[Prefix(network, length, strict=False)] = [
+            prefix = Prefix(network, length, strict=False)
+            records[prefix] = [
                 datetime.date.fromisoformat(first),
                 datetime.date.fromisoformat(last),
                 days,
@@ -329,8 +280,13 @@ class EpisodeTracker:
                 width,
                 list(votes),
                 ValidationState(rpki) if rpki is not None else None,
-                None,
+                len(records),
             ]
+            tracker._prefixes.append(prefix)
+        tracker._order = OrderedDict(
+            (record[POSITION], record)
+            for record in sorted(records.values(), key=lambda record: record[LAST])
+        )
         return tracker
 
     def finalize(
@@ -351,21 +307,6 @@ class EpisodeTracker:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-class TouchCursor:
-    """One reader's position in an :class:`EpisodeTracker`'s touch log.
-
-    A reader holds one cursor per thing it keeps and passes it to
-    :meth:`EpisodeTracker.touched`; only the tracker moves it.
-    """
-
-    __slots__ = ("tracker", "position", "__weakref__")
-
-    def __init__(self) -> None:
-        #: The tracker whose log :attr:`position` indexes, or ``None``.
-        self.tracker: EpisodeTracker | None = None
-        self.position = 0
 
 
 def episode_of(

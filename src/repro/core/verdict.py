@@ -30,6 +30,7 @@ ground truth.
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 
 # classify_conflict is imported only so perfbench/layers.py's
@@ -46,7 +47,6 @@ from repro.core.episodes import (
     VOTES,
     WIDTH,
     EpisodeTracker,
-    TouchCursor,
 )
 from repro.netbase.asn import is_private_asn
 from repro.netbase.prefix import Prefix
@@ -116,32 +116,21 @@ _SUSPICION_SHIFTS: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class VerdictConfig:
-    """Thresholds for the tagging heuristics."""
+# -- thresholds of the tagging heuristics ---------------------------------
 
-    #: VI-F duration heuristic: conflicts this short lean *invalid*.
-    short_days: int = 9
-    #: Conflicts at least this long lean valid (standing policy).
-    long_days: int = 30
-    #: Simultaneous origins for the anycast shape (paper VI-D).
-    anycast_min_origins: int = 4
-    #: Share of the study an anycast-like conflict must span.
-    anycast_min_share: float = 0.35
-    #: Absence fraction (within the episode's own span) for "flapping".
-    flapping_min_gap: float = 0.4
-    flapping_min_days: int = 3
+#: VI-F duration heuristic: conflicts this short lean *invalid*.
+SHORT_DAYS = 9
+#: Conflicts at least this long lean valid (standing policy).
+LONG_DAYS = 30
+#: Simultaneous origins for the anycast shape (paper VI-D).
+ANYCAST_MIN_ORIGINS = 4
+#: Share of the study an anycast-like conflict must span.
+ANYCAST_MIN_SHARE = 0.35
+#: Absence fraction (within the episode's own span) for "flapping".
+FLAPPING_MIN_GAP = 0.4
+FLAPPING_MIN_DAYS = 3
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (recorded in evaluation reports)."""
-        return {
-            "short_days": self.short_days,
-            "long_days": self.long_days,
-            "anycast_min_origins": self.anycast_min_origins,
-            "anycast_min_share": self.anycast_min_share,
-            "flapping_min_gap": self.flapping_min_gap,
-            "flapping_min_days": self.flapping_min_days,
-        }
+_ONE_DAY = datetime.timedelta(days=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,10 +190,9 @@ class VerdictEngine:
     """
 
     __slots__ = (
-        "config",
         "tracker",
         "_registry_shapes",
-        "_cursor",
+        "_derived_day",
         "_verdicts",
         "_wide",
         "_shape_only",
@@ -212,12 +200,10 @@ class VerdictEngine:
 
     def __init__(
         self,
-        config: VerdictConfig | None = None,
         *,
         roa_table: RoaTable | None = None,
         tracker: EpisodeTracker | None = None,
     ) -> None:
-        self.config = config or VerdictConfig()
         #: The records every verdict is judged from; its ROA table (or
         #: ``None``, which disables the RPKI signal) is the engine's.
         self.tracker = (
@@ -225,17 +211,16 @@ class VerdictEngine:
             if tracker is not None
             else EpisodeTracker(roa_table=roa_table)
         )
-        #: ``(registry, config, owner map, structural tags,
-        #: registry-only verdicts)`` for the last registry object and
-        #: config :meth:`finalize` saw; the registry is held so the
-        #: identity check can never match a recycled id.
+        #: ``(registry, owner map, structural tags)`` for the last
+        #: registry object :meth:`finalize` saw; the registry is held so
+        #: the identity check can never match a recycled id.
         self._registry_shapes: tuple | None = None
         #: What the last :meth:`finalize` derived, kept for the next:
-        #: its position in the tracker's touch log, the verdict of each
-        #: record in record order, the records wide enough for the
-        #: anycast test, and the registry-only verdicts of structural
-        #: prefixes without a record, in structural order.
-        self._cursor = TouchCursor()
+        #: the last fed day it derived at, the verdict of each record in
+        #: record order, the records wide enough for the anycast test,
+        #: and the registry-only verdicts of structural prefixes without
+        #: a record, in structural order.
+        self._derived_day: datetime.date | None = None
         self._verdicts: dict[Prefix, Verdict] = {}
         self._wide: set[Prefix] = set()
         self._shape_only: dict[Prefix, Verdict] = {}
@@ -257,45 +242,38 @@ class VerdictEngine:
         are attributed as "origins that are not the registered owner".
 
         The registry is treated as immutable: its owner map, shapes and
-        registry-only verdicts are derived once per registry object and
-        reused by every later call with that same object.  Under the
-        same registry object and config, a call judges afresh only the
-        records fed since the last call (the tracker's touch log) and
-        those whose origin set is wide enough for the anycast test,
-        which reads the study length; every other verdict is the object
-        the last call returned.
+        registry-only verdicts are derived once per registry object.
+        Under the same registry object, a call judges afresh only the
+        records :meth:`EpisodeTracker.fed_since` hands over from the day
+        after the last call's, so those fed since, and those whose
+        origin set is wide enough for the anycast test, which reads the
+        study length; every other verdict is the object the last call
+        returned.
         """
-        config = self.config
         tracker = self.tracker
-        touched = tracker.touched(self._cursor)
+        verdicts = self._verdicts
+        shape_only = self._shape_only
+        since = self._derived_day
         shapes = self._registry_shapes
-        if (
-            shapes is None
-            or shapes[0] is not registry
-            or shapes[1] is not config
-        ):
+        cold = shapes is None or shapes[0] is not registry
+        if cold:
             owners: dict[Prefix, int] = {}
             structural: dict[Prefix, str] = {}
             if registry is not None:
                 owners = {entry.prefix: entry.owner for entry in registry}
                 structural = _structural_tags(registry)
-            shapes = self._registry_shapes = (
-                registry, config, owners, structural, {}
-            )
-            touched = None
-        _registry, _config, owners, structural, shape_verdicts = shapes
-        wide = config.anycast_min_origins
-        verdicts = self._verdicts
-        shape_only = self._shape_only
-        if touched is None:
+            shapes = self._registry_shapes = (registry, owners, structural)
             verdicts.clear()
             self._wide.clear()
-            added = [prefix for prefix, _record in tracker.records()]
-            redo = added
-        else:
-            # New records first, so the dict keeps record order.
-            added = tracker.newest(len(tracker) - len(verdicts))
-            redo = [*added, *(touched | self._wide).difference(added)]
+            since = None
+        _registry, owners, structural = shapes
+        self._derived_day = tracker.last_fed_day
+        # New records first, so the dict keeps record order.
+        added = tracker.newest(len(tracker) - len(verdicts))
+        redo = added
+        if since is not None:
+            fed = tracker.fed_since(since + _ONE_DAY)
+            redo = [*added, *self._wide.union(fed).difference(added)]
         for prefix in redo:
             record = tracker.record(prefix)
             tags = self._episode_tags(prefix, record)
@@ -310,22 +288,18 @@ class VerdictEngine:
                 owner=owners.get(prefix),
                 rpki_state=record[RPKI],
             )
-            if record[WIDTH] >= wide:
+            if record[WIDTH] >= ANYCAST_MIN_ORIGINS:
                 self._wide.add(prefix)
-        if touched is None:
+        if cold:
             # Registry-only shapes: announced-space anomalies that never
             # conflicted (the AS7007 signature same-prefix MOAS cannot
             # see).
             shape_only.clear()
             for prefix, tag in structural.items():
-                if prefix in verdicts:
-                    continue
-                verdict = shape_verdicts.get(prefix)
-                if verdict is None:
-                    verdict = shape_verdicts[prefix] = self._shape_verdict(
+                if prefix not in verdicts:
+                    shape_only[prefix] = self._shape_verdict(
                         prefix, tag, owners.get(prefix)
                     )
-                shape_only[prefix] = verdict
         else:
             for prefix in added:
                 shape_only.pop(prefix, None)
@@ -353,7 +327,6 @@ class VerdictEngine:
     # -- internals ------------------------------------------------------------
 
     def _episode_tags(self, prefix: Prefix, record: list) -> set[str]:
-        config = self.config
         tracker = self.tracker
         days = record[DAYS]
         tags: set[str] = set()
@@ -361,19 +334,19 @@ class VerdictEngine:
             tags.add(TAG_IXP)
         if any(map(is_private_asn, record[ORIGINS])):
             tags.add(TAG_PRIVATE_ASN)
-        if days <= config.short_days:
+        if days <= SHORT_DAYS:
             tags.add(TAG_SHORT_LIVED)
-        if days >= config.long_days:
+        if days >= LONG_DAYS:
             tags.add(TAG_LONG_LIVED)
-        if record[WIDTH] >= config.anycast_min_origins:
+        if record[WIDTH] >= ANYCAST_MIN_ORIGINS:
             tags.add(TAG_WIDE_ORIGIN_SET)
         span = (
             tracker.ordinal(record[LAST]) - tracker.ordinal(record[FIRST]) + 1
         )
         gap = 1.0 - days / span
         if (
-            gap >= config.flapping_min_gap
-            and days >= config.flapping_min_days
+            gap >= FLAPPING_MIN_GAP
+            and days >= FLAPPING_MIN_DAYS
             and TAG_IXP not in tags
         ):
             tags.add(TAG_FLAPPING)
@@ -393,14 +366,13 @@ class VerdictEngine:
         owner: int | None,
         rpki_state: ValidationState | None = None,
     ) -> Verdict:
-        config = self.config
         if rpki_state is not None:
             tags.add(_RPKI_TAGS[rpki_state])
         kind = KIND_ORGANIC
         wide_and_standing = (
             TAG_WIDE_ORIGIN_SET in tags
             and self.tracker.total_days > 0
-            and days >= config.anycast_min_share * self.tracker.total_days
+            and days >= ANYCAST_MIN_SHARE * self.tracker.total_days
         )
         if TAG_IXP in tags:
             kind = "ixp_conflict"
@@ -412,7 +384,7 @@ class VerdictEngine:
             kind = "private_leak"
         elif wide_and_standing:
             kind = "anycast"
-        elif TAG_FLAPPING in tags and days < config.long_days:
+        elif TAG_FLAPPING in tags and days < LONG_DAYS:
             kind = "flapping_fault"
         elif TAG_SHORT_LIVED in tags:
             kind = "exact_hijack"

@@ -25,7 +25,6 @@ from hypothesis import given, strategies as st
 from repro.analysis.export import episode_record
 from repro.analysis.index import EpisodeIndex, IndexRecord
 from repro.api.service import MoasService
-from repro.core.episodes import TouchCursor
 from repro.core.verdict import TAG_WIDE_ORIGIN_SET, VerdictEngine
 from repro.netbase.prefix import Prefix
 from tests.analysis.test_merge_properties import (
@@ -231,21 +230,6 @@ class TestRoundtrip:
                 == index.query(prefix).to_dict()
             )
 
-    @given(detection_streams())
-    def test_loaded_structural_queries_survive(self, detections):
-        results, _, index = build_index(detections)
-        with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "episodes.idx"
-            index.save(path)
-            loaded = EpisodeIndex.load(path)
-        for prefix in results.episodes:
-            assert [
-                record.prefix for record in loaded.covering(prefix)
-            ] == [record.prefix for record in index.covering(prefix)]
-            assert [
-                record.prefix for record in loaded.covered(prefix)
-            ] == [record.prefix for record in index.covered(prefix)]
-
 
 class TestEix1StaysReadable:
     """EIX1 is read-only now: a study's EIX1 bytes (written by the
@@ -287,8 +271,6 @@ class TestEix1StaysReadable:
                 assert _answer(eix2, prefix, window) == _answer(
                     eix1, prefix, window
                 )
-            assert eix2.covering(prefix) == eix1.covering(prefix)
-            assert eix2.covered(prefix) == eix1.covered(prefix)
 
 
 def _answer(index: EpisodeIndex, prefix: Prefix, window: dict):
@@ -335,37 +317,27 @@ class TestRederived:
     def test_handed_over_set_finds_every_changed_record(
         self, detections, table, data
     ):
-        """The prefixes the touch log hands over since the last index,
-        with the ongoing ones that ended and the wide-origin verdicts,
-        are enough to patch the index, however many days apart the
-        reads are."""
+        """The prefixes ``fed_since`` hands over from the last index's
+        day, with the wide-origin verdicts, are enough to patch the
+        index, however many days apart the reads are."""
         state = feed_state([], roa_table=table)
         engine = VerdictEngine(tracker=state._tracker)
-        cursor = TouchCursor()
         previous = None
         for detection in detections:
             state.feed_day(detection)
             if previous is not None and not data.draw(st.booleans()):
                 continue  # a day no reader asked about
             results, verdicts = state.results(), engine.finalize()
-            episodes = results.episodes
             cold = EpisodeIndex.build(results, verdicts=verdicts)
-            touched = state.touched(cursor)
             if previous is not None:
-                old, ongoing = previous
-                assert touched is not None
-                handed = touched.union(
-                    (p for p in ongoing if not episodes[p].ongoing),
-                    (
-                        prefix
-                        for prefix, verdict in verdicts.items()
-                        if TAG_WIDE_ORIGIN_SET in verdict.tags
-                    ),
+                handed = set(state.fed_since(previous.last_day)).union(
+                    prefix
+                    for prefix, verdict in verdicts.items()
+                    if TAG_WIDE_ORIGIN_SET in verdict.tags
                 )
-                patched = old.rederived(results, verdicts, handed)
+                patched = previous.rederived(results, verdicts, handed)
                 assert patched.to_bytes() == cold.to_bytes()
-            ongoing = [p for p, episode in episodes.items() if episode.ongoing]
-            previous = (cold, ongoing)
+            previous = cold
 
 
 class TestFromRecordsContract:

@@ -1,16 +1,17 @@
 """Serve's fresh reads against cold rebuilds, at every day boundary.
 
-A fresh read after a fold re-derives only what the folds touched: the
-episode tracker logs each prefix whose record a fold fed, and the
+A fresh read after a fold re-derives only what the folds fed: the
 session's results, its verdicts, ``ServeApp.current_index`` and the
-``/v1/verdicts`` row table each keep what they derived and redo only
-the prefixes the log hands them since their last read, plus the
-prefixes they last saw ongoing and those whose verdict reads the study
-length.  ``/v1/verdicts`` joins per-verdict JSON fragments.  These
-tests feed a ``ServeApp`` and read every route every day, comparing
-each answer with one rebuilt from nothing: results and verdicts of a
-session restored from the checkpoint payload (which carries no log and
-nothing kept), a cold ``EpisodeIndex.build`` and ``Response.json``.
+``/v1/verdicts`` row table each keep what they derived and the last fed
+day they derived at, and redo only the prefixes the episode tracker's
+``fed_since`` hands them from that day (the records fed since and, for
+the readers of the ongoing flag, those then ongoing), plus those whose
+verdict reads the study length.  ``/v1/verdicts`` joins per-verdict
+JSON fragments.  These tests feed a ``ServeApp`` and read every route
+every day, comparing each answer with one rebuilt from nothing:
+results and verdicts of a session restored from the checkpoint payload
+(which carries nothing kept), a cold ``EpisodeIndex.build`` and
+``Response.json``.
 The same holds for a session loaded from a legacy sharded checkpoint,
 whose tracker lists records in shard order rather than first-seen
 order.  ``test_serve_touched.py`` reads on drawn days instead, so the

@@ -1,17 +1,18 @@
-"""Serve's readers, each at its own place in the touch log, against
+"""Serve's readers, each keeping the day it last derived at, against
 cold rebuilds.
 
-Every fold logs the prefixes whose episode records it touched.  Four
-readers keep what they derived and re-derive only what the log hands
-them (plus the prefixes they last saw ongoing and the wide-origin
-verdicts): the session's results, its verdict engine, ``ServeApp``'s
-episode index and its ``/v1/verdicts`` rows.  A route reads only some
-of them, so when hypothesis draws which days are fed and which routes
-are read on which day, the readers fall behind by different amounts —
-a figure-only read, say, never drains what the index needs.  Every
-answer, and the index itself, must equal what a new ``ServeApp`` over
-a session restored from the checkpoint payload answers: that one has
-nothing to keep and builds everything cold.
+Four readers keep what they derived and re-derive only what
+``fed_since`` hands them from the last fed day they derived at (the
+records fed since and, for the ones whose answers read the ongoing
+flag, those then ongoing), plus the wide-origin verdicts: the
+session's results, its verdict engine, ``ServeApp``'s episode index
+and its ``/v1/verdicts`` rows.  A route reads only some of them, so
+when hypothesis draws which days are fed and which routes are read on
+which day, the readers fall behind by different amounts — a
+figure-only read, say, never moves the index's day.  Every answer, and
+the index itself, must equal what a new ``ServeApp`` over a session
+restored from the checkpoint payload answers: that one has nothing to
+keep and builds everything cold.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def served_app(touched_archive):
 
 def cold_app(app: ServeApp, make) -> ServeApp:
     """An app over the session restored from ``app``'s checkpoint
-    payload, which carries no touch log and no kept derivation."""
+    payload, which carries no kept derivation."""
     return make(MoasService.resume(app.service.snapshot_state()))
 
 
@@ -161,9 +162,9 @@ def test_interleaved_reads_equal_cold_rebuilds(
 def test_a_loaded_checkpoint_goes_cold(
     served_app, touched_archive, touched_detections, tmp_path, monkeypatch
 ):
-    """A session loaded from a checkpoint mid-stream gives every reader
-    no position: the next index is built cold, later ones are patched,
-    and every answer equals a cold rebuild."""
+    """A session loaded from a checkpoint mid-stream is another
+    session: the next index is built cold, later ones are patched, and
+    every answer equals a cold rebuild."""
     app = served_app(MoasService(roa_table=touched_archive))
     half = len(touched_detections) // 2
     for detection in touched_detections[:half]:
@@ -263,9 +264,83 @@ def test_patched_reads_follow_lapses_and_endings(monkeypatch):
     assert app.current_verdicts()[1][wide].kind != "anycast"
 
 
-def test_daily_reads_keep_the_log_within_the_record_count():
+def test_a_session_of_another_stream_goes_cold(
+    served_app, touched_archive, touched_detections, monkeypatch
+):
+    """``app.service`` replaced by a session fed a different stream
+    over the same days: the other stream also has one-day conflicts on
+    the first day.  Asked from the kept day, the new session hands over
+    only the records fed since and those then ongoing, few enough to
+    patch, so only the check of the session's identity keeps the old
+    stream's index and verdict rows, which lack those conflicts, out of
+    every later answer."""
+    app = served_app(MoasService(roa_table=touched_archive))
+    other = MoasService(roa_table=touched_archive)
+    one_day = [
+        DailyConflict(
+            prefix=Prefix(0xC6120000 | (n << 8), 24), origins=frozenset((1, 2))
+        )
+        for n in range(40)
+    ]
+    assert not {conflict.prefix for conflict in one_day}.intersection(
+        conflict.prefix
+        for detection in touched_detections
+        for conflict in detection.conflicts
+    )
+    half = len(touched_detections) // 2
+    for offset, detection in enumerate(touched_detections[:half]):
+        app.fold_detection(detection)
+        other.feed_day(
+            detection_of(
+                detection.day,
+                [*detection.conflicts, *(one_day if offset == 0 else ())],
+            )
+        )
+        app.current_index()
+        app.handle("GET", "/v1/verdicts")
+    app.service = other
+    calls = []
+    real_build = EpisodeIndex.build
+    real_rederived = EpisodeIndex.rederived
+
+    def build(results, verdicts=None):
+        calls.append("build")
+        return real_build(results, verdicts=verdicts)
+
+    def rederived(index, results, verdicts, prefixes):
+        calls.append("rederived")
+        return real_rederived(index, results, verdicts, prefixes)
+
+    monkeypatch.setattr(EpisodeIndex, "build", staticmethod(build))
+    monkeypatch.setattr(EpisodeIndex, "rederived", rederived)
+    made = []  # how each of the app's indexes was made
+    for detection in touched_detections[half:]:
+        app.fold_detection(detection)
+        del calls[:]
+        index = app.current_index()[1]
+        made += calls
+        cold = cold_app(app, served_app)
+        for target in (
+            "/v1/verdicts",
+            "/v1/verdicts?min_suspicion=0.6",
+            "/v1/figure/summary?format=json",
+            "/v1/evaluation?format=json",
+            *(
+                f"/v1/{route}/{prefix}"
+                for route in ("episodes", "history")
+                for prefix in sorted(cold.current().results.episodes)[::5]
+            ),
+        ):
+            assert app.handle("GET", target) == cold.handle("GET", target)
+        assert index.to_bytes() == cold.current_index()[1].to_bytes()
+    assert made[0] == "build"
+    assert made[-10:] == ["rederived"] * 10
+
+
+def test_daily_reads_keep_the_order_at_one_entry_per_record():
     """A long stream read every day, by some readers only, never grows
-    the touch log past one entry per record."""
+    the last-fed order past one entry per record, and the readers that
+    fell behind still answer what a cold app answers."""
     prefixes = [Prefix(0x0A000000 | (n << 8), 24) for n in range(60)]
     start = datetime.date(1998, 1, 1)
     app = ServeApp(MoasService())
@@ -274,17 +349,15 @@ def test_daily_reads_keep_the_log_within_the_record_count():
     for offset in range(400):
         live = prefixes[offset % 7 : 10 + offset % 53 : 1 + offset % 3]
         app.fold_detection(
-            DayDetection(
-                day=start + datetime.timedelta(days=offset),
-                conflicts=tuple(
+            detection_of(
+                start + datetime.timedelta(days=offset),
+                [
                     DailyConflict(
                         prefix=prefix,
                         origins=frozenset((1, 2 + (offset + n) % 4)),
                     )
                     for n, prefix in enumerate(live)
-                ),
-                prefixes_scanned=len(live),
-                as_set_excluded=0,
+                ],
             )
         )
         route = routes[offset % len(routes)]
@@ -292,7 +365,13 @@ def test_daily_reads_keep_the_log_within_the_record_count():
             assert app.handle("GET", route).status == 200
         if offset % 50 == 0:
             app.current_index()
-        assert len(tracker._log) <= len(tracker)
+        assert len(tracker._order) == len(tracker)
+    cold = ServeApp(MoasService.resume(app.service.snapshot_state()))
+    for route in routes[:2]:
+        assert app.handle("GET", route) == cold.handle("GET", route)
+    assert (
+        app.current_index()[1].to_bytes() == cold.current_index()[1].to_bytes()
+    )
 
 
 # -- /v1/verdicts fragments ------------------------------------------------

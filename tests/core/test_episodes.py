@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.pipeline import StudyState
 from repro.core.detector import DailyConflict, DayDetection
-from repro.core.episodes import EpisodeTracker, TouchCursor
+from repro.core.episodes import EpisodeTracker
 from repro.netbase.prefix import Prefix
 
 P1 = Prefix.parse("10.0.0.0/8")
@@ -255,14 +255,15 @@ class TestEpisodeMemo:
 
     def test_state_dict_ignores_finalize(self):
         plain, finalized = EpisodeTracker(), EpisodeTracker()
-        cursor = TouchCursor()
         recurring = conflict(P1)
         for offset in range(4):
             conflicts = [recurring] + ([conflict(P2)] if offset % 2 else [])
             for tracker in (plain, finalized):
                 tracker.observe_day(day(offset), conflicts)
             finalized.finalize()
-            finalized.touched(cursor)
+            assert finalized.fed_since(day(offset)) == [
+                found.prefix for found in reversed(conflicts)
+            ]
         assert finalized.state_dict() == plain.state_dict()
 
     def test_restore_starts_memo_free(self):
@@ -274,63 +275,116 @@ class TestEpisodeMemo:
         assert all(fresh[p] is not episodes[p] for p in episodes)
 
 
-class TestTouchLog:
-    """``touched`` hands each reader the prefixes fed since its last
-    call, or ``None`` when the reader must derive everything."""
+#: The prefixes the drawn streams put in conflict.
+POOL = [Prefix(0x0A000000 | (n << 8), 24) for n in range(6)]
 
-    def test_first_call_has_no_position(self):
-        tracker = EpisodeTracker()
-        tracker.observe_day(day(0), [conflict(P1)])
-        cursor = TouchCursor()
-        assert tracker.touched(cursor) is None
-        assert tracker.touched(cursor) == set()
-        tracker.observe_day(day(1), [conflict(P2)])
-        assert tracker.touched(cursor) == {P2}
 
-    def test_each_reader_keeps_its_own_position(self):
+class TestFedSince:
+    """``fed_since(day)`` hands over exactly the records last fed on or
+    after ``day``, newest first, from a fed tracker, a restored one and
+    one fed on after a restore alike."""
+
+    def test_a_refed_record_moves_to_the_newest(self):
         tracker = EpisodeTracker()
-        others = [conflict(Prefix.parse(f"10.{n}.0.0/16")) for n in range(2)]
-        tracker.observe_day(day(0), [conflict(P1), conflict(P2), *others])
-        early, late = TouchCursor(), TouchCursor()
-        tracker.touched(early)
-        tracker.touched(late)
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
+        assert tracker.fed_since(day(0)) == [P2, P1]
+        tracker.observe_day(day(1), [conflict(P1)])
+        assert tracker.fed_since(day(0)) == [P1, P2]
+        assert tracker.fed_since(day(1)) == [P1]
+        assert list(tracker._order) == [1, 0]
+
+    def test_each_reader_keeps_its_own_day(self):
+        tracker = EpisodeTracker()
+        others = [Prefix.parse(f"10.{n}.0.0/16") for n in range(2)]
+        tracker.observe_day(
+            day(0), [conflict(P1), conflict(P2), *map(conflict, others)]
+        )
+        early = tracker.last_fed_day
         recurring = conflict(P1)
         tracker.observe_day(day(1), [recurring])
-        assert tracker.touched(early) == {P1}
-        # Logged again in the next generation, after early's position.
+        # A reader at the newest day gets what was fed since and what
+        # was then ongoing; from the next day, only what was fed since.
+        assert tracker.fed_since(early) == [P1, others[1], others[0], P2]
+        assert tracker.fed_since(early + datetime.timedelta(days=1)) == [P1]
+        late = tracker.last_fed_day
         tracker.observe_day(day(2), [recurring, conflict(P2)])
-        assert tracker.touched(early) == {P1, P2}
-        assert tracker.touched(late) == {P1, P2}
-        assert tracker.touched(early) == tracker.touched(late) == set()
+        assert set(tracker.fed_since(early)) == {P1, P2, *others}
+        assert tracker.fed_since(late) == [P2, P1]
+        assert tracker.fed_since(day(3)) == []
 
-    def test_another_tracker_has_no_position(self):
-        tracker = EpisodeTracker()
-        tracker.observe_day(day(0), [conflict(P1)])
-        cursor = TouchCursor()
-        tracker.touched(cursor)
-        restored = EpisodeTracker.from_state(tracker.state_dict())
-        assert restored.touched(cursor) is None
-        restored.observe_day(day(1), [conflict(P1)])
-        assert restored.touched(cursor) == {P1}
-        assert tracker.touched(cursor) is None
-
-    def test_cap_sends_a_reader_that_fell_behind_cold(self):
+    def test_a_restored_tracker_hands_over_alike(self):
         tracker = EpisodeTracker()
         tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
-        reader, behind = TouchCursor(), TouchCursor()
-        tracker.touched(reader)
-        tracker.touched(behind)
-        for offset in range(1, 6):
+        tracker.observe_day(day(2), [conflict(P1)])
+        fresh = restored(tracker)
+        for offset in range(4):
+            assert fresh.fed_since(day(offset)) == tracker.fed_since(day(offset))
+        fresh.observe_day(day(3), [conflict(P2)])
+        assert fresh.fed_since(day(2)) == [P2, P1]
+        assert fresh.fed_since(day(3)) == [P2]
+
+    def test_a_reader_far_behind_gets_exactly_what_changed(self):
+        """No cap sends a reader that last read long ago cold: it gets
+        the records fed since its day, however many folds ago."""
+        tracker = EpisodeTracker()
+        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
+        behind = tracker.last_fed_day
+        for offset in range(1, 400):
             tracker.observe_day(day(offset), [conflict(P1)])
-            assert tracker.touched(reader) == {P1}
-            assert len(tracker._log) <= len(tracker)
-        assert tracker.touched(behind) is None
+            assert len(tracker._order) == len(tracker) == 2
+        assert tracker.fed_since(behind) == [P1, P2]
+        assert tracker.fed_since(behind + datetime.timedelta(days=1)) == [P1]
 
-    def test_read_log_is_trimmed(self):
+    def test_an_empty_tracker_hands_over_nothing(self):
         tracker = EpisodeTracker()
-        cursor = TouchCursor()
-        tracker.touched(cursor)
-        tracker.observe_day(day(0), [conflict(P1), conflict(P2)])
-        assert len(tracker._log) == 2
-        tracker.touched(cursor)
-        assert len(tracker._log) == 0
+        assert tracker.fed_since(day(0)) == []
+        tracker.observe_day(day(0), [])
+        assert tracker.fed_since(day(0)) == []
+        assert len(tracker._order) == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                # Calendar days since the last fed day.
+                st.integers(1, 3),
+                st.frozensets(st.integers(0, len(POOL) - 1)),
+                # Feed yesterday's conflict objects again (the fold's
+                # identity fast path) or new ones.
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.data(),
+    )
+    def test_hands_over_every_record_fed_on_or_after_the_day(
+        self, stream, data
+    ):
+        cut = data.draw(st.integers(0, len(stream) - 1), label="restored after")
+        tracker = EpisodeTracker()
+        objects: dict[int, DailyConflict] = {}
+        offset = 0
+        for step, (gap, present, reuse) in enumerate(stream):
+            offset += gap
+            if not reuse:
+                objects.clear()
+            for n in present:
+                objects.setdefault(n, conflict(POOL[n], 1, 2 + n % 3))
+            tracker.observe_day(day(offset), [objects[n] for n in sorted(present)])
+            if step == cut:
+                tracker = restored(tracker)
+            episodes = tracker.finalize()
+            # The tracker fed so far, and one restored from it now.
+            for candidate in (tracker, restored(tracker)):
+                for since in map(day, range(offset + 2)):
+                    fed = candidate.fed_since(since)
+                    assert set(fed) == {
+                        prefix
+                        for prefix, episode in episodes.items()
+                        if episode.last_day >= since
+                    }
+                    assert len(fed) == len(set(fed))
+                    lasts = [episodes[prefix].last_day for prefix in fed]
+                    assert lasts == sorted(lasts, reverse=True)
+                # One order entry per record.
+                assert sorted(candidate._order) == list(range(len(candidate)))

@@ -19,6 +19,7 @@ from repro.core.classifier import ConflictClass, classify_conflict
 from repro.core.detector import DailyConflict, DayDetection
 from repro.core.episodes import EpisodeTracker
 from repro.core.verdict import (
+    ANYCAST_MIN_SHARE,
     KIND_ORGANIC,
     TAG_FLAPPING,
     TAG_FOREIGN_AGGREGATE,
@@ -29,7 +30,6 @@ from repro.core.verdict import (
     TAG_PRIVATE_ASN,
     TAG_SHORT_LIVED,
     TAG_WIDE_ORIGIN_SET,
-    VerdictConfig,
     VerdictEngine,
 )
 from repro.netbase.prefix import Prefix
@@ -465,7 +465,6 @@ class TestVerdictMemo:
         engine = VerdictEngine()
         feed_all((engine,), [conflict("10.0.0.0/8", 1, 2, 3, 4)] * 10)
         assert engine.finalize()[prefix].kind == "anycast"
-        threshold = VerdictConfig().anycast_min_share
         kinds = []
         for offset in range(10, 40):
             engine.feed_day(detection(offset))
@@ -473,7 +472,7 @@ class TestVerdictMemo:
             assert verdict == roundtrip(engine).finalize()[prefix]
             kinds.append(verdict.kind)
             assert (verdict.kind == "anycast") == (
-                10 >= threshold * engine.tracker.total_days
+                10 >= ANYCAST_MIN_SHARE * engine.tracker.total_days
             )
         assert kinds[0] == "anycast" and kinds[-1] != "anycast"
 
