@@ -15,7 +15,11 @@ order-of-magnitude regressions always fail):
 - sustained request rate across all clients >= ``REPRO_BENCH_SERVE_MIN_RPS``
   (default 50 req/s);
 - p99 latency <= ``REPRO_BENCH_SERVE_MAX_P99_MS`` (default 2000 ms);
-- zero failed requests.
+- zero failed requests;
+- once the clients stop and the initial feed completes, every target
+  but ``/v1/status``, and ``/v1/evaluation?format=json``, answers the
+  body an in-process ``ServeApp`` fed the same archive answers: reads
+  that raced the ingestion must have left nothing torn or stale behind.
 
 The measured latency distribution (p50/p90/p99, req/s, client count)
 is written to ``BENCH_serve.json`` (override with
@@ -33,7 +37,8 @@ import urllib.request
 from contextlib import closing
 from pathlib import Path
 
-from repro.api.serve import BackgroundServer, ServeConfig
+from repro.api.serve import BackgroundServer, ServeApp, ServeConfig
+from repro.api.service import MoasService
 from repro.api.sources import open_source
 from repro.scenario.incidents import IncidentScript
 from repro.scenario.world import ScenarioConfig, simulate_study
@@ -72,6 +77,22 @@ def prefix_targets(prefix) -> tuple[str, ...]:
         f"/v1/episodes/{prefix}",
         "/v1/verdicts?min_suspicion=0.6",
     )
+
+
+def reference_app(directory: Path) -> ServeApp:
+    """An in-process ``ServeApp`` fed the archive the daemon ingests,
+    over a session built as the daemon builds its own."""
+    roas = directory if (directory / "roas.json").is_file() else None
+    app = ServeApp(MoasService(roa_table=roas), archive=directory)
+    for detection in open_source(directory).detections():
+        app.fold_detection(detection)
+    return app
+
+
+def fetch(url: str) -> bytes:
+    """One GET's body."""
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.read()
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
@@ -162,9 +183,24 @@ def test_serve_latency_under_concurrent_load(tmp_path_factory):
         for thread in threads:
             thread.join(timeout=60)
         window_seconds = time.perf_counter() - window_started
-        status_payload = json.loads(
-            urllib.request.urlopen(url + "/v1/status", timeout=30).read()
-        )
+        deadline = time.monotonic() + 120
+        while True:
+            status_payload = json.loads(fetch(url + "/v1/status"))
+            if status_payload["ingest"]["initial_complete"]:
+                break
+            assert time.monotonic() < deadline, "initial feed never completed"
+            time.sleep(0.05)
+        checked = [
+            target for target in targets if target != "/v1/status"
+        ] + ["/v1/evaluation?format=json"]
+        served = {target: fetch(url + target) for target in checked}
+
+    reference = reference_app(directory)
+    stale = [
+        target
+        for target in checked
+        if served[target] != reference.handle("GET", target).body
+    ]
 
     ordered = sorted(latencies_ms)
     requests_per_second = len(ordered) / window_seconds
@@ -184,6 +220,8 @@ def test_serve_latency_under_concurrent_load(tmp_path_factory):
         "days_fed_at_end": status_payload["days_fed"],
         "alerts_emitted": status_payload["alerts"]["emitted"],
         "failures": len(failures),
+        "bodies_checked": len(checked),
+        "bodies_differing": len(stale),
         "floors": {
             "min_requests_per_second": MIN_RPS,
             "max_p99_ms": MAX_P99_MS,
@@ -200,6 +238,10 @@ def test_serve_latency_under_concurrent_load(tmp_path_factory):
     )
 
     assert not failures, f"{len(failures)} failed requests: {failures[:5]}"
+    assert not stale, (
+        f"bodies differ from an in-process app fed the same archive: "
+        f"{stale}"
+    )
     assert len(ordered) > 0, "no successful requests measured"
     assert requests_per_second >= MIN_RPS, (
         f"sustained rate {requests_per_second:.1f} req/s below the "

@@ -336,7 +336,19 @@ class EpisodeIndex:
         columns = index._record_columns()
         previous = -1
         for record in records:
-            row = _row(record)
+            row = _row(
+                record,
+                tuple(record.origins),
+                record.rpki_state,
+                None
+                if record.verdict_kind is None
+                else (
+                    record.verdict_kind,
+                    tuple(record.verdict_tags),
+                    tuple(record.perpetrators),
+                    record.suspicion,
+                ),
+            )
             key = row[0]
             if key <= previous:
                 raise ValueError(
@@ -360,17 +372,18 @@ class EpisodeIndex:
         ``finalize`` output over the same day stream); episodes without
         a verdict index fine — the verdict slice is just absent.
         """
-        verdicts = verdicts or {}
-        return cls.from_records(
-            (
-                _index_record(results, verdicts, prefix)
-                for prefix in sorted(
-                    results.episodes, key=lambda p: p.sort_key()
-                )
-            ),
-            days_indexed=results.total_days,
-            last_day=_last_day(results),
+        index = cls(
+            days_indexed=results.total_days, last_day=_last_day(results)
         )
+        rows = _fold_rows(
+            results,
+            verdicts or {},
+            sorted(results.episodes, key=Prefix.sort_key),
+        )
+        for column, values in zip(index._record_columns(), zip(*rows)):
+            column.extend(values)
+        index._finish()
+        return index
 
     def rederived(
         self, results, verdicts: dict, prefixes: Iterable[Prefix]
@@ -395,8 +408,9 @@ class EpisodeIndex:
         keys = index._keys
         firsts = index._sorted_firsts = list(self._sorted_firsts)
         lasts = index._sorted_lasts = list(self._sorted_lasts)
-        for prefix in sorted(prefixes, key=lambda p: p.sort_key()):
-            row = _row(_index_record(results, verdicts, prefix))
+        for row in _fold_rows(
+            results, verdicts, sorted(prefixes, key=Prefix.sort_key)
+        ):
             key = row[0]
             position = bisect_left(keys, key)
             if position < len(keys) and keys[position] == key:
@@ -960,56 +974,55 @@ def _last_day(results) -> datetime.date | None:
     return results.daily_series[-1][0] if results.daily_series else None
 
 
-def _index_record(results, verdicts: dict, prefix: Prefix) -> IndexRecord:
-    """One episode of ``results`` with its RPKI rollup and verdict."""
-    episode = results.episodes[prefix]
-    verdict = verdicts.get(prefix)
-    return IndexRecord(
-        prefix=prefix,
-        first_day=episode.first_day,
-        last_day=episode.last_day,
-        days_observed=episode.days_observed,
-        origins=tuple(sorted(episode.origins_ever)),
-        max_origins_single_day=episode.max_origins_single_day,
-        ongoing=episode.ongoing,
-        rpki_state=results.rpki_episode_states.get(prefix),
-        verdict_kind=verdict.kind if verdict is not None else None,
-        verdict_tags=(
-            tuple(sorted(verdict.tags)) if verdict is not None else ()
-        ),
-        suspicion=verdict.suspicion if verdict is not None else None,
-        perpetrators=(
-            tuple(sorted(verdict.perpetrators))
-            if verdict is not None
-            else ()
-        ),
-    )
-
-
-def _row(record: IndexRecord) -> tuple:
-    """A record's value in each of :meth:`EpisodeIndex._record_columns`."""
-    prefix = record.prefix
-    flags = _FLAG_ONGOING if record.ongoing else 0
-    if record.rpki_state is not None:
-        flags |= _FLAG_RPKI
-    verdict = None
-    if record.verdict_kind is not None:
-        flags |= _FLAG_VERDICT
-        verdict = (
-            record.verdict_kind,
-            tuple(record.verdict_tags),
-            tuple(record.perpetrators),
-            record.suspicion,
+def _fold_rows(results, verdicts: dict, prefixes) -> Iterator[tuple]:
+    """The :func:`_row` of each of ``prefixes``' episodes in a fold's
+    ``results``, with its RPKI rollup and its verdict."""
+    episodes = results.episodes
+    states = results.rpki_episode_states
+    for prefix in prefixes:
+        episode = episodes[prefix]
+        verdict = verdicts.get(prefix)
+        yield _row(
+            episode,
+            tuple(sorted(episode.origins_ever)),
+            states.get(prefix),
+            None
+            if verdict is None
+            else (
+                verdict.kind,
+                tuple(sorted(verdict.tags)),
+                tuple(sorted(verdict.perpetrators)),
+                verdict.suspicion,
+            ),
         )
+
+
+def _row(episode, origins: tuple, rpki_state, verdict) -> tuple:
+    """A record's value in each of :meth:`EpisodeIndex._record_columns`.
+
+    ``episode`` names the prefix, the first and last day, the days
+    observed, the peak width and the ongoing flag as a
+    :class:`~repro.core.episodes.ConflictEpisode` and an
+    :class:`IndexRecord` both do; ``origins`` is its ascending origin
+    tuple, ``rpki_state`` its RFC 6811 rollup and ``verdict`` its
+    ``(kind, tags, perpetrators, suspicion)`` slice, either ``None``
+    when absent.
+    """
+    prefix = episode.prefix
+    flags = _FLAG_ONGOING if episode.ongoing else 0
+    if rpki_state is not None:
+        flags |= _FLAG_RPKI
+    if verdict is not None:
+        flags |= _FLAG_VERDICT
     return (
         (prefix.network << 6) | prefix.length,
-        record.first_day.toordinal(),
-        record.last_day.toordinal(),
-        record.days_observed,
-        record.max_origins_single_day,
-        tuple(record.origins),
+        episode.first_day.toordinal(),
+        episode.last_day.toordinal(),
+        episode.days_observed,
+        episode.max_origins_single_day,
+        origins,
         flags,
-        record.rpki_state,
+        rpki_state,
         verdict,
     )
 

@@ -13,8 +13,11 @@ per-prefix part is one fold: the
 :class:`~repro.core.episodes.EpisodeTracker` record carries each
 episode's class votes and RPKI rollup beside its days and origins, so
 the state's verdicts (:meth:`StudyState.verdicts`) are judged from the
-same records its episodes come from.  The state also keeps the last
-fed day's conflict origin map, from which the serve daemon derives its
+same records its episodes come from.  Its per-fed-day derivations —
+the results, the verdicts, the episode index and the ``/v1/verdicts``
+rows — are kept in the state and patched after each fold, so every
+reader of one session shares them.  The state also keeps the last fed
+day's conflict origin map, from which the serve daemon derives its
 alerts (:class:`~repro.core.realtime.DaySnapshotAlerter`).
 :class:`StudyPipeline` is the batch convenience over it, and
 :class:`repro.api.MoasService` is the session facade that adds
@@ -238,6 +241,15 @@ class StudyState:
         self._series: list[tuple[datetime.date, int]] = []
         self._medians: dict[int, float] = {}
         self._peaks: list[tuple[datetime.date, int]] = []
+        #: What the last :meth:`results` returned.
+        self._results: StudyResults | None = None
+        #: ``(registry, index)``: the last :meth:`index` and the
+        #: registry its verdicts were judged against.
+        self._index: tuple | None = None
+        #: ``(registry, last fed day, row keys, rows)``: the last
+        #: :meth:`verdict_rows`, the registry and day it was derived at,
+        #: and its prefixes' :func:`_row_key` in the same order.
+        self._rows: tuple | None = None
 
     @property
     def roa_table(self) -> RoaTable | None:
@@ -312,10 +324,12 @@ class StudyState:
 
         The returned object is *detached*: every container it carries
         (series lists, the episode table, histograms, rollup dicts) is
-        freshly assembled here, so later :meth:`feed_day` calls never
-        mutate a results object already handed out.  This is the
+        assembled for it, so later :meth:`feed_day` calls never mutate
+        a results object already handed out.  This is the
         snapshot-isolation contract the serve daemon relies on —
-        assemble under the service lock, render outside it.
+        assemble under the service lock, render outside it.  Until a
+        day is fed, every call returns the same object, which callers
+        read and never mutate.
 
         The episode statistics are kept from one call to the next: a
         call after new days re-derives only the episodes
@@ -324,6 +338,8 @@ class StudyState:
         may flip, and adjusts the duration histogram that figures 3
         and 4 and the summary counts derive from.
         """
+        if self._results is not None and self._derived_day == self.last_day:
+            return self._results
         self._refresh_episodes()
         histogram = self._histogram
         days = self._tracker.days
@@ -340,7 +356,7 @@ class StudyState:
         expectations, long_lived = _duration_summary(
             histogram, self.pipeline.duration_thresholds
         )
-        return StudyResults(
+        self._results = StudyResults(
             daily_series=list(self._series),
             episodes=dict(self._episodes),
             yearly_medians=dict(self._medians),
@@ -360,6 +376,7 @@ class StudyState:
             total_days=self.total_days,
             rpki_episode_states=dict(self._rpki_states),
         )
+        return self._results
 
     def _refresh_series(self) -> None:
         """Extend the kept daily series by the days fed since the last
@@ -415,19 +432,93 @@ class StudyState:
             if record[RPKI] is not None:
                 rpki_states[prefix] = record[RPKI].value
 
-    def fed_since(self, day: datetime.date) -> list[Prefix]:
-        """The prefixes whose records were fed on or after ``day``
-        (:meth:`EpisodeTracker.fed_since`), for readers that keep their
-        own derivations of the records."""
-        return self._tracker.fed_since(day)
-
     def verdicts(self, registry=None) -> dict[Prefix, Verdict]:
         """Verdicts judged from the state's own episode records (see
         :meth:`VerdictEngine.finalize`); one engine serves every call,
-        so a registry's shapes are derived once per registry object."""
+        so a registry's shapes are derived once per registry object,
+        and the same dict comes back until a day is fed."""
         if self._verdict_engine is None:
             self._verdict_engine = VerdictEngine(tracker=self._tracker)
         return self._verdict_engine.finalize(registry=registry)
+
+    def index(self, registry=None):
+        """The :class:`~repro.analysis.index.EpisodeIndex` of
+        :meth:`results` with :meth:`verdicts` judged against
+        ``registry``: what a batch ``analyze --index`` stopped here
+        writes.  The same object comes back until a day is fed or
+        another registry object is passed.
+
+        A new day's index is the previous one with only the records
+        that may differ re-derived (:meth:`EpisodeIndex.rederived`,
+        which never mutates the previous one): those
+        :meth:`EpisodeTracker.fed_since` hands over from the previous
+        index's last day, so those fed since and those then ongoing,
+        and the verdict engine's :attr:`~VerdictEngine.wide` records,
+        whose anycast call reads the study length.  With no previous
+        index of a fed day under the same registry, or when most
+        records may differ, the index is built cold.
+        """
+        from repro.analysis.index import EpisodeIndex
+
+        kept_registry, index = self._index or (None, None)
+        same = index is not None and kept_registry is registry
+        if same and index.last_day == self.last_day:
+            return index
+        results = self.results()
+        verdicts = self.verdicts(registry)
+        redo = None
+        if same and index.last_day is not None:
+            redo = self._verdict_engine.wide.union(
+                self._tracker.fed_since(index.last_day)
+            )
+        if redo is None or 2 * len(redo) > len(results.episodes):
+            index = EpisodeIndex.build(results, verdicts=verdicts)
+        else:
+            index = index.rederived(results, verdicts, redo)
+        self._index = (registry, index)
+        return index
+
+    def verdict_rows(self, registry=None) -> list[list]:
+        """:meth:`verdicts` in prefix order, as ``[verdict, rendering]``
+        rows whose second slot a reader may fill with the verdict's
+        rendering (serve keeps its ``/v1/verdicts`` JSON fragment
+        there), so a row that outlives a fold keeps it.
+
+        The same list comes back until a day is fed or another registry
+        object is passed.  A later day's list is a copy of the previous
+        one with a row replaced or inserted (one bisect each) for the
+        prefixes :meth:`EpisodeTracker.fed_since` hands over from the
+        day after the previous list's, so those fed since, and the
+        verdict engine's :attr:`~VerdictEngine.wide` records, each row
+        kept while its verdict is the same object; a list already
+        handed out is never mutated.  With no previous list of a fed
+        day under the same registry, the rows are built afresh.
+        """
+        kept_registry, since, keys, rows = self._rows or (None, None, None, None)
+        same = rows is not None and kept_registry is registry
+        last_day = self.last_day
+        if same and since == last_day:
+            return rows
+        verdicts = self.verdicts(registry)
+        if same and since is not None:
+            keys, rows = list(keys), list(rows)
+            fed = self._tracker.fed_since(since + datetime.timedelta(days=1))
+            for prefix in self._verdict_engine.wide.union(fed):
+                verdict = verdicts[prefix]
+                key = _row_key(prefix)
+                position = bisect_left(keys, key)
+                if position < len(keys) and keys[position] == key:
+                    if rows[position][0] is not verdict:
+                        rows[position] = [verdict, None]
+                else:
+                    keys.insert(position, key)
+                    rows.insert(position, [verdict, None])
+        else:
+            order = sorted(verdicts, key=_row_key)
+            keys = list(map(_row_key, order))
+            rows = [[verdicts[prefix], None] for prefix in order]
+        self._rows = (registry, last_day, keys, rows)
+        return rows
 
     # -- checkpoint serialization ------------------------------------------
 
@@ -524,6 +615,11 @@ class StudyState:
             for network, length, origins in state["conflict_origins"]
         }
         return restored
+
+
+def _row_key(prefix: Prefix) -> int:
+    """``prefix.sort_key()`` packed into one int, in the same order."""
+    return (prefix.network << 6) | prefix.length
 
 
 def _duration_summary(

@@ -47,12 +47,10 @@ fresh ``render()`` over a batch ``analyze`` stopped at that day.
 from __future__ import annotations
 
 import asyncio
-import datetime
 import json
 import math
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -65,7 +63,6 @@ from repro.api.service import LEGACY_RESUME_NOTE, MoasService, answer_keys
 from repro.api.sources import open_source
 from repro.core.detector import DayDetection
 from repro.core.realtime import DaySnapshotAlerter, MoasAlert
-from repro.core.verdict import TAG_WIDE_ORIGIN_SET
 from repro.util.concurrency import guarded_by
 
 #: Content types per renderer format.
@@ -277,23 +274,7 @@ class ServeConfig:
             )
 
 
-@dataclass(frozen=True)
-class _Snapshot:
-    """One published read snapshot: results pinned to a day boundary."""
-
-    days: int
-    last_day_iso: str | None
-    results: object
-
-
-@guarded_by(
-    "_lock",
-    "_snapshot_cache",
-    "_verdict_cache",
-    "_evaluation_cache",
-    "_index_cache",
-    "_verdict_rows",
-)
+@guarded_by("_lock", "_evaluation")
 class ServeApp:
     """The daemon's synchronous core: shared state + request routing.
 
@@ -307,9 +288,14 @@ class ServeApp:
 
     Thread model: the ingestion loop calls :meth:`fold_detection` from
     a worker thread; request handlers call :meth:`handle` from others.
-    Both sides take the app lock, and read snapshots are cached per day
-    boundary, so readers always see results equal to a batch analyze
-    stopped at some fed-day prefix — never a torn mid-fold state.
+    Every read asks ``self.service`` for what the session derives per
+    fed day — its results, its episode index, its ``/v1/verdicts`` rows
+    and its verdicts — which the session keeps, patches after a fold
+    and hands out under its lock.  So readers always see results equal
+    to a batch analyze stopped at some fed-day prefix, never a torn
+    mid-fold state, and a session put in place of ``service`` is
+    answered as a new app would answer it.  The app keeps only the
+    evaluation it scored, with the verdict dict it scored.
     """
 
     def __init__(
@@ -323,19 +309,10 @@ class ServeApp:
         self.ingest = IngestState()
         self.started_monotonic = time.monotonic()
         self._lock = threading.RLock()
-        self._snapshot_cache: _Snapshot | None = None
-        self._verdict_cache: tuple[int, dict] | None = None
-        self._evaluation_cache: tuple[int, object] | None = None
-        #: ``(session, days, index, wide prefixes)``: the index, the
-        #: session and day count it was built at, and the prefixes whose
-        #: verdict reads the study length (see :meth:`current_index`).
-        self._index_cache: tuple | None = None
-        #: ``/v1/verdicts`` rows of the last day count served:
-        #: ``(session, days, last fed day, row keys, rows, wide
-        #: prefixes)``, the rows ``[verdict, JSON fragment or None]``
-        #: sorted by their keys, the prefixes' ``sort_key()`` packed
-        #: into one int.
-        self._verdict_rows: tuple | None = None
+        #: ``(verdicts, days fed, EvaluationResult)``: the last
+        #: evaluation scored, the verdict dict it scored and its day
+        #: count.
+        self._evaluation: tuple | None = None
         self._registry, self._injected, self._organic = (
             answer_keys(self.archive)
             if self.archive is not None
@@ -376,54 +353,26 @@ class ServeApp:
             self.service.feed_day(detection)
             return alerts
 
-    # -- consistent read snapshots -------------------------------------------
-
-    def current(self) -> _Snapshot:
-        """The session's results pinned to the latest day boundary.
-
-        Cached per day count: between folds every request renders from
-        the same detached :class:`~repro.analysis.pipeline.StudyResults`
-        object, so concurrent readers are both consistent and cheap.
-        """
-        with self._lock:
-            days = self.service.days_fed
-            cache = self._snapshot_cache
-            if cache is None or cache.days != days:
-                last_day = self.service.last_day
-                cache = _Snapshot(
-                    days=days,
-                    last_day_iso=(
-                        last_day.isoformat() if last_day else None
-                    ),
-                    results=self.service.results(),
-                )
-                self._snapshot_cache = cache
-            return cache
-
-    def current_verdicts(self) -> tuple[int, dict]:
-        """``(days fed, prefix -> Verdict)`` at the latest day boundary."""
-        with self._lock:
-            days = self.service.days_fed
-            cache = self._verdict_cache
-            if cache is None or cache[0] != days:
-                cache = (days, self.service.verdicts(self._registry))
-                self._verdict_cache = cache
-            return cache
+    # -- consistent reads ----------------------------------------------------
 
     def current_evaluation(self) -> tuple[int, object]:
         """``(days fed, EvaluationResult)`` at the latest day boundary.
 
-        Scored once per day count from :meth:`current_verdicts`, so
-        every ``/v1/evaluation`` request between two folds renders the
-        same result object.
+        Scored once per verdict dict: the session hands out the same
+        dict until a day is fed (:meth:`MoasService.verdicts`), so every
+        ``/v1/evaluation`` request between two folds renders the same
+        result object.  The app lock, which :meth:`fold_detection`
+        holds too, pairs the dict with its day count.
         """
         from repro.analysis.evaluation import evaluate_verdicts
 
         with self._lock:
-            days, verdicts = self.current_verdicts()
-            cache = self._evaluation_cache
-            if cache is None or cache[0] != days:
-                cache = (
+            days = self.service.days_fed
+            verdicts = self.service.verdicts(self._registry)
+            scored = self._evaluation
+            if scored is None or scored[0] is not verdicts:
+                scored = self._evaluation = (
+                    verdicts,
                     days,
                     evaluate_verdicts(
                         verdicts,
@@ -431,64 +380,16 @@ class ServeApp:
                         organic=self._organic,
                     ),
                 )
-                self._evaluation_cache = cache
-            return cache
+            return scored[1], scored[2]
 
     def current_index(self):
-        """``(snapshot, EpisodeIndex)`` pinned to one day boundary.
-
-        The index is derived (and cached) per day count under the app
-        lock, from the same snapshot/verdict view every other reader
-        sees — so ``/v1/episodes`` and ``/v1/history`` answers are
-        byte-identical to a batch ``analyze --index`` + ``repro
-        query`` run stopped at that day.
-
-        A new day's index is the previous one with only the records
-        that may differ re-derived (:meth:`EpisodeIndex.rederived`):
-        the prefixes the session's :meth:`~MoasService.fed_since` hands
-        over from the previous index's last day, so those fed since and
-        those then ongoing, and those whose verdict carries the
-        wide-origin tag, because their anycast call reads the study
-        length.  With no previous index of a fed day, a previous index
-        of another session (``service`` was replaced), or when most
-        records may differ, the index is built cold.
-        """
-        from repro.analysis.index import EpisodeIndex
-
-        with self._lock:
-            snapshot = self.current()
-            service = self.service
-            cache = self._index_cache
-            if cache is not None and cache[0] is service and cache[1] == snapshot.days:
-                return snapshot, cache[2]
-            _days, verdicts = self.current_verdicts()
-            results = snapshot.results
-            episodes = results.episodes
-            redo = None
-            if (
-                cache is not None
-                and cache[0] is service
-                and cache[2].last_day is not None
-            ):
-                _service, _days, index, wide = cache
-                fed = service.fed_since(index.last_day)
-                redo = wide.union(fed)
-            if redo is None or 2 * len(redo) > len(episodes):
-                index = EpisodeIndex.build(results, verdicts=verdicts)
-                wide = {prefix for prefix in episodes if _wide(verdicts, prefix)}
-            else:
-                index = index.rederived(results, verdicts, redo)
-                wide = wide.union(
-                    prefix for prefix in fed if _wide(verdicts, prefix)
-                )
-            self._index_cache = (service, snapshot.days, index, wide)
-            return snapshot, index
-
-    def _meta_headers(self, snapshot: _Snapshot) -> dict:
-        headers = {"X-Repro-Days": str(snapshot.days)}
-        if snapshot.last_day_iso:
-            headers["X-Repro-Last-Day"] = snapshot.last_day_iso
-        return headers
+        """``(days fed, EpisodeIndex)``: the session's own index at its
+        latest day boundary (:meth:`MoasService.index`), so
+        ``/v1/episodes`` and ``/v1/history`` answers are byte-identical
+        to a batch ``analyze --index`` + ``repro query`` run stopped at
+        that day."""
+        index = self.service.index(self._registry)
+        return index.days_indexed, index
 
     # -- request routing -----------------------------------------------------
 
@@ -598,17 +499,19 @@ class ServeApp:
                 f"figure {name!r} has no {format!r} renderer; "
                 f"available formats: {', '.join(available[name])}",
             )
-        snapshot = self.current()
-        if snapshot.days == 0:
+        results = self.service.results()
+        if results.total_days == 0:
             return Response.error(503, "no days ingested yet")
         try:
-            body = render(snapshot.results, name, format)
+            body = render(results, name, format)
         except ValueError as error:
             return Response.error(400, str(error))
         return Response.text(
             body,
             content_type=_CONTENT_TYPES[format],
-            headers=self._meta_headers(snapshot),
+            headers=_meta_headers(
+                results.total_days, results.daily_series[-1][0]
+            ),
         )
 
     def _handle_episode(self, prefix_text: str) -> Response:
@@ -618,7 +521,7 @@ class ServeApp:
             prefix = Prefix.parse(prefix_text)
         except ValueError as error:
             return Response.error(400, f"bad prefix: {error}")
-        snapshot, index = self.current_index()
+        _days, index = self.current_index()
         record = index.lookup(prefix)
         if record is None:
             return Response.error(
@@ -630,7 +533,7 @@ class ServeApp:
         # preserves this route's wire contract.
         return Response.json(
             record.episode_dict(),
-            headers=self._meta_headers(snapshot),
+            headers=_meta_headers(index.days_indexed, index.last_day),
         )
 
     def _handle_history(self, prefix_text: str, query: dict) -> Response:
@@ -662,14 +565,15 @@ class ServeApp:
                 window = (parse_date(start_text), parse_date(end_text))
         except ValueError as error:
             return Response.error(400, str(error))
-        snapshot, index = self.current_index()
+        _days, index = self.current_index()
         answer = index.query(prefix, day=day, window=window)
         if answer is None:
             return Response.error(
                 404, f"no MOAS episode recorded for {prefix}"
             )
         return Response.json(
-            answer.to_dict(), headers=self._meta_headers(snapshot)
+            answer.to_dict(),
+            headers=_meta_headers(index.days_indexed, index.last_day),
         )
 
     def _handle_verdicts(self, query: dict) -> Response:
@@ -687,17 +591,18 @@ class ServeApp:
                 )
         kind = query.get("kind")
         fragments = []
-        with self._lock:
-            days, rows = self._current_verdict_rows()
-            for row in rows:
-                verdict = row[0]
-                if verdict.suspicion < min_suspicion or (
-                    kind is not None and verdict.kind != kind
-                ):
-                    continue
-                if row[1] is None:
-                    row[1] = _verdict_fragment(verdict)
-                fragments.append(row[1])
+        days, rows = self.service.verdict_rows(self._registry)
+        for row in rows:
+            verdict = row[0]
+            if verdict.suspicion < min_suspicion or (
+                kind is not None and verdict.kind != kind
+            ):
+                continue
+            fragment = row[1]
+            if fragment is None:
+                # The same bytes whichever reader renders them first.
+                fragment = row[1] = _verdict_fragment(verdict)
+            fragments.append(fragment)
         # Byte-identical to Response.json over the row dicts.
         head = (
             f'{{\n  "days_fed": {days},\n  "count": {len(fragments)},\n'
@@ -712,49 +617,6 @@ class ServeApp:
             body=b"".join((head.encode(), *listing, b"\n}\n")),
             headers={"X-Repro-Days": str(days)},
         )
-
-    def _current_verdict_rows(self) -> tuple[int, list]:
-        """``(days fed, /v1/verdicts rows in prefix order)`` at the
-        latest day boundary.
-
-        The rows are patched from one day count to the next: a row is
-        replaced or inserted (one bisect each) only for the prefixes
-        :meth:`~MoasService.fed_since` hands over from the day after
-        the table's, so those fed since, and those whose verdict
-        carries the wide-origin tag, and keeps its fragment while its
-        verdict is the same object.  A table of another session
-        (``service`` was replaced), or of no fed day, is built afresh.
-        """
-        with self._lock:
-            days, verdicts = self.current_verdicts()
-            service = self.service
-            table = self._verdict_rows
-            if table is not None and table[0] is service and table[1] == days:
-                return days, table[4]
-            last_day = service.last_day
-            if table is None or table[0] is not service or table[2] is None:
-                order = sorted(verdicts, key=_row_key)
-                keys = list(map(_row_key, order))
-                rows = [[verdicts[prefix], None] for prefix in order]
-                wide = {prefix for prefix in order if _wide(verdicts, prefix)}
-            else:
-                _service, _days, since, keys, rows, wide = table
-                fed = service.fed_since(since + datetime.timedelta(days=1))
-                for prefix in wide.union(fed):
-                    verdict = verdicts[prefix]
-                    key = _row_key(prefix)
-                    position = bisect_left(keys, key)
-                    if position < len(keys) and keys[position] == key:
-                        if rows[position][0] is not verdict:
-                            rows[position] = [verdict, None]
-                    else:
-                        keys.insert(position, key)
-                        rows.insert(position, [verdict, None])
-                wide = wide.union(
-                    prefix for prefix in fed if _wide(verdicts, prefix)
-                )
-            self._verdict_rows = (service, days, last_day, keys, rows, wide)
-            return days, rows
 
     def _handle_evaluation(self, query: dict) -> Response:
         format = query.get("format", "json")
@@ -772,16 +634,12 @@ class ServeApp:
         )
 
 
-def _row_key(prefix) -> int:
-    """``prefix.sort_key()`` packed into one int, in the same order."""
-    return (prefix.network << 6) | prefix.length
-
-
-def _wide(verdicts: dict, prefix) -> bool:
-    """True when ``prefix``'s verdict carries the wide-origin tag: its
-    anycast call reads the study length, so any fold may change it."""
-    verdict = verdicts.get(prefix)
-    return verdict is not None and TAG_WIDE_ORIGIN_SET in verdict.tags
+def _meta_headers(days: int, last_day) -> dict:
+    """The headers that pin a body to the day boundary it answers for."""
+    headers = {"X-Repro-Days": str(days)}
+    if last_day is not None:
+        headers["X-Repro-Last-Day"] = last_day.isoformat()
+    return headers
 
 
 def _verdict_fragment(verdict) -> bytes:

@@ -413,6 +413,15 @@ class MoasService:
 
         return EpisodeIndex.build(self.results(), verdicts=verdicts)
 
+    def index(self, registry=None):
+        """The session's own episode index (:meth:`StudyState.index`):
+        its episodes with its own verdicts judged against ``registry``,
+        kept and patched per fed day under the session lock.  Its
+        ``days_indexed`` and ``last_day`` name the day boundary it
+        answers for."""
+        with self._lock:
+            return self._state.index(registry)
+
     def build_index(
         self, path: Path | str, *, verdicts: dict | None = None
     ) -> Path:
@@ -430,12 +439,6 @@ class MoasService:
 
     # -- verdicts and evaluation ---------------------------------------------
 
-    def fed_since(self, day) -> list:
-        """:meth:`StudyState.fed_since` under the session lock: the
-        prefixes whose episode records were fed on or after ``day``."""
-        with self._lock:
-            return self._state.fed_since(day)
-
     def verdicts(self, registry=None) -> dict:
         """The session's own verdicts (:meth:`StudyState.verdicts`),
         judged under the session lock: those of a batch run stopped at
@@ -443,6 +446,12 @@ class MoasService:
         table."""
         with self._lock:
             return self._state.verdicts(registry)
+
+    def verdict_rows(self, registry=None) -> tuple[int, list]:
+        """``(days fed, rows)``: :meth:`StudyState.verdict_rows` under
+        the session lock, with the day count they were derived at."""
+        with self._lock:
+            return self._state.total_days, self._state.verdict_rows(registry)
 
     def evaluate(self, source, **options):
         """Run the verdict engine over ``source`` and score it.

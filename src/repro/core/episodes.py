@@ -82,10 +82,10 @@ class EpisodeTracker:
     counts in.
 
     Readers that keep what they derived from the records (the study's
-    results, the verdict engine, serve's index) keep the last fed day
-    they derived at and ask :meth:`fed_since` what changed: the records
-    sit in the order they were last fed, so the ones fed on or after a
-    day are a walk back from the newest.
+    results, its episode index and verdict rows, the verdict engine)
+    keep the last fed day they derived at and ask :meth:`fed_since`
+    what changed: the records sit in the order they were last fed, so
+    the ones fed on or after a day are a walk back from the newest.
     """
 
     __slots__ = ("roa_table", "_records", "_prefixes", "_order", "_seen", "_days")

@@ -196,6 +196,7 @@ class VerdictEngine:
         "_verdicts",
         "_wide",
         "_shape_only",
+        "_finalized",
     )
 
     def __init__(
@@ -218,16 +219,25 @@ class VerdictEngine:
         #: What the last :meth:`finalize` derived, kept for the next:
         #: the last fed day it derived at, the verdict of each record in
         #: record order, the records wide enough for the anycast test,
-        #: and the registry-only verdicts of structural prefixes without
-        #: a record, in structural order.
+        #: the registry-only verdicts of structural prefixes without a
+        #: record, in structural order, and the dict it returned.
         self._derived_day: datetime.date | None = None
         self._verdicts: dict[Prefix, Verdict] = {}
         self._wide: set[Prefix] = set()
         self._shape_only: dict[Prefix, Verdict] = {}
+        self._finalized: dict[Prefix, Verdict] | None = None
 
     def feed_day(self, detection: DayDetection) -> None:
         """Fold one day's detection into the engine's tracker."""
         self.tracker.observe_day(detection.day, detection.conflicts)
+
+    @property
+    def wide(self) -> set[Prefix]:
+        """The records wide enough for the anycast test as of the last
+        :meth:`finalize` (the engine's own set: read only).  Their
+        anycast call reads the study length, so a fold may change their
+        verdicts without feeding them."""
+        return self._wide
 
     # -- verdicts -------------------------------------------------------------
 
@@ -243,12 +253,14 @@ class VerdictEngine:
 
         The registry is treated as immutable: its owner map, shapes and
         registry-only verdicts are derived once per registry object.
-        Under the same registry object, a call judges afresh only the
-        records :meth:`EpisodeTracker.fed_since` hands over from the day
-        after the last call's, so those fed since, and those whose
-        origin set is wide enough for the anycast test, which reads the
-        study length; every other verdict is the object the last call
-        returned.
+        Under the same registry object, a call returns the dict the last
+        call returned until a day is fed; after one, it judges afresh
+        only the records :meth:`EpisodeTracker.fed_since` hands over
+        from the day after the last call's, so those fed since, and
+        those whose origin set is wide enough for the anycast test
+        (:attr:`wide`), which reads the study length, and returns a new
+        dict whose every other verdict is the object the last call
+        returned.  A returned dict is never mutated.
         """
         tracker = self.tracker
         verdicts = self._verdicts
@@ -256,13 +268,10 @@ class VerdictEngine:
         since = self._derived_day
         shapes = self._registry_shapes
         cold = shapes is None or shapes[0] is not registry
+        if not cold and since == tracker.last_fed_day:
+            return self._finalized
         if cold:
-            owners: dict[Prefix, int] = {}
-            structural: dict[Prefix, str] = {}
-            if registry is not None:
-                owners = {entry.prefix: entry.owner for entry in registry}
-                structural = _structural_tags(registry)
-            shapes = self._registry_shapes = (registry, owners, structural)
+            shapes = self._registry_shapes = (registry, *_shapes(registry))
             verdicts.clear()
             self._wide.clear()
             since = None
@@ -303,7 +312,8 @@ class VerdictEngine:
         else:
             for prefix in added:
                 shape_only.pop(prefix, None)
-        return {**verdicts, **shape_only}
+        self._finalized = {**verdicts, **shape_only}
+        return self._finalized
 
     def _shape_verdict(
         self, prefix: Prefix, tag: str, owner: int | None
@@ -417,6 +427,15 @@ class VerdictEngine:
                 rpki_state.value if rpki_state is not None else None
             ),
         )
+
+
+def _shapes(registry) -> tuple[dict[Prefix, int], dict[Prefix, str]]:
+    """``(owner map, structural tags)`` of a prefix registry, both empty
+    without one (see :func:`_structural_tags`)."""
+    if registry is None:
+        return {}, {}
+    owners = {entry.prefix: entry.owner for entry in registry}
+    return owners, _structural_tags(registry)
 
 
 def _structural_tags(registry) -> dict[Prefix, str]:

@@ -330,7 +330,7 @@ class TestRederived:
             results, verdicts = state.results(), engine.finalize()
             cold = EpisodeIndex.build(results, verdicts=verdicts)
             if previous is not None:
-                handed = set(state.fed_since(previous.last_day)).union(
+                handed = set(state._tracker.fed_since(previous.last_day)).union(
                     prefix
                     for prefix, verdict in verdicts.items()
                     if TAG_WIDE_ORIGIN_SET in verdict.tags

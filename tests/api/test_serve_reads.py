@@ -1,9 +1,9 @@
 """Serve's fresh reads against cold rebuilds, at every day boundary.
 
 A fresh read after a fold re-derives only what the folds fed: the
-session's results, its verdicts, ``ServeApp.current_index`` and the
-``/v1/verdicts`` row table each keep what they derived and the last fed
-day they derived at, and redo only the prefixes the episode tracker's
+session's results, its verdicts, its episode index and its
+``/v1/verdicts`` rows each keep what they derived and the last fed day
+they derived at, and redo only the prefixes the episode tracker's
 ``fed_since`` hands them from that day (the records fed since and, for
 the readers of the ongoing flag, those then ongoing), plus those whose
 verdict reads the study length.  ``/v1/verdicts`` joins per-verdict
@@ -170,11 +170,12 @@ def test_fresh_reads_equal_cold_rebuilds_at_every_day(reads_archive):
         unread.fold_detection(detection)
         results, verdicts = cold_state(app)
         index = EpisodeIndex.build(results, verdicts=verdicts)
-        snapshot, served_index = app.current_index()
-        assert snapshot.results == results
-        assert served_index.to_bytes() == index.to_bytes(), days
-        served_days, served = app.current_verdicts()
+        served_days, served_index = app.current_index()
         assert served_days == days
+        served_results = app.service.results()
+        assert served_results == results
+        assert served_index.to_bytes() == index.to_bytes(), days
+        served = app.service.verdicts(app._registry)
         assert served == verdicts
         assert list(served.items()) == list(verdicts.items())
         for target, response in expected_reads(
@@ -183,15 +184,15 @@ def test_fresh_reads_equal_cold_rebuilds_at_every_day(reads_archive):
             assert app.handle("GET", target) == response, (days, target)
         if days % 10 == 0:
             held.append(
-                (snapshot, served, served_index, results, verdicts, index)
+                (served_results, served, served_index, results, verdicts, index)
             )
     assert app.days_fed == len(detections) == CALENDAR.num_days
     # The memos never reach a checkpoint.
     assert app.service.snapshot_state() == unread.service.snapshot_state()
     # Snapshot isolation: what a reader got at day d still reads as
     # day d after every later fold.
-    for snapshot, served, served_index, results, verdicts, index in held:
-        assert snapshot.results == results
+    for served_results, served, served_index, results, verdicts, index in held:
+        assert served_results == results
         assert served == verdicts
         assert served_index.to_bytes() == index.to_bytes()
 
@@ -216,10 +217,11 @@ def test_fresh_reads_after_a_legacy_resume_equal_cold_rebuilds(
         app.fold_detection(detection)
         results, verdicts = cold_state(app)
         index = EpisodeIndex.build(results, verdicts=verdicts)
-        snapshot, served_index = app.current_index()
-        assert snapshot.results == results
+        served_days, served_index = app.current_index()
+        assert served_days == days
+        assert app.service.results() == results
         assert served_index.to_bytes() == index.to_bytes(), days
-        assert app.current_verdicts() == (days, verdicts)
+        assert app.service.verdicts(app._registry) == verdicts
         for target, response in expected_reads(
             days, detection, results, verdicts, index
         ).items():

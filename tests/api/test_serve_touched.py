@@ -1,18 +1,26 @@
 """Serve's readers, each keeping the day it last derived at, against
 cold rebuilds.
 
-Four readers keep what they derived and re-derive only what
-``fed_since`` hands them from the last fed day they derived at (the
-records fed since and, for the ones whose answers read the ongoing
-flag, those then ongoing), plus the wide-origin verdicts: the
-session's results, its verdict engine, ``ServeApp``'s episode index
-and its ``/v1/verdicts`` rows.  A route reads only some of them, so
+Four readers in the session keep what they derived and re-derive only
+what ``fed_since`` hands them from the last fed day they derived at
+(the records fed since and, for the ones whose answers read the
+ongoing flag, those then ongoing), plus the verdict engine's
+wide-origin records: the study state's results, its verdict engine,
+its episode index and its ``/v1/verdicts`` rows.  Each hands out the
+same object until a day is fed.  A route reads only some of them, so
 when hypothesis draws which days are fed and which routes are read on
 which day, the readers fall behind by different amounts — a
 figure-only read, say, never moves the index's day.  Every answer, and
 the index itself, must equal what a new ``ServeApp`` over a session
 restored from the checkpoint payload answers: that one has nothing to
-keep and builds everything cold.
+keep and builds everything cold.  ``ServeApp`` keeps only the
+evaluation it scored, so a session put in its place is answered as a
+new app answers it.
+
+The cold rebuilds share what is not derived session state: the ROA
+table, which a payload lists row by row, and the registry's shapes
+(:func:`shared_shapes`).  Both are immutable, so sharing them changes
+no answer; it only keeps a drawn example, and so a shrink, cheap.
 """
 
 from __future__ import annotations
@@ -29,9 +37,11 @@ from repro.api.renderers import available_renderings
 from repro.api.serve import ServeApp, _verdict_fragment
 from repro.api.service import MoasService
 from repro.api.sources import open_source
+from repro.core import verdict as verdict_module
 from repro.core.detector import DailyConflict, DayDetection
 from repro.core.verdict import Verdict
 from repro.netbase.prefix import Prefix
+from repro.netbase.rpki import RoaTable
 from repro.scenario.rpki import RpkiConfig
 from repro.scenario.world import ScenarioConfig, simulate_study
 from tests.api.test_serve_reads import CALENDAR, VERDICT_QUERIES, incident_script
@@ -75,6 +85,12 @@ def touched_detections(touched_archive):
 
 
 @pytest.fixture(scope="module")
+def touched_roas(touched_archive):
+    """The archive's ROA table, loaded once for every example."""
+    return RoaTable.load(touched_archive)
+
+
+@pytest.fixture(scope="module")
 def served_app(touched_archive):
     """A factory of fresh apps sharing the archive's answer keys."""
     keys = ServeApp(MoasService(), archive=touched_archive)
@@ -92,15 +108,53 @@ def served_app(touched_archive):
     return make
 
 
+@pytest.fixture(scope="module")
+def shared_shapes():
+    """Each registry's shapes derived once for every app of the module.
+
+    ``_shapes`` (the owner map and the structural tags) is a pure
+    function of the registry, which the verdict engine treats as
+    immutable and only reads: the memo returns what the first
+    derivation returned, held with its registry so a recycled id never
+    matches.
+    """
+    derive = verdict_module._shapes
+    memo: dict[int, tuple] = {}
+
+    def shapes(registry):
+        kept = memo.get(id(registry))
+        if kept is None or kept[0] is not registry:
+            kept = memo[id(registry)] = (registry, derive(registry))
+        return kept[1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verdict_module, "_shapes", shapes)
+        yield
+
+
 def cold_app(app: ServeApp, make) -> ServeApp:
     """An app over the session restored from ``app``'s checkpoint
-    payload, which carries no kept derivation."""
-    return make(MoasService.resume(app.service.snapshot_state()))
+    payload, which carries no kept derivation.
+
+    The ROA table is an immutable input, not derived state: the
+    payload is taken with the table detached from the tracker, so its
+    rows are neither written nor parsed again, and the restored
+    session is handed the same table.
+    """
+    tracker = app.service._state._tracker
+    table, tracker.roa_table = tracker.roa_table, None
+    try:
+        payload = app.service.snapshot_state()
+    finally:
+        tracker.roa_table = table
+    service = MoasService.resume(payload)
+    service.roa_table = service._state._tracker.roa_table = table
+    return make(service)
 
 
 def targets(data, app: ServeApp, cold: ServeApp) -> list[str]:
     """Drawn request targets over the routes a fresh read re-derives."""
-    episodes = sorted(cold.current().results.episodes) or [ABSENT]
+    episodes = sorted(cold.service.results().episodes) or [ABSENT]
     prefix = st.sampled_from([*episodes, ABSENT])
     day = CALENDAR.start + datetime.timedelta(
         days=data.draw(st.integers(0, CALENDAR.num_days - 1))
@@ -138,9 +192,9 @@ def assert_reads_equal_cold(data, app: ServeApp, make) -> None:
 
 @given(st.data())
 def test_interleaved_reads_equal_cold_rebuilds(
-    served_app, touched_archive, touched_detections, data
+    served_app, touched_roas, touched_detections, shared_shapes, data
 ):
-    app = served_app(MoasService(roa_table=touched_archive))
+    app = served_app(MoasService(roa_table=touched_roas))
     for detection in touched_detections:
         # Skipped days make the drawn stream: episodes flap and end,
         # and the anycast incident lapses sooner or later.
@@ -155,8 +209,10 @@ def test_interleaved_reads_equal_cold_rebuilds(
             app.current_index()[1].to_bytes()
             == cold.current_index()[1].to_bytes()
         )
-        assert app.current_verdicts() == cold.current_verdicts()
-        assert app.current().results == cold.current().results
+        assert app.service.verdicts(app._registry) == cold.service.verdicts(
+            cold._registry
+        )
+        assert app.service.results() == cold.service.results()
 
 
 def test_a_loaded_checkpoint_goes_cold(
@@ -193,8 +249,8 @@ def test_a_loaded_checkpoint_goes_cold(
         cold = cold_app(app, served_app)
         for target in ("/v1/verdicts", "/v1/figure/summary?format=json"):
             assert app.handle("GET", target) == cold.handle("GET", target)
-        results = cold.current().results
-        _days, verdicts = cold.current_verdicts()
+        results = cold.service.results()
+        verdicts = cold.service.verdicts(cold._registry)
         assert (
             app.current_index()[1].to_bytes()
             == real_build(results, verdicts=verdicts).to_bytes()
@@ -261,7 +317,7 @@ def test_patched_reads_follow_lapses_and_endings(monkeypatch):
     # Only the first index and the next, when the standing conflicts
     # all end, are built cold.
     assert len(rederived) == 28
-    assert app.current_verdicts()[1][wide].kind != "anycast"
+    assert app.service.verdicts()[wide].kind != "anycast"
 
 
 def test_a_session_of_another_stream_goes_cold(
@@ -269,11 +325,11 @@ def test_a_session_of_another_stream_goes_cold(
 ):
     """``app.service`` replaced by a session fed a different stream
     over the same days: the other stream also has one-day conflicts on
-    the first day.  Asked from the kept day, the new session hands over
-    only the records fed since and those then ongoing, few enough to
-    patch, so only the check of the session's identity keeps the old
-    stream's index and verdict rows, which lack those conflicts, out of
-    every later answer."""
+    the first day.  Asked from the old session's last day, the new one
+    would hand over only the records fed since and those then ongoing,
+    few enough to patch, so an index or verdict rows kept across the
+    swap would lack those conflicts in every later answer; the new
+    session keeps its own, so its first index is built cold."""
     app = served_app(MoasService(roa_table=touched_archive))
     other = MoasService(roa_table=touched_archive)
     one_day = [
@@ -328,13 +384,76 @@ def test_a_session_of_another_stream_goes_cold(
             *(
                 f"/v1/{route}/{prefix}"
                 for route in ("episodes", "history")
-                for prefix in sorted(cold.current().results.episodes)[::5]
+                for prefix in sorted(cold.service.results().episodes)[::5]
             ),
         ):
             assert app.handle("GET", target) == cold.handle("GET", target)
         assert index.to_bytes() == cold.current_index()[1].to_bytes()
     assert made[0] == "build"
     assert made[-10:] == ["rederived"] * 10
+
+
+def test_a_swapped_session_is_answered_as_a_new_app_answers_it(
+    served_app, touched_archive, touched_detections
+):
+    """``app.service`` replaced by a session of another stream fed as
+    many days, and read with no fold in between: every route, and the
+    index, answers what a new app over that session answers, though
+    the app read every route at the same day count of the old one."""
+    app = served_app(MoasService(roa_table=touched_archive))
+    other = MoasService(roa_table=touched_archive)
+    # One-day conflicts every third day: more episodes, other counts
+    # and extra short-lived verdicts in every answer.
+    extra = [
+        DailyConflict(
+            prefix=Prefix(0xC6120000 | (n << 8), 24), origins=frozenset((1, 2))
+        )
+        for n in range(40)
+    ]
+    half = len(touched_detections) // 2
+    for offset, detection in enumerate(touched_detections[:half]):
+        app.fold_detection(detection)
+        other.feed_day(
+            detection_of(
+                detection.day,
+                [
+                    *detection.conflicts,
+                    *(extra[offset : offset + 4] if offset % 3 == 0 else ()),
+                ],
+            )
+        )
+    episodes = sorted(other.results().episodes)
+    chosen = [*episodes[::7], *(conflict.prefix for conflict in extra[:4])]
+    reads = [
+        *(f"/v1/figure/{figure}?format={format}" for figure, format in FIGURES),
+        *(
+            "/v1/verdicts?"
+            + "&".join(f"{name}={value}" for name, value in query.items())
+            for query in VERDICT_QUERIES
+        ),
+        "/v1/evaluation?format=json",
+        "/v1/evaluation?format=csv",
+        *(
+            f"/v1/{route}/{prefix}"
+            for route in ("episodes", "history")
+            for prefix in chosen
+        ),
+    ]
+    for target in reads:
+        app.handle("GET", target)
+    app.current_index()
+    app.service = other
+    fresh = served_app(other)
+    cold = cold_app(app, served_app)
+    for target in reads:
+        answer = app.handle("GET", target)
+        assert answer == fresh.handle("GET", target), target
+        assert answer == cold.handle("GET", target), target
+    assert (
+        app.current_index()[1].to_bytes()
+        == fresh.current_index()[1].to_bytes()
+        == cold.current_index()[1].to_bytes()
+    )
 
 
 def test_daily_reads_keep_the_order_at_one_entry_per_record():

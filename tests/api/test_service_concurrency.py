@@ -9,11 +9,14 @@ mid-fold mixture.  These tests hammer that contract from real threads.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.api.service import MoasService
+from repro.netbase.prefix import Prefix
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +171,92 @@ class TestSnapshotConsistency:
                 f"prefix index"
             )
 
+    def test_kept_index_and_verdict_rows_are_day_boundaries(
+        self, day_stream
+    ):
+        """The session's kept index and ``/v1/verdicts`` rows racing
+        feed_day = those of some day prefix, then and after every later
+        fold.
+
+        A later day's index and rows are patched copies: a listing a
+        reader already holds is never patched in place, so each one
+        read mid-feed must still equal its day's cold build once the
+        whole stream has folded.
+        """
+        reference = MoasService()
+        cold_bytes, cold_rows = [], []
+        for detection in [None, *day_stream]:
+            if detection is not None:
+                reference.feed_day(detection)
+            verdicts = reference.verdicts()
+            cold_bytes.append(
+                reference.episode_index(verdicts=verdicts).to_bytes()
+            )
+            cold_rows.append(in_prefix_order(verdicts))
+
+        service = MoasService()
+        observed: list[tuple] = []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                index = service.index()
+                days, rows = service.verdict_rows()
+                observed.append(
+                    (
+                        index,
+                        index.to_bytes(),
+                        days,
+                        rows,
+                        [verdict for verdict, _fragment in rows],
+                    )
+                )
+
+        threads = [
+            threading.Thread(target=reader) for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for detection in day_stream:
+                service.feed_day(detection)
+                # Let a read land before the next fold, so listings of
+                # many days are held while later folds patch copies.
+                read = len(observed)
+                deadline = time.monotonic() + 5
+                while len(observed) == read and time.monotonic() < deadline:
+                    time.sleep(0.0005)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        days, rows = service.verdict_rows()
+        observed.append(
+            (service.index(), service.index().to_bytes(), days, rows, None)
+        )
+
+        assert observed[-1][0].days_indexed == len(day_stream)
+        assert len({index.days_indexed for index, *_rest in observed}) > 2
+        for index, raw, days, rows, read in observed:
+            indexed = index.days_indexed
+            assert raw == cold_bytes[indexed], (
+                f"index read at {indexed} days is not the day-{indexed} "
+                f"prefix index"
+            )
+            assert index.to_bytes() == raw, (
+                f"the day-{indexed} index changed after later folds"
+            )
+            listed = [verdict for verdict, _fragment in rows]
+            assert listed == cold_rows[days], (
+                f"verdict rows at {days} days are not the day-{days} rows"
+            )
+            if read is not None:
+                assert read == cold_rows[days]
+
     def test_checkpoint_under_feed_is_consistent(
         self, day_stream, tmp_path
     ):
@@ -202,3 +291,8 @@ class TestSnapshotConsistency:
         assert loaded_days
         assert all(0 <= days <= 30 for days in loaded_days)
         assert loaded_days == sorted(loaded_days)
+
+
+def in_prefix_order(verdicts: dict) -> list:
+    """The verdicts sorted by prefix, as ``/v1/verdicts`` lists them."""
+    return [verdicts[prefix] for prefix in sorted(verdicts, key=Prefix.sort_key)]

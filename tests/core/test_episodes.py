@@ -235,23 +235,33 @@ class TestEpisodeMemo:
         state = StudyState()
         state.feed_day(detection(0, conflict(P1), conflict(P2)))
         state.feed_day(detection(1, conflict(P1)))
-        first = state.results().episodes
-        second = state.results().episodes
-        assert second == first and second is not first
+        results = state.results()
+        # The same results until a day is fed ...
+        assert state.results() is results
+        first = results.episodes
+        assert first[P1].ongoing
+        # ... and new ones after it, which keep the episode of a record
+        # neither fed since nor then ongoing.
+        state.feed_day(detection(2, conflict(P1)))
+        later = state.results()
+        assert later is not results
+        second = later.episodes
+        assert second is not first and second == state._tracker.finalize()
         assert second[P2] is first[P2]
-        assert second[P1] is first[P1] and first[P1].ongoing
+        assert second[P1] is not first[P1] and second[P1].ongoing
+        assert state.results().episodes[P1] is second[P1]
         # P1 goes quiet: same counts, but no longer ongoing.
-        state.feed_day(detection(2, conflict(P2)))
+        state.feed_day(detection(3, conflict(P2)))
         third = state.results().episodes
         assert not third[P1].ongoing
-        assert third[P1].days_observed == first[P1].days_observed
+        assert third[P1].days_observed == second[P1].days_observed
         assert third[P2].days_observed == 2 and third[P2].ongoing
         assert third == state._tracker.finalize()
         # An explicit last observed day flips the flag the other way.
-        assert state._tracker.finalize(day(1))[P1].ongoing
-        assert state._tracker.finalize(day(1)) == EpisodeTracker.from_state(
+        assert state._tracker.finalize(day(2))[P1].ongoing
+        assert state._tracker.finalize(day(2)) == EpisodeTracker.from_state(
             state._tracker.state_dict()
-        ).finalize(day(1))
+        ).finalize(day(2))
 
     def test_state_dict_ignores_finalize(self):
         plain, finalized = EpisodeTracker(), EpisodeTracker()

@@ -446,13 +446,17 @@ class TestVerdictMemo:
         engine = VerdictEngine()
         feed_all((engine,), [conflict("10.0.0.0/8", 1, 2)] * 3)
         first = engine.finalize()
+        # The same dict until a day is fed ...
+        assert engine.finalize() is first
+        # ... and a new one after it, which keeps the verdict of a
+        # prefix not fed since.
+        engine.feed_day(detection(3))
         second = engine.finalize()
+        assert second is not first
         assert second == first
         assert list(second.items()) == list(first.items())
-        assert second is not first
         prefix = Prefix.parse("10.0.0.0/8")
         assert second[prefix] is first[prefix]
-        engine.feed_day(detection(3))
         assert engine.finalize()[prefix] is first[prefix]
         engine.feed_day(detection(4, conflict("10.0.0.0/8", 1, 2)))
         fed = engine.finalize()[prefix]
