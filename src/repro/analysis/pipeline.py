@@ -17,8 +17,9 @@ same records its episodes come from.  Its per-fed-day derivations —
 the results, the verdicts, the episode index and the ``/v1/verdicts``
 rows — are kept in the state and patched after each fold, so every
 reader of one session shares them.  The state also keeps the last fed
-day's conflict origin map, from which the serve daemon derives its
-alerts (:class:`~repro.core.realtime.DaySnapshotAlerter`).
+day's conflict origin map, which it updates from the tracker's day
+diff; each fold returns the map's transitions, which the serve daemon
+replays as alerts (:class:`~repro.core.realtime.DaySnapshotAlerter`).
 :class:`StudyPipeline` is the batch convenience over it, and
 :class:`repro.api.MoasService` is the session facade that adds
 checkpoint files and pluggable sources on top.
@@ -45,9 +46,7 @@ from repro.core.detector import DayDetection
 from repro.core.episodes import RPKI, ConflictEpisode, EpisodeTracker, episode_of
 from repro.core.stats import (
     LONG_LIVED_DAYS,
-    involvement_fraction,
     peak_days,
-    sequence_involvement_fraction,
     yearly_increase_rates,
     yearly_medians,
 )
@@ -221,6 +220,11 @@ class StudyState:
         #: goes to the end when it comes back; the order of departure
         #: alerts follows it, so it is part of the alert contract.
         self._conflict_origins: dict[Prefix, frozenset[int]] = {}
+        #: prefix -> the slot number its streak took in that map (slots
+        #: grow with each entry, so they sort departures into map
+        #: order), and the next slot number.
+        self._slots: dict[Prefix, int] = {}
+        self._next_slot = 0
         #: The engine judging :attr:`_tracker`, built on first use and
         #: kept so registry shapes are derived once per registry object.
         self._verdict_engine: VerdictEngine | None = None
@@ -272,8 +276,17 @@ class StudyState:
         read only)."""
         return self._conflict_origins
 
-    def feed_day(self, detection: DayDetection) -> None:
+    def feed_day(
+        self, detection: DayDetection
+    ) -> list[tuple[Prefix, frozenset[int], frozenset[int]]]:
         """Fold one day's detection into the streaming aggregates.
+
+        Returns the day's ``(prefix, old origins, new origins)``
+        transitions of :attr:`conflict_origins`, an empty set standing
+        for absence: the changed prefixes in detection order, then the
+        departed ones in map order.  They come from the episode
+        tracker's day diff, so a day costs the map what changed, not
+        what it holds.
 
         Days must arrive in strictly increasing order (enforced by the
         episode tracker before anything is folded).
@@ -282,22 +295,37 @@ class StudyState:
         day = detection.day
         conflicts = detection.conflicts
         count = len(conflicts)
-        self._tracker.observe_day(day, conflicts)
+        changed, departed = self._tracker.observe_day(day, conflicts)
         self._as_set_excluded_max = max(
             self._as_set_excluded_max, detection.as_set_excluded
         )
 
         bucket = self._length_sums.setdefault(day.year, Counter())
-        current = self._conflict_origins
         for conflict in conflicts:
+            bucket[conflict.prefix.length] += 1
+        transitions = []
+        current = self._conflict_origins
+        slots = self._slots
+        for conflict in changed:
             prefix = conflict.prefix
-            bucket[prefix.length] += 1
-            if current.get(prefix) != conflict.origins:
-                current[prefix] = frozenset(conflict.origins)
-        if len(current) != count:
-            today = {conflict.prefix for conflict in conflicts}
-            for prefix in [prefix for prefix in current if prefix not in today]:
-                del current[prefix]
+            old = current.get(prefix)
+            if old is None:
+                new = current[prefix] = frozenset(conflict.origins)
+                slots[prefix] = self._next_slot
+                self._next_slot += 1
+                transitions.append((prefix, _NO_ORIGINS, new))
+            elif old != conflict.origins:
+                new = current[prefix] = frozenset(conflict.origins)
+                transitions.append((prefix, old, new))
+        gone = []
+        for prefix in departed:
+            slot = slots.pop(prefix, None)
+            # None when a resumed legacy checkpoint's empty map never
+            # held the prefix.
+            if slot is not None:
+                gone.append((slot, prefix))
+        for _slot, prefix in sorted(gone):
+            transitions.append((prefix, current.pop(prefix), _NO_ORIGINS))
 
         window_start, window_end = pipeline.classification_window
         if window_start <= day <= window_end:
@@ -315,6 +343,7 @@ class StudyState:
                     _case_study(day, conflicts, count, baseline)
                 )
         self._daily_counts.append(count)
+        return transitions
 
     def results(self) -> StudyResults:
         """Assemble the full statistics from the current state.
@@ -614,7 +643,15 @@ class StudyState:
             Prefix(network, length, strict=False): frozenset(origins)
             for network, length, origins in state["conflict_origins"]
         }
+        restored._slots = {
+            prefix: slot
+            for slot, prefix in enumerate(restored._conflict_origins)
+        }
+        restored._next_slot = len(restored._slots)
         return restored
+
+
+_NO_ORIGINS: frozenset[int] = frozenset()
 
 
 def _row_key(prefix: Prefix) -> int:
@@ -654,13 +691,16 @@ def _case_study(
     count: int,
     baseline: float,
 ) -> CaseStudy:
-    """Gather the culprit evidence for a spike day, paper-style."""
+    """Gather the culprit evidence for a spike day, paper-style.
+
+    One walk over the origin sets finds the culprit and, since an
+    origin set holds each AS once, its involvement; one walk over the
+    paths that contain it finds every hop into it.
+    """
     involvement: Counter[int] = Counter()
     for conflict in conflicts:
-        for origin in conflict.origins:
-            involvement[origin] += 1
-    culprit, _hits = involvement.most_common(1)[0]
-    involved, total = involvement_fraction(conflicts, culprit)
+        involvement.update(conflict.origins)
+    culprit, involved = involvement.most_common(1)[0]
     report = SpikeReport(
         day=day,
         total_conflicts=count,
@@ -671,23 +711,28 @@ def _case_study(
     # The paper identified the (upstream, culprit) hop for the 2001
     # incident; find the culprit's most common upstream in paths.
     upstream_counts: Counter[int] = Counter()
+    #: Per conflict whose paths reach the culprit through a hop: the
+    #: ASes those hops come from.
+    upstream_sets: list[set[int]] = []
     for conflict in conflicts:
-        for path in conflict.all_paths():
-            for left, right in zip(path, path[1:]):
-                if right == culprit:
-                    upstream_counts[left] += 1
+        hops: set[int] = set()
+        for _origin, paths in conflict.paths_by_origin:
+            for path in paths:
+                if culprit not in path:
+                    continue
+                for left, right in zip(path, path[1:]):
+                    if right == culprit:
+                        upstream_counts[left] += 1
+                        hops.add(left)
+        if hops:
+            upstream_sets.append(hops)
     upstream = (
         upstream_counts.most_common(1)[0][0] if upstream_counts else None
     )
-    if upstream is not None:
-        seq_involved, seq_total = sequence_involvement_fraction(
-            conflicts, upstream, culprit
-        )
-    else:
-        seq_involved, seq_total = 0, len(conflicts)
+    seq_involved = sum(upstream in hops for hops in upstream_sets)
     return CaseStudy(
         report=report,
         upstream_asn=upstream,
         sequence_involved=seq_involved,
-        sequence_total=seq_total,
+        sequence_total=len(conflicts),
     )

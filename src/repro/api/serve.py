@@ -340,18 +340,15 @@ class ServeApp:
     def fold_detection(self, detection: DayDetection) -> list[MoasAlert]:
         """Fold one day into the session; returns the day's alerts.
 
-        The alerts are derived from the session's conflict origin map as
-        it stood before the day, then the day folds.  Called from the
+        The day folds first, and the alerts replay the transitions of
+        the session's conflict origin map it returns.  Called from the
         ingestion worker thread; atomic with respect to every reader,
         and returns the alerts the day triggered so the daemon can
         publish them to SSE subscribers.
         """
         with self._lock:
-            alerts = self.alerter.feed_day(
-                detection, self.service.conflict_origins()
-            )
-            self.service.feed_day(detection)
-            return alerts
+            transitions = self.service.feed_day(detection)
+            return self.alerter.feed_day(detection.day, transitions)
 
     # -- consistent reads ----------------------------------------------------
 

@@ -247,22 +247,18 @@ def answer_keys(directory) -> tuple[list, list, list]:
     keys evaluation scores them with; a missing key file reads as
     empty.
     """
-    from repro.scenario.archive import ArchiveReader
+    from repro.scenario.archive import read_registry
     from repro.scenario.incidents import IncidentLabel
 
-    reader = ArchiveReader(directory)
-    try:
-        return (
-            reader.registry,
-            [IncidentLabel.from_dict(row) for row in reader.incident_labels()],
-            (
-                reader.ground_truth()
-                if (Path(directory) / "ground_truth.json").is_file()
-                else []
-            ),
-        )
-    finally:
-        reader.close()
+    def rows(name: str) -> list:
+        path = Path(directory) / name
+        return json.loads(path.read_text()) if path.is_file() else []
+
+    return (
+        read_registry(directory),
+        [IncidentLabel.from_dict(row) for row in rows("incidents.json")],
+        rows("ground_truth.json"),
+    )
 
 
 @guarded_by("_lock", "_state")
@@ -325,8 +321,10 @@ class MoasService:
         with self._lock:
             return self._state.last_day
 
-    def feed_day(self, detection: DayDetection) -> None:
-        """Fold one day's detection into the session.
+    def feed_day(self, detection: DayDetection) -> list[tuple]:
+        """Fold one day's detection into the session; returns the
+        day's conflict-map transitions (:meth:`StudyState.feed_day`),
+        which the serve daemon derives its alerts from.
 
         Days must arrive in strictly increasing date order (ValueError
         otherwise) — use ``feed(..., skip_seen=True)`` when re-streaming
@@ -338,11 +336,10 @@ class MoasService:
         before or after the whole day, never mid-fold.
         """
         with self._lock:
-            self._state.feed_day(detection)
+            return self._state.feed_day(detection)
 
     def conflict_origins(self) -> dict:
-        """:attr:`StudyState.conflict_origins` (read only), which the
-        serve daemon derives its alerts from."""
+        """:attr:`StudyState.conflict_origins` (read only)."""
         with self._lock:
             return self._state.conflict_origins
 

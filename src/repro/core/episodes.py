@@ -25,11 +25,12 @@ import weakref
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.core.classifier import ConflictClass, conflict_class
 from repro.core.detector import DailyConflict
 from repro.netbase.prefix import Prefix
-from repro.netbase.rpki import RoaTable, ValidationState
+from repro.netbase.rpki import RoaTable, ValidationState, worst_state
 
 #: Mutable per-prefix record: [first, last, days, origins, width, votes,
 #: rpki, position].  ``votes`` counts Section V class votes per
@@ -42,6 +43,12 @@ FIRST, LAST, DAYS, ORIGINS, WIDTH, VOTES, RPKI, POSITION = range(8)
 
 #: Each class's slot in a record's ``votes`` list.
 CLASS_SLOTS = {found: slot for slot, found in enumerate(ConflictClass)}
+
+#: The slot of an identity-memo entry (see ``EpisodeTracker._seen``)
+#: holding the last day its conflict object was fed.
+_FED = 5
+
+_INVALID = ValidationState.INVALID
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +84,15 @@ class EpisodeTracker:
     after the slow path absorbed that exact object's origins and class
     vote once, so fed state is identical whichever path runs.
 
+    The same pass yields the day's diff (:meth:`observe_day`): a
+    conflict that is the very object its prefix was fed on the previous
+    fed day changed nothing, and the records fed that day and not today
+    sit right behind today's block in the last-fed order.  With a ROA
+    table, the memo also carries each object's steady RFC 6811 rollup
+    (:meth:`RoaTable.steady_rollup`), so a recurring conflict past its
+    threshold merges it with two identity checks instead of a
+    validation.
+
     The tracker also keeps the fed-day sequence: a day's ordinal (its
     1-based position in it) is what the verdict engine's flapping span
     counts in.
@@ -103,12 +119,14 @@ class EpisodeTracker:
         #: (so by :data:`LAST`): each conflict-day moves its record to
         #: the end.
         self._order: OrderedDict[int, list] = OrderedDict()
-        #: id(conflict) -> (weakref to it, its prefix's record, its
-        #: vote slot or None).  The weakref both guards against id
-        #: reuse (the stored referent must still *be* the conflict) and
-        #: evicts the entry when the conflict object dies, so nothing
-        #: is pinned.
-        self._seen: dict[int, tuple] = {}
+        #: id(conflict) -> [weakref to it, its prefix's record, its
+        #: vote slot or None, its steady rollup's threshold and state
+        #: (see :meth:`RoaTable.steady_rollup`; None without a table),
+        #: the last day it was fed (:data:`_FED`)].  The weakref both
+        #: guards against id reuse (the stored referent must still *be*
+        #: the conflict) and evicts the entry when the conflict object
+        #: dies, so nothing is pinned.
+        self._seen: dict[int, list] = {}
         self._days: list[datetime.date] = []
 
     @property
@@ -133,13 +151,25 @@ class EpisodeTracker:
 
     def observe_day(
         self, day: datetime.date, conflicts: list[DailyConflict]
-    ) -> None:
-        """Feed one day's conflicts.  Days must arrive in order."""
+    ) -> tuple[list[DailyConflict], list[Prefix]]:
+        """Feed one day's conflicts, one per prefix; returns the day's
+        diff against the previous fed day.
+
+        The diff is ``(changed, departed)``.  ``changed`` holds, in
+        detection order, the conflicts that are not the object their
+        prefix was fed on the previous fed day: starts, returns after a
+        gap and replacements, whether their origins changed or not.
+        ``departed`` holds the prefixes fed on the previous fed day and
+        not today, newest-fed first.  Every other prefix of the day was
+        fed the same object as the day before.  Days must arrive in
+        order.
+        """
         days = self._days
-        if days and day <= days[-1]:
+        previous = days[-1] if days else None
+        if previous is not None and day <= previous:
             raise ValueError(
                 f"days must be fed in increasing order: {day} after "
-                f"{days[-1]}"
+                f"{previous}"
             )
         days.append(day)
         records = self._records
@@ -147,15 +177,22 @@ class EpisodeTracker:
         move = order.move_to_end
         seen = self._seen
         roa_table = self.roa_table
+        changed = []
         for conflict in conflicts:
             key = id(conflict)
             entry = seen.get(key)
             if entry is not None and entry[0]() is conflict:
-                _ref, record, vote = entry
+                _ref, record, vote, threshold, steady, fed = entry
+                # The entry keeps the very date object appended to
+                # ``days`` on the day it was last fed.
+                if fed is not previous:
+                    changed.append(conflict)
+                entry[_FED] = day
                 record[LAST] = day
                 record[DAYS] += 1
                 move(record[POSITION])
             else:
+                changed.append(conflict)
                 prefix = conflict.prefix
                 record = records.get(prefix)
                 width = len(conflict.origins)
@@ -175,7 +212,16 @@ class EpisodeTracker:
                         record[WIDTH] = width
                 found = conflict_class(conflict)
                 vote = None if found is None else CLASS_SLOTS[found]
-                seen[key] = (
+                if roa_table is None:
+                    threshold = steady = None
+                elif record[RPKI] is _INVALID:
+                    # An invalid rollup absorbs every state.
+                    threshold, steady = datetime.date.min, _INVALID
+                else:
+                    threshold, steady = roa_table.steady_rollup(
+                        prefix, conflict.origins
+                    )
+                seen[key] = [
                     weakref.ref(
                         conflict,
                         lambda _ref, _seen=seen, _key=key: _seen.pop(
@@ -184,13 +230,33 @@ class EpisodeTracker:
                     ),
                     record,
                     vote,
-                )
+                    threshold,
+                    steady,
+                    day,
+                ]
             if vote is not None:
                 record[VOTES][vote] += 1
             if roa_table is not None:
-                record[RPKI] = roa_table.fold_episode_state(
-                    record[RPKI], conflict.prefix, conflict.origins, day=day
-                )
+                if threshold is not None and day >= threshold:
+                    # Worst-first folding is a join: merging the steady
+                    # state again changes nothing.
+                    rollup = record[RPKI]
+                    if rollup is not steady and rollup is not _INVALID:
+                        record[RPKI] = worst_state(rollup, steady)
+                else:
+                    record[RPKI] = roa_table.fold_episode_state(
+                        record[RPKI], conflict.prefix, conflict.origins, day=day
+                    )
+        departed = []
+        if previous is not None:
+            # Behind today's block in the last-fed order: the records
+            # fed on the previous day and not today.
+            prefixes = self._prefixes
+            for record in islice(reversed(order.values()), len(conflicts), None):
+                if record[LAST] != previous:
+                    break
+                departed.append(prefixes[record[POSITION]])
+        return changed, departed
 
     def fed_since(self, day: datetime.date) -> list[Prefix]:
         """The prefixes whose records were fed on or after ``day``,

@@ -18,7 +18,6 @@ import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.core.detector import DayDetection
 from repro.mrt.records import Bgp4mpMessage, Bgp4mpStateChange
 from repro.netbase.aspath import ASPath
 from repro.netbase.prefix import Prefix
@@ -275,13 +274,13 @@ class DaySnapshotAlerter:
     :class:`StreamingMoasDetector`'s semantics: each conflict origin is
     a peer announcing the prefix itself, new origins announce and gone
     ones withdraw (each in sorted order), and a prefix that leaves the
-    day's conflict set withdraws every origin.  Changed prefixes alert
-    in detection order, departed ones in the order of the study state's
-    conflict origin map
-    (:attr:`~repro.analysis.pipeline.StudyState.conflict_origins`),
-    which :meth:`feed_day` reads and which a checkpoint carries, so a
-    resumed session alerts exactly like an uninterrupted one.
-    Timestamps are UTC midnight of the day (:func:`day_timestamp`).
+    day's conflict set withdraws every origin.  It replays the day's
+    transitions of the study state's conflict origin map, which
+    :meth:`~repro.analysis.pipeline.StudyState.feed_day` returns:
+    changed prefixes in detection order, departed ones in map order.
+    A checkpoint carries the map and its order, so a resumed session
+    alerts exactly like an uninterrupted one.  Timestamps are UTC
+    midnight of the day (:func:`day_timestamp`).
     """
 
     __slots__ = ("_alerts_emitted",)
@@ -296,26 +295,17 @@ class DaySnapshotAlerter:
 
     def feed_day(
         self,
-        detection: DayDetection,
-        current: dict[Prefix, frozenset[int]],
+        day: datetime.date,
+        transitions: list[tuple[Prefix, frozenset[int], frozenset[int]]],
     ) -> list[MoasAlert]:
-        """The alerts of one day against ``current``, the conflict
-        origin map as of the day before (not modified)."""
-        timestamp = day_timestamp(detection.day)
+        """The alerts of one day's ``(prefix, old origins, new
+        origins)`` transitions, an empty set standing for absence."""
+        timestamp = day_timestamp(day)
         alerts: list[MoasAlert] = []
-        for conflict in detection.conflicts:
-            old = current.get(conflict.prefix, _NO_ORIGINS)
-            if old != conflict.origins:
-                _replay(alerts, conflict.prefix, old, conflict.origins, timestamp)
-        today = {conflict.prefix for conflict in detection.conflicts}
-        for prefix, old in current.items():
-            if prefix not in today:
-                _replay(alerts, prefix, old, _NO_ORIGINS, timestamp)
+        for prefix, old, new in transitions:
+            _replay(alerts, prefix, old, new, timestamp)
         self._alerts_emitted += len(alerts)
         return alerts
-
-
-_NO_ORIGINS: frozenset[int] = frozenset()
 
 
 def _replay(

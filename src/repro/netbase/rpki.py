@@ -11,11 +11,11 @@ each origin.  This module is that layer for our substrate:
   day-stamped validity window (ROAs are created when address space is
   registered and can lapse after an ownership transfer);
 - a :class:`RoaTable` is an immutable set of ROAs with covering-prefix
-  lookup (via :class:`~repro.netbase.trie.PrefixTrie`) and the RFC 6811
-  route-origin-validation procedure: an announcement is **valid** when
-  some covering, active ROA authorizes its origin at its length,
-  **invalid** when ROAs cover it but none match, and **not-found** when
-  no ROA covers it at all.
+  lookup (a dict of the ROAs by prefix, probed once per ROA length
+  present) and the RFC 6811 route-origin-validation procedure: an
+  announcement is **valid** when some covering, active ROA authorizes
+  its origin at its length, **invalid** when ROAs cover it but none
+  match, and **not-found** when no ROA covers it at all.
 
 Tables are immutable after construction and validation is a pure
 function of ``(prefix, origin, day)``, so one table can be shared by
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from repro.netbase.prefix import Prefix
-from repro.netbase.trie import PrefixTrie
 
 
 class ValidationState(enum.Enum):
@@ -179,9 +178,10 @@ class Roa:
 class RoaTable:
     """An immutable ROA database with RFC 6811 origin validation.
 
-    Build it once from any iterable of :class:`Roa` rows; lookups are
-    longest-chain trie walks over the covering registrations, so
-    :meth:`validate` costs O(prefix length) regardless of table size.
+    Build it once from any iterable of :class:`Roa` rows.  The ROAs are
+    indexed by ``(network, length)``, so the covering lookup probes the
+    index once per ROA prefix length present in the table (at most 33),
+    shortest first, whatever the table's size.
     The table never mutates after construction — one instance is safe
     to share across every accumulator of a study, and :attr:`key` (the
     sorted ROA tuple) lets a resumed study check it kept the same
@@ -201,16 +201,25 @@ class RoaTable:
                 ),
             )
         )
-        trie: PrefixTrie[tuple[Roa, ...]] = PrefixTrie()
+        #: ``(network, length)`` -> the ROAs on that prefix, in table
+        #: order.
+        by_prefix: dict[tuple[int, int], list[Roa]] = {}
         for roa in self._roas:
-            existing = trie.get(roa.prefix, ())
-            trie[roa.prefix] = existing + (roa,)
-        self._trie = trie
+            by_prefix.setdefault(
+                (roa.prefix.network, roa.prefix.length), []
+            ).append(roa)
+        self._by_prefix = by_prefix
+        #: ``(length, netmask)`` of each ROA prefix length present,
+        #: shortest first.
+        self._lengths = tuple(
+            (length, 0xFFFFFFFF ^ (0xFFFFFFFF >> length))
+            for length in sorted({length for _network, length in by_prefix})
+        )
         # Hot-path memos (pure caches — the table stays logically
         # immutable).  A conflicted prefix is re-validated for the same
         # origins every day of its episode, so:
-        # - ``_covering_cache`` runs the trie walk once per distinct
-        #   prefix;
+        # - ``_covering_cache`` runs the covering lookup once per
+        #   distinct prefix;
         # - ``_steady_cache`` short-circuits whole (prefix, origin)
         #   pairs: when no covering ROA ever *expires*
         #   (``valid_until is None``, the common case), the outcome is
@@ -250,13 +259,20 @@ class RoaTable:
         return self._roas
 
     def _covering(self, prefix: Prefix) -> tuple[Roa, ...]:
+        """The ROAs whose prefix contains ``prefix``: shortest ROA
+        prefix first, in table order within one prefix."""
         cached = self._covering_cache.get(prefix)
         if cached is None:
-            cached = self._covering_cache[prefix] = tuple(
-                roa
-                for _stored, roas in self._trie.covering(prefix)
-                for roa in roas
-            )
+            network = prefix.network
+            longest = prefix.length
+            found: list[Roa] = []
+            for length, mask in self._lengths:
+                if length > longest:
+                    break
+                roas = self._by_prefix.get((network & mask, length))
+                if roas is not None:
+                    found.extend(roas)
+            cached = self._covering_cache[prefix] = tuple(found)
         return cached
 
     def covering_roas(
@@ -280,13 +296,7 @@ class RoaTable:
         (``None`` considers every ROA regardless of window).
         """
         if day is not None:
-            key = (prefix, origin)
-            entry = self._steady_cache.get(key)
-            if entry is None:
-                entry = self._steady_cache[key] = self._steady(
-                    prefix, origin
-                )
-            threshold, steady = entry
+            threshold, steady = self._steady_entry(prefix, origin)
             if threshold is not None and day >= threshold:
                 return steady  # type: ignore[return-value]
         return self._scan(prefix, origin, day)
@@ -308,28 +318,7 @@ class RoaTable:
         episodes re-ask this every day they are live.
         """
         if day is not None:
-            key = (prefix, origins)
-            entry = self._set_cache.get(key)
-            if entry is None:
-                thresholds = []
-                stable = True
-                for origin in origins:
-                    threshold, _steady = self._steady_cache.setdefault(
-                        (prefix, origin), self._steady(prefix, origin)
-                    )
-                    if threshold is None:
-                        stable = False
-                        break
-                    thresholds.append(threshold)
-                if stable and thresholds:
-                    entry = (
-                        max(thresholds),
-                        self.validate_origins(prefix, origins),
-                    )
-                else:
-                    entry = (None, None)
-                self._set_cache[key] = entry
-            threshold, steady = entry
+            threshold, steady = self.steady_rollup(prefix, origins)
             if threshold is not None and day >= threshold:
                 return steady
         rollup: ValidationState | None = None
@@ -339,6 +328,24 @@ class RoaTable:
                 return state
             rollup = worst_state(rollup, state)
         return rollup
+
+    def steady_rollup(
+        self, prefix: Prefix, origins
+    ) -> tuple[datetime.date | None, ValidationState | None]:
+        """``(threshold, state)``: on every day from ``threshold`` on,
+        :meth:`validate_origins` of ``(prefix, origins)`` answers
+        ``state``; ``(None, None)`` when a covering ROA expires (or the
+        set is empty) and no such day exists.
+
+        Derived once per ``(prefix, origins)`` pair and then answered
+        with one dict probe, which is what lets the episode fold merge
+        a recurring conflict's steady state without re-validating it.
+        """
+        key = (prefix, origins)
+        entry = self._set_cache.get(key)
+        if entry is None:
+            entry = self._set_cache[key] = self._set_steady(prefix, origins)
+        return entry
 
     def fold_episode_state(
         self,
@@ -361,6 +368,32 @@ class RoaTable:
         if day_state is None:
             return current
         return worst_state(current, day_state)
+
+    def _set_steady(
+        self, prefix: Prefix, origins
+    ) -> tuple[datetime.date | None, ValidationState | None]:
+        """:meth:`steady_rollup` derived afresh: the latest of the
+        origins' thresholds and the window-free rollup."""
+        thresholds = []
+        for origin in origins:
+            threshold, _steady = self._steady_entry(prefix, origin)
+            if threshold is None:
+                return (None, None)
+            thresholds.append(threshold)
+        if not thresholds:
+            return (None, None)
+        return (max(thresholds), self.validate_origins(prefix, origins))
+
+    def _steady_entry(
+        self, prefix: Prefix, origin: int
+    ) -> tuple[datetime.date | None, ValidationState | None]:
+        """:meth:`_steady` of ``(prefix, origin)``, derived on the
+        first ask only."""
+        key = (prefix, origin)
+        entry = self._steady_cache.get(key)
+        if entry is None:
+            entry = self._steady_cache[key] = self._steady(prefix, origin)
+        return entry
 
     def _steady(
         self, prefix: Prefix, origin: int

@@ -1147,6 +1147,22 @@ class _V2DayStore:
             yield self.decode_frame_columns(ordinal)
 
 
+def read_registry(directory: FsPath | str) -> list[RegistryEntry]:
+    """The prefix registry (``registry.bin``) of the CDS archive in
+    ``directory``, read without opening its day store."""
+    raw = (FsPath(directory) / "registry.bin").read_bytes()
+    if raw[:4] != MAGIC:
+        raise ArchiveError("bad registry magic")
+    if (len(raw) - 4) % _REGISTRY_ROW.size:
+        raise ArchiveError("registry is truncated mid-row")
+    return [
+        RegistryEntry(Prefix(network, length, strict=False), owner, day, flags)
+        for network, length, owner, day, flags in _REGISTRY_ROW.iter_unpack(
+            raw[4:]
+        )
+    ]
+
+
 class ArchiveReader:
     """Streams a CDS archive back as :class:`DayRecord` objects.
 
@@ -1176,7 +1192,7 @@ class ArchiveReader:
         self.directory = FsPath(directory)
         with open(self.directory / "manifest.json") as handle:
             self.manifest = json.load(handle)
-        self.registry = self._load_registry()
+        self.registry = read_registry(self.directory)
         self.paths = self._load_paths()
         start = self.manifest.get("calendar_start")
         self._calendar_start = (
@@ -1214,23 +1230,6 @@ class ArchiveReader:
             self._v2.close()
             self._v2 = None
             self._days_magic = b""
-
-    def _load_registry(self) -> list[RegistryEntry]:
-        entries: list[RegistryEntry] = []
-        raw = (self.directory / "registry.bin").read_bytes()
-        if raw[:4] != MAGIC:
-            raise ArchiveError("bad registry magic")
-        if (len(raw) - 4) % _REGISTRY_ROW.size:
-            raise ArchiveError("registry is truncated mid-row")
-        for network, length, owner, day, flags in _REGISTRY_ROW.iter_unpack(
-            raw[4:]
-        ):
-            entries.append(
-                RegistryEntry(
-                    Prefix(network, length, strict=False), owner, day, flags
-                )
-            )
-        return entries
 
     def _load_paths(self) -> list[tuple[int, ...]]:
         paths: list[tuple[int, ...]] = []

@@ -3,8 +3,10 @@
 For *arbitrary* detection streams, the one per-prefix fold (the
 :class:`~repro.core.episodes.EpisodeTracker` records a
 :class:`~repro.core.verdict.VerdictEngine` judges) must equal a
-per-conflict-day reference fold (its identity memo is pure
-memoization, also across a mid-stream resume), and both the tracker and
+per-conflict-day reference fold (its identity memo, and the steady
+RPKI rollup it carries, are pure memoization, also across a mid-stream
+resume), the day diff the tracker's pass returns must be exactly what
+changed since the previous fed day, and both the tracker and
 :class:`~repro.analysis.pipeline.StudyState` must survive a JSON
 checkpoint round trip exactly.  A legacy sharded checkpoint of any
 stream, in any layout the removed writer supported and listed in any
@@ -27,6 +29,7 @@ from hypothesis import given, strategies as st
 from repro.analysis.pipeline import StudyPipeline, StudyState
 from repro.api.service import MoasService
 from repro.core.detector import DailyConflict, DayDetection
+from repro.core.episodes import EpisodeTracker
 from repro.core.verdict import VerdictEngine
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import Roa, RoaTable
@@ -210,15 +213,67 @@ def play(plan):
         )
 
 
+@st.composite
+def plan_roa_tables(draw, plan):
+    """A small ROA database over a plan's prefixes and their covers,
+    whose windows open and close on days inside the plan's stream, so
+    conflicts cross steady thresholds and meet expiring ROAs.
+
+    Each drawn grant covers one of the plan's prefixes, at most four
+    bits shorter and with a drawn max-length slack, and authorizes
+    every origin of one of its variants (so whole conflicts validate),
+    one of them, or another AS, all under one window.
+    """
+    variants, days = plan
+    last = len(days) - 1
+    stream_days = st.integers(0, last).map(
+        lambda offset: START + datetime.timedelta(days=offset)
+    )
+    rows = []
+    for _grant in range(draw(st.integers(0, 4))):
+        prefix, options = draw(st.sampled_from(variants))
+        cover = prefix.supernet(
+            new_length=draw(st.integers(max(0, prefix.length - 4), prefix.length))
+        )
+        max_length = min(32, cover.length + draw(st.integers(0, 6)))
+        origins, _paths = draw(st.sampled_from(options))
+        grant = draw(st.sampled_from(["all", "one", "other"]))
+        if grant == "all":
+            granted = sorted(origins)
+        elif grant == "one":
+            granted = [draw(st.sampled_from(sorted(origins)))]
+        else:
+            granted = [draw(st.one_of(asns, st.just(64512)))]
+        valid_from = draw(st.one_of(st.none(), stream_days, stream_days))
+        valid_until = draw(st.one_of(st.none(), st.none(), stream_days))
+        if valid_from is not None and valid_until is not None:
+            valid_from, valid_until = sorted((valid_from, valid_until))
+        rows.extend(
+            Roa(cover, max_length, origin, valid_from, valid_until)
+            for origin in granted
+        )
+    return RoaTable(rows)
+
+
+@st.composite
+def plans_with_tables(draw):
+    """A :func:`conflict_plans` plan and a :func:`plan_roa_tables`
+    table over it."""
+    plan = draw(conflict_plans())
+    return plan, draw(plan_roa_tables(plan))
+
+
 class TestVerdictEngineIdentityMemo:
     """The fold classifies distinct objects once, yet equals the
     per-conflict-day reference fold on any stream of recurring, twin,
-    alternating, replaced and pathless conflicts."""
+    alternating, replaced and pathless conflicts, under ROAs that open
+    and expire inside the stream."""
 
-    @given(conflict_plans(), roa_tables(), st.integers(0, 14))
+    @given(plans_with_tables(), st.integers(0, 14))
     def test_engine_equals_per_conflict_day_reference(
-        self, plan, table, restore_day
+        self, plan_and_table, restore_day
     ):
+        plan, table = plan_and_table
         reference = ReferenceFold(roa_table=table)
         serial = VerdictEngine(roa_table=table)
         for index, detection in enumerate(play(plan)):
@@ -231,6 +286,58 @@ class TestVerdictEngineIdentityMemo:
         assert serial.tracker.state_dict() == expected
         assert roundtrip(serial).tracker.state_dict() == expected
         assert serial.finalize() == reference.finalize()
+
+
+def tracker_roundtrip(tracker: EpisodeTracker) -> EpisodeTracker:
+    """``tracker`` taken through a JSON checkpoint (its memo empty)."""
+    return EpisodeTracker.from_state(
+        json.loads(json.dumps(tracker.state_dict()))
+    )
+
+
+class TestDayDiff:
+    """:meth:`EpisodeTracker.observe_day` returns exactly the change
+    since the previous fed day: the conflicts that are not the object
+    their prefix was fed then, in detection order, and the prefixes fed
+    then and not today.  Applied to the previous day's ``{prefix:
+    origins}`` map it gives today's.  Right after a restore the memo is
+    empty, so every conflict of the next day is changed."""
+
+    @given(conflict_plans(), st.integers(0, 14))
+    def test_diff_is_the_change_since_the_previous_day(
+        self, plan, restore_day
+    ):
+        tracker = EpisodeTracker()
+        objects: dict[Prefix, DailyConflict] = {}
+        for index, detection in enumerate(play(plan)):
+            restored = index == restore_day
+            if restored:
+                tracker = tracker_roundtrip(tracker)
+            changed, departed = tracker.observe_day(
+                detection.day, detection.conflicts
+            )
+            today = {conflict.prefix: conflict for conflict in detection.conflicts}
+            expected = [
+                conflict
+                for conflict in detection.conflicts
+                if restored or objects.get(conflict.prefix) is not conflict
+            ]
+            # By identity: an equal twin is a changed object too.
+            assert list(map(id, changed)) == list(map(id, expected))
+            assert len(departed) == len(set(departed))
+            assert set(departed) == objects.keys() - today.keys()
+            origins = {
+                prefix: conflict.origins for prefix, conflict in objects.items()
+            }
+            for prefix in departed:
+                del origins[prefix]
+            for conflict in changed:
+                origins[conflict.prefix] = conflict.origins
+            assert origins == {
+                prefix: conflict.origins for prefix, conflict in today.items()
+            }
+            objects = today
+            del detection, today, changed, expected
 
 
 class TestMergeAlgebraRegistry:

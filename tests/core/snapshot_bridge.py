@@ -6,9 +6,10 @@ routes: each conflict origin a peer announcing the prefix itself (path
 ``[origin]``), origins that disappear withdrawing, and a prefix that
 leaves the day's conflict set withdrawing every synthetic route.
 :class:`SnapshotBridge` is that bridge, with its own origin map.  The
-live :class:`~repro.core.realtime.DaySnapshotAlerter` computes the same
-transitions directly from the study state's map; the property suite in
-``test_snapshot_alerts.py`` holds the two to the same alert sequence.
+live :class:`~repro.core.realtime.DaySnapshotAlerter` replays the
+transitions the study state's fold returns for its map; the property
+suite in ``test_snapshot_alerts.py`` holds the two to the same alert
+sequence.
 """
 
 from repro.analysis.pipeline import StudyState
@@ -74,9 +75,9 @@ class SnapshotBridge:
 
 
 class SnapshotFeed:
-    """A study state and the alerter reading its map, fed the way
-    ``ServeApp.fold_detection`` feeds them: alerts first, then the
-    fold."""
+    """A study state and the alerter replaying its map's transitions,
+    fed the way ``ServeApp.fold_detection`` feeds them: the fold first,
+    then the alerts of the transitions it returns."""
 
     def __init__(self, state: StudyState | None = None) -> None:
         self.state = state if state is not None else StudyState()
@@ -84,9 +85,8 @@ class SnapshotFeed:
 
     def feed_day(self, detection: DayDetection) -> list[MoasAlert]:
         """Fold one day's detection; returns the alerts it triggered."""
-        alerts = self.alerter.feed_day(detection, self.state.conflict_origins)
-        self.state.feed_day(detection)
-        return alerts
+        transitions = self.state.feed_day(detection)
+        return self.alerter.feed_day(detection.day, transitions)
 
     def current_conflicts(self) -> list[Prefix]:
         """Prefixes in MOAS as of the last fed day, sorted."""

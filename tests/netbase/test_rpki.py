@@ -1,9 +1,18 @@
-"""Tests for ROAs and RFC 6811 origin validation."""
+"""Tests for ROAs and RFC 6811 origin validation.
+
+:class:`TestAgainstBruteForce` holds every public answer of a
+:class:`RoaTable` (covering order included) to a scan of all its ROAs,
+over drawn tables whose windows open and expire on drawn days, with
+the queries repeated in drawn order so the table's memos answer most
+of them.  Example counts come from the hypothesis profile (``dev`` for
+tier-1, ``ci`` for the dedicated property leg).
+"""
 
 import datetime
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.netbase.prefix import Prefix
 from repro.netbase.rpki import (
@@ -197,3 +206,111 @@ class TestRoaTable:
             RoaTable.load(tmp_path)  # directory without roas.json
         with pytest.raises(FileNotFoundError, match="no ROA file"):
             RoaTable.load(tmp_path / "missing.json")
+
+
+DAY0 = datetime.date(2000, 1, 1)
+
+#: Nested and sibling prefixes, so ROAs cover queries at several lengths.
+PREFIX_POOL = [
+    Prefix.parse(text)
+    for text in (
+        "0.0.0.0/0",
+        "10.0.0.0/8",
+        "10.0.0.0/9",
+        "10.128.0.0/9",
+        "10.0.0.0/16",
+        "10.0.0.0/24",
+        "10.0.1.0/24",
+        "10.0.0.0/25",
+        "11.0.0.0/8",
+    )
+]
+
+pool_days = st.integers(0, 9).map(lambda offset: DAY0 + datetime.timedelta(offset))
+
+
+@st.composite
+def windowed_roas(draw):
+    prefix = draw(st.sampled_from(PREFIX_POOL))
+    valid_from = draw(st.one_of(st.none(), pool_days))
+    valid_until = draw(st.one_of(st.none(), st.none(), pool_days))
+    if valid_from is not None and valid_until is not None:
+        valid_from, valid_until = sorted((valid_from, valid_until))
+    return Roa(
+        prefix,
+        min(32, prefix.length + draw(st.integers(0, 9))),
+        draw(st.integers(1, 3)),
+        valid_from,
+        valid_until,
+    )
+
+
+queries = st.lists(
+    st.tuples(
+        st.sampled_from(PREFIX_POOL),
+        st.frozensets(st.integers(1, 4), max_size=3),
+        st.one_of(st.none(), pool_days),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def scanned(rows, prefix, day):
+    """Every ROA covering ``prefix`` and active on ``day``: shortest
+    ROA prefix first, in table order within one prefix."""
+    return tuple(
+        sorted(
+            (roa for roa in rows if roa.prefix.contains(prefix) and roa.active_on(day)),
+            key=lambda roa: roa.prefix.length,
+        )
+    )
+
+
+def scanned_state(rows, prefix, origin, day):
+    covering = scanned(rows, prefix, day)
+    if not covering:
+        return ValidationState.NOT_FOUND
+    if any(roa.authorizes(prefix, origin) for roa in covering):
+        return ValidationState.VALID
+    return ValidationState.INVALID
+
+
+def scanned_rollup(rows, prefix, origins, day):
+    rollup = None
+    for origin in origins:
+        rollup = worst_state(rollup, scanned_state(rows, prefix, origin, day))
+    return rollup
+
+
+class TestAgainstBruteForce:
+    @given(st.lists(windowed_roas(), max_size=8), queries)
+    def test_every_answer_equals_a_scan_of_all_roas(self, rows, asked):
+        table = RoaTable(rows)
+        rows = list(table)  # table order
+        for prefix, origins, day in asked + asked[::-1]:
+            assert table.covering_roas(prefix, day=day) == scanned(rows, prefix, day)
+            for origin in origins:
+                assert table.validate(prefix, origin, day=day) is scanned_state(
+                    rows, prefix, origin, day
+                )
+            expected = scanned_rollup(rows, prefix, origins, day)
+            assert table.validate_origins(prefix, origins, day=day) is expected
+            for current in (None, *ValidationState):
+                folded = table.fold_episode_state(current, prefix, origins, day=day)
+                assert folded is (
+                    current if expected is None else worst_state(current, expected)
+                )
+
+    @given(st.lists(windowed_roas(), max_size=8), queries)
+    def test_steady_rollup_holds_on_every_later_day(self, rows, asked):
+        table = RoaTable(rows)
+        for prefix, origins, _day in asked:
+            threshold, state = table.steady_rollup(prefix, origins)
+            if threshold is None:
+                assert state is None
+                continue
+            for offset in range(10):
+                day = DAY0 + datetime.timedelta(offset)
+                if day >= threshold:
+                    assert scanned_rollup(rows, prefix, origins, day) is state
