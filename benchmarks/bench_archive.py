@@ -7,7 +7,7 @@ times the three operations every workload sits on:
 - **full read**: a fresh reader decoding every day — the full-study
   read path that gates parallel workers and `repro analyze` alike;
 - **range reads**: many small ``iter_days(start, stop)`` windows — the
-  random-access pattern of offset-range work units and longitudinal
+  random-access pattern of ordinal-range work units and longitudinal
   queries, where v1 must scan-and-seek from day zero and v2 positions
   through its footer index in O(1).
 

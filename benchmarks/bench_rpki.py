@@ -15,9 +15,12 @@ two promises:
   so turning ``--rpki`` on must cost less than
   ``REPRO_BENCH_MAX_RPKI_OVERHEAD`` (default 0.10 = 10%) of end-to-end
   analyze wall clock, measured as the best mean-of-3 over five rounds
-  to damp scheduler noise.  Set the cap to ``0`` to record the numbers
-  without gating (the ``REPRO_BENCH_MIN_SPEEDUP=0`` escape hatch
-  pattern, for noisy runners).
+  to damp scheduler noise.  Each round times the plain and the RPKI
+  analyze back to back, alternating which goes first, so a swing in
+  CPU speed during the run reaches both sides alike.  Set the cap to
+  ``0`` to record the numbers without gating (the
+  ``REPRO_BENCH_MIN_SPEEDUP=0`` escape hatch pattern, for noisy
+  runners).
 
 The measured payload lands in ``BENCH_rpki.json`` (override with
 ``REPRO_BENCH_RPKI_OUT``) so CI publishes the trajectory run over run.
@@ -57,20 +60,30 @@ INVALID_KINDS = (
 )
 
 
-def _best_of(runs: int, action, *, inner: int = 3) -> float:
-    """Best mean-of-``inner`` wall clock over ``runs`` rounds.
+def _interleaved_best(
+    runs: int, plain, rpki, *, inner: int = 3
+) -> tuple[float, float]:
+    """Best mean-of-``inner`` wall clock of each action over ``runs``
+    rounds, both timed in every round.
 
     The analyze base is tens of milliseconds at bench scale, so a
     single run is inside scheduler noise; averaging a small inner loop
-    and keeping the best round gives a stable ratio.
+    and keeping the best round gives a stable ratio.  Within a round
+    the two actions run back to back, and the one that goes first
+    alternates between rounds, so neither side is timed only in a
+    slower stretch of the run.
     """
-    best = float("inf")
-    for _ in range(runs):
-        started = time.perf_counter()
-        for _ in range(inner):
-            action()
-        best = min(best, (time.perf_counter() - started) / inner)
-    return best
+    best = {plain: float("inf"), rpki: float("inf")}
+    for round_number in range(runs):
+        order = (plain, rpki) if round_number % 2 == 0 else (rpki, plain)
+        for action in order:
+            started = time.perf_counter()
+            for _ in range(inner):
+                action()
+            best[action] = min(
+                best[action], (time.perf_counter() - started) / inner
+            )
+    return best[plain], best[rpki]
 
 
 def test_rpki_validation_quality_and_overhead(tmp_path_factory):
@@ -126,8 +139,9 @@ def test_rpki_validation_quality_and_overhead(tmp_path_factory):
         return service.results()
 
     analyze_plain(), analyze_rpki()  # warm readers and caches
-    plain_seconds = _best_of(5, analyze_plain)
-    rpki_seconds = _best_of(5, analyze_rpki)
+    plain_seconds, rpki_seconds = _interleaved_best(
+        5, analyze_plain, analyze_rpki
+    )
     overhead = (rpki_seconds - plain_seconds) / plain_seconds
 
     payload = {

@@ -66,25 +66,9 @@ to the same query code as a built one, so a lookup bisects the key
 column in place and decodes only the strings and tuples of the record
 it answers.
 
-EIX1, the first format, is still read (never written) by its original
-decoder, which builds the same list columns a fold does::
-
-    MAGIC "EIX1"
-    frame: meta          version, record count, days indexed, last day
-    frame: strings       interned rpki states / verdict kinds / tags
-    frame: origin sets   interned ASN sets (delta-encoded, ascending)
-    frame: records       sorted by (network, length); per record:
-                         network, length, first day, span, days
-                         observed, peak width, origin-set id, flags,
-                         [rpki sid], [kind sid, tags, perp-set id,
-                         suspicion f64]
-    frame: intervals     first-day and last-day columns, day-sorted
-    TRAILER <QQII8s>     records offset, intervals offset, record
-                         count, CRC-32 of everything before the
-                         trailer, end magic "EIX1.END"
-
-(all EIX1 integers are LEB128 varints, :mod:`repro.util.varint`, unless
-noted).
+EIX1, the first format (LEB128 varint records, decoded one by one), is
+no longer read: loading one raises :class:`ArchiveError` naming
+``repro analyze --index``, which rebuilds the index from the archive.
 """
 
 from __future__ import annotations
@@ -104,7 +88,6 @@ from typing import Iterable, Iterator
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import ArchiveError
 from repro.util.io import atomic_write_bytes
-from repro.util.varint import decode_uvarint
 
 #: File name of the index side file inside an archive directory.
 INDEX_FILENAME = "episodes.idx"
@@ -112,25 +95,19 @@ INDEX_FILENAME = "episodes.idx"
 #: Leading magic of the index file :meth:`EpisodeIndex.save` writes.
 INDEX_MAGIC = b"EIX2"
 
-#: Leading magic of the first index format, read but never written.
+#: Leading magic of the first index format, which is no longer read.
 _EIX1_MAGIC = b"EIX1"
 
-#: Both formats' trailers end in: record count, CRC-32 of every byte
-#: before the trailer, end magic (the leading magic + ".END").
+#: Trailer: record count, CRC-32 of every byte before the trailer, end
+#: magic (the leading magic + ".END").
 _TRAILER = struct.Struct("<II8s")
 _END_MAGIC = INDEX_MAGIC + b".END"
-
-#: EIX1's trailer puts its records and intervals frame offsets first.
-_EIX1_TRAILER = struct.Struct("<QQII8s")
 
 #: Frame header: body length, CRC-32 of the body (the v2 frame shape).
 _FRAME_HEADER = struct.Struct("<II")
 
-_F64 = struct.Struct("<d")
-
-#: Encoding version, the first meta field of each format.
+#: Encoding version, the first meta field.
 _VERSION = 2
-_EIX1_VERSION = 1
 
 #: EIX2 meta frame fields (u32 each): version, record count, days
 #: indexed, last day ordinal, tag base.
@@ -274,10 +251,10 @@ class EpisodeIndex:
     :meth:`load`.  Storage is columnar: parallel per-record columns
     sorted by ``Prefix.sort_key()``, so :meth:`lookup` is a bisect and
     :meth:`active_count` is two bisects — never a scan.  A built index
-    (and an EIX1 load) holds lists; an EIX2 load holds arrays copied
-    from the file's column frames, with origin sets, RPKI states and
-    verdicts decoded per row on access.  Every query reads both kinds
-    through the same code.
+    holds lists; a loaded one holds arrays copied from the file's
+    column frames, with origin sets, RPKI states and verdicts decoded
+    per row on access.  Every query reads both kinds through the same
+    code.
     """
 
     __slots__ = (
@@ -638,8 +615,8 @@ class EpisodeIndex:
 
     @classmethod
     def load(cls, path: Path | str) -> "EpisodeIndex":
-        """Read an EIX2 or EIX1 index file; :class:`ArchiveError` on any
-        corruption."""
+        """Read an EIX2 index file; :class:`ArchiveError` on any
+        corruption, and on an EIX1 file, which is no longer read."""
         path = Path(path)
         try:
             raw = path.read_bytes()
@@ -649,23 +626,25 @@ class EpisodeIndex:
                 f"'repro analyze --index'"
             ) from None
         magic = raw[: len(INDEX_MAGIC)]
-        eix1 = magic == _EIX1_MAGIC
-        trailer_start = len(raw) - (
-            _EIX1_TRAILER.size if eix1 else _TRAILER.size
-        )
+        if magic == _EIX1_MAGIC:
+            raise ArchiveError(
+                f"episode index {path} is EIX1, a format no longer "
+                f"read; rebuild it with 'repro analyze --index'"
+            )
+        trailer_start = len(raw) - _TRAILER.size
         if trailer_start < len(INDEX_MAGIC):
             raise ArchiveError(
                 f"episode index {path} is truncated "
                 f"({len(raw)} bytes)"
             )
-        if not eix1 and magic != INDEX_MAGIC:
+        if magic != INDEX_MAGIC:
             raise ArchiveError(
                 f"{path} is not an episode index (bad magic)"
             )
         record_count, file_crc, end_magic = _TRAILER.unpack_from(
-            raw, len(raw) - _TRAILER.size
+            raw, trailer_start
         )
-        if end_magic != magic + b".END":
+        if end_magic != _END_MAGIC:
             raise ArchiveError(
                 f"episode index {path} trailer missing or truncated "
                 f"(bad end magic)"
@@ -675,9 +654,8 @@ class EpisodeIndex:
                 f"episode index {path} failed its checksum "
                 f"(corrupt or bit-flipped)"
             )
-        decode = cls._decode_eix1 if eix1 else cls._decode
         try:
-            return decode(raw, trailer_start, record_count)
+            return cls._decode(raw, trailer_start, record_count)
         except (
             struct.error,
             IndexError,
@@ -831,141 +809,6 @@ class EpisodeIndex:
         index._verdicts = _Decoded(verdict, count)
         index._sorted_firsts = sorted_firsts
         index._sorted_lasts = sorted_lasts
-        return index
-
-    @classmethod
-    def _decode_eix1(
-        cls, raw: bytes, trailer_start: int, record_count: int
-    ) -> "EpisodeIndex":
-        """Decode an EIX1 body record by record into list columns."""
-        records_offset, intervals_offset = struct.unpack_from(
-            "<QQ", raw, trailer_start
-        )
-        if not (
-            len(_EIX1_MAGIC)
-            <= records_offset
-            <= intervals_offset
-            <= trailer_start
-        ):
-            raise ArchiveError(
-                "episode index frame bounds are out of order"
-            )
-        position = len(_EIX1_MAGIC)
-        meta, position = _read_frame(raw, position, trailer_start)
-        version, at = decode_uvarint(meta, 0)
-        if version != _EIX1_VERSION:
-            raise ArchiveError(
-                f"unsupported episode index version {version}; "
-                f"expected {_EIX1_VERSION}"
-            )
-        meta_count, at = decode_uvarint(meta, at)
-        if meta_count != record_count:
-            raise ArchiveError(
-                "episode index meta and trailer disagree on the "
-                "record count"
-            )
-        days_indexed, at = decode_uvarint(meta, at)
-        last_ord, at = decode_uvarint(meta, at)
-        index = cls(
-            days_indexed=days_indexed,
-            last_day=(
-                datetime.date.fromordinal(last_ord)
-                if last_ord
-                else None
-            ),
-        )
-
-        table, position = _read_frame(raw, position, trailer_start)
-        count, at = decode_uvarint(table, 0)
-        strings: list[str] = []
-        for _ in range(count):
-            length, at = decode_uvarint(table, at)
-            strings.append(table[at:at + length].decode("utf-8"))
-            at += length
-
-        table, position = _read_frame(raw, position, trailer_start)
-        count, at = decode_uvarint(table, 0)
-        origin_sets: list[tuple[int, ...]] = []
-        for _ in range(count):
-            size, at = decode_uvarint(table, at)
-            values = []
-            previous = 0
-            for _ in range(size):
-                delta, at = decode_uvarint(table, at)
-                previous += delta
-                values.append(previous)
-            origin_sets.append(tuple(values))
-
-        if position != records_offset:
-            raise ArchiveError(
-                "episode index record frame is not where the "
-                "trailer points"
-            )
-        body, position = _read_frame(raw, position, trailer_start)
-        at = 0
-        previous_key = -1
-        for _ in range(record_count):
-            network, at = decode_uvarint(body, at)
-            length, at = decode_uvarint(body, at)
-            key = (network << 6) | length
-            if key <= previous_key:
-                raise ArchiveError(
-                    "episode index records are not in prefix order"
-                )
-            previous_key = key
-            first, at = decode_uvarint(body, at)
-            span, at = decode_uvarint(body, at)
-            days, at = decode_uvarint(body, at)
-            width, at = decode_uvarint(body, at)
-            set_index, at = decode_uvarint(body, at)
-            flags, at = decode_uvarint(body, at)
-            index._keys.append(key)
-            index._first_ords.append(first)
-            index._last_ords.append(first + span)
-            index._days_observed.append(days)
-            index._widths.append(width)
-            index._origin_sets.append(origin_sets[set_index])
-            index._flags.append(flags)
-            if flags & _FLAG_RPKI:
-                sid, at = decode_uvarint(body, at)
-                index._rpki_states.append(strings[sid])
-            else:
-                index._rpki_states.append(None)
-            if flags & _FLAG_VERDICT:
-                kind_sid, at = decode_uvarint(body, at)
-                tag_count, at = decode_uvarint(body, at)
-                tags = []
-                for _ in range(tag_count):
-                    sid, at = decode_uvarint(body, at)
-                    tags.append(strings[sid])
-                perp_index, at = decode_uvarint(body, at)
-                (suspicion,) = _F64.unpack_from(body, at)
-                at += _F64.size
-                index._verdicts.append(
-                    (
-                        strings[kind_sid],
-                        tuple(tags),
-                        origin_sets[perp_index],
-                        suspicion,
-                    )
-                )
-            else:
-                index._verdicts.append(None)
-        if at != len(body):
-            raise ArchiveError(
-                "episode index record frame has trailing bytes"
-            )
-
-        body, position = _read_frame(raw, position, trailer_start)
-        at = 0
-        for column in (index._sorted_firsts, index._sorted_lasts):
-            for _ in range(record_count):
-                ordinal, at = decode_uvarint(body, at)
-                column.append(ordinal)
-        if position != trailer_start:
-            raise ArchiveError(
-                "episode index has unframed bytes before the trailer"
-            )
         return index
 
 

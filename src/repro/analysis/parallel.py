@@ -12,11 +12,11 @@ run for every worker count — the engine's core invariant, enforced by
 the equality tests.
 
 Partitionable sources are the file-backed ones: CDS archive
-directories (v1: each worker seeks straight to its day range; v2: the
-coordinator reads the footer index once and hands workers byte-offset
-ranges, with a per-process
-:class:`~repro.scenario.archive.ArchiveReader` cache either way) and
-MRT file lists (chunked by file).  Live ``Network`` simulations and
+directories, split into ordinal day ranges whatever the day-store
+format (a v2 reader positions through its footer index in O(1), a v1
+reader seeks over the earlier days' payloads), with a per-process
+:class:`~repro.scenario.archive.ArchiveReader` cache, and MRT file
+lists (chunked by file).  Live ``Network`` simulations and
 in-memory feeds cannot be partitioned and silently fall back to the
 serial path, as does ``workers=1`` — the documented serial fallback
 that never spawns a process.
@@ -82,23 +82,6 @@ def _detect_archive_range(
     ]
 
 
-def _detect_archive_byte_range(
-    directory: str, start_offset: int, stop_offset: int
-) -> list[DayDetection]:
-    """Detect over the v2 frames in byte range ``[start, stop)``.
-
-    The offset-range work unit for indexed (v2) day stores: the
-    coordinator reads the footer index once and hands each worker a
-    byte span, so no worker ever scans — or even considers — another
-    worker's chunk.  Scanned columnar, like :func:`_detect_archive_range`.
-    """
-    reader = _cached_reader(directory)
-    return [
-        detect_day_columns(columns, reader)
-        for columns in reader.iter_day_columns_at(start_offset, stop_offset)
-    ]
-
-
 def _detect_mrt_files(
     paths: list[str], days: list | None
 ) -> list[DayDetection]:
@@ -140,35 +123,6 @@ def partition_tasks(
         num_days = int(manifest["num_days"])
         if num_days == 0:
             return []
-        if manifest.get("format") == "cds-2":
-            # Indexed day store: read the footer index here, once, and
-            # hand each worker a byte-offset range.  Frame k occupies
-            # [offsets[k], offsets[k+1]) with the footer closing the
-            # last one.
-            from repro.scenario.archive import ArchiveError, read_day_index
-
-            offsets, frames_end = read_day_index(directory)
-            if len(offsets) != num_days:
-                # Same contract as ArchiveReader: a lying manifest is
-                # corruption, reported cleanly before any worker runs.
-                raise ArchiveError(
-                    f"day store holds {len(offsets)} day(s); "
-                    f"manifest says {num_days}"
-                )
-            bounds = offsets + [frames_end]
-            chunks = max(1, min(num_days, workers * chunks_per_worker))
-            size = math.ceil(num_days / chunks)
-            return [
-                (
-                    _detect_archive_byte_range,
-                    (
-                        str(directory),
-                        bounds[start],
-                        bounds[min(start + size, num_days)],
-                    ),
-                )
-                for start in range(0, num_days, size)
-            ]
         chunks = max(1, min(num_days, workers * chunks_per_worker))
         size = math.ceil(num_days / chunks)
         return [

@@ -90,15 +90,6 @@ class ArchiveSource:
         with open(Path(self.directory) / "manifest.json") as handle:
             return json.load(handle)
 
-    @property
-    def format(self) -> str:
-        """The archive's day-store format, ``"v1"`` or ``"v2"``.
-
-        Purely informational: detections, parallel partitioning, and
-        checkpoints behave identically on both (v2 just reads faster).
-        """
-        return "v2" if self.manifest.get("format") == "cds-2" else "v1"
-
     def detections(self) -> Iterator[DayDetection]:
         """Stream detections straight off the archive's day chunks."""
         from repro.analysis.sources import detections_from_archive

@@ -18,7 +18,6 @@ from repro.scenario.archive import (
     DayRecord,
     PeerRow,
     convert_archive,
-    read_day_index,
 )
 from repro.scenario.calibration import Calibration, PAPER
 from repro.scenario.collector import CollectorConfig
@@ -42,7 +41,6 @@ __all__ = [
     "DayRecord",
     "PeerRow",
     "convert_archive",
-    "read_day_index",
     "Calibration",
     "PAPER",
     "CollectorConfig",

@@ -43,7 +43,6 @@ MRT tooling.
 
 from __future__ import annotations
 
-import bisect
 import datetime
 import itertools
 import json
@@ -488,7 +487,7 @@ class ArchiveWriter:
         "_days_file",
         "_num_days",
         "_finalized",
-        "_day_offsets",
+        "_frame_offsets",
         "_peersets",
         "_peerset_ids",
         "_groups",
@@ -513,7 +512,7 @@ class ArchiveWriter:
         self._finalized = False
         # v2 intern state: frames reference these tables by id; the
         # tables themselves land in the footer at finalize time.
-        self._day_offsets: list[int] = []
+        self._frame_offsets: list[int] = []
         self._peersets: list[tuple[int, ...]] = []
         self._peerset_ids: dict[tuple[int, ...], int] = {}
         self._groups: list[tuple[PeerRow, ...]] = []
@@ -623,7 +622,7 @@ class ArchiveWriter:
         for group_id in group_ids:
             append_uvarint(body, group_id)
         out = self._days_file
-        self._day_offsets.append(out.tell())
+        self._frame_offsets.append(out.tell())
         out.write(_FRAME_HEADER.pack(len(body), zlib.crc32(body)))
         out.write(body)
 
@@ -749,7 +748,7 @@ class ArchiveWriter:
 
         index_start = footer_start + len(blob)
         index = struct.pack(
-            f"<{len(self._day_offsets)}Q", *self._day_offsets
+            f"<{len(self._frame_offsets)}Q", *self._frame_offsets
         )
         out.write(index)
         footer_crc = zlib.crc32(index, zlib.crc32(blob))
@@ -757,7 +756,7 @@ class ArchiveWriter:
             _TRAILER.pack(
                 footer_start,
                 index_start,
-                len(self._day_offsets),
+                len(self._frame_offsets),
                 footer_crc,
                 _END_MAGIC,
             )
@@ -786,35 +785,6 @@ class ArchiveWriter:
         """
         with open(self.directory / "roas.json", "w") as handle:
             json.dump(roas, handle, indent=2, default=str)
-
-
-def _parse_trailer(raw_trailer: bytes, size: int) -> tuple[int, int, int, int]:
-    """Validate a v2 trailer; returns (footer, index, days, crc).
-
-    ``size`` is the whole day store's byte length.  Shared by the mmap
-    reader and :func:`read_day_index` so the coordinator and the
-    workers can never disagree about what a well-formed trailer is.
-    """
-    (
-        footer_start,
-        index_start,
-        num_days,
-        footer_crc,
-        end_magic,
-    ) = _TRAILER.unpack(raw_trailer)
-    if end_magic != _END_MAGIC:
-        raise ArchiveError(
-            "v2 day store footer missing or truncated (bad end magic)"
-        )
-    trailer_start = size - _TRAILER.size
-    if not 4 <= footer_start <= index_start <= trailer_start:
-        raise ArchiveError("v2 footer bounds are out of order")
-    if index_start + 8 * num_days != trailer_start:
-        raise ArchiveError(
-            f"v2 day index truncated: {num_days} days do not fit "
-            f"between index start and trailer"
-        )
-    return footer_start, index_start, num_days, footer_crc
 
 
 class _V2DayStore:
@@ -876,9 +846,24 @@ class _V2DayStore:
                 "v2 day store truncated: no room for the footer trailer"
             )
         trailer_start = size - _TRAILER.size
-        footer_start, index_start, num_days, footer_crc = _parse_trailer(
-            buf[trailer_start:], size
-        )
+        (
+            footer_start,
+            index_start,
+            num_days,
+            footer_crc,
+            end_magic,
+        ) = _TRAILER.unpack_from(buf, trailer_start)
+        if end_magic != _END_MAGIC:
+            raise ArchiveError(
+                "v2 day store footer missing or truncated (bad end magic)"
+            )
+        if not 4 <= footer_start <= index_start <= trailer_start:
+            raise ArchiveError("v2 footer bounds are out of order")
+        if index_start + 8 * num_days != trailer_start:
+            raise ArchiveError(
+                f"v2 day index truncated: {num_days} days do not fit "
+                f"between index start and trailer"
+            )
         if zlib.crc32(memoryview(buf)[footer_start:trailer_start]) != (
             footer_crc
         ):
@@ -1136,16 +1121,6 @@ class _V2DayStore:
         for ordinal in range(start, stop):
             yield self.decode_frame_columns(ordinal)
 
-    def iter_day_columns_at(
-        self, start_offset: int, stop_offset: int
-    ) -> Iterator[DayColumns]:
-        """Decode the frames whose offsets lie in ``[start, stop)``."""
-        first = bisect.bisect_left(self.offsets, start_offset)
-        for ordinal in range(first, self.num_days):
-            if self.offsets[ordinal] >= stop_offset:
-                return
-            yield self.decode_frame_columns(ordinal)
-
 
 def read_registry(directory: FsPath | str) -> list[RegistryEntry]:
     """The prefix registry (``registry.bin``) of the CDS archive in
@@ -1396,28 +1371,6 @@ class ArchiveReader:
                     ),
                 )
 
-    def iter_day_columns_at(
-        self, start_offset: int, stop_offset: int
-    ) -> Iterator[DayColumns]:
-        """Decode the v2 frames in byte range ``[start, stop)``.
-
-        The offset-range flavor of :meth:`iter_day_columns`, consumed
-        by the parallel executor's work units (offsets come from
-        :func:`read_day_index`).  v1 stores have no byte index —
-        :class:`ArchiveError`.
-        """
-        if self._v2 is None:
-            raise ArchiveError(
-                "byte-offset iteration requires a v2 day store"
-            )
-        return self._v2.iter_day_columns_at(start_offset, stop_offset)
-
-    def day_offsets(self) -> tuple[int, ...]:
-        """Byte offset of every day frame in a v2 store (index order)."""
-        if self._v2 is None:
-            raise ArchiveError("day offsets require a v2 day store")
-        return tuple(self._v2.offsets)
-
     def as_set_profile(self) -> list[int]:
         """Cumulative AS_SET-flagged registry counts.
 
@@ -1500,39 +1453,6 @@ class ArchiveReader:
             return []
         with open(path) as handle:
             return json.load(handle)
-
-
-def read_day_index(directory: FsPath | str) -> tuple[list[int], int]:
-    """The v2 day index of an archive: ``(frame offsets, frames end)``.
-
-    Reads only the trailer and the fixed-width index — not the interned
-    tables, not the frames — so task partitioning can hand workers
-    byte-offset ranges without the coordinator decoding anything.
-    Frame ``k`` occupies ``[offsets[k], offsets[k+1])`` (the last one
-    ends at ``frames_end``); workers re-validate frame checksums when
-    they decode.  :class:`ArchiveError` if the store is not v2 or its
-    index is damaged.
-    """
-    path = FsPath(directory) / "days.bin"
-    with open(path, "rb") as handle:
-        if handle.read(len(MAGIC_V2)) != MAGIC_V2:
-            raise ArchiveError(f"{path} is not a v2 day store")
-        size = handle.seek(0, os.SEEK_END)
-        if size < len(MAGIC_V2) + _TRAILER.size:
-            raise ArchiveError(
-                "v2 day store truncated: no room for the footer trailer"
-            )
-        trailer_start = size - _TRAILER.size
-        handle.seek(trailer_start)
-        footer_start, index_start, num_days, _footer_crc = _parse_trailer(
-            handle.read(_TRAILER.size), size
-        )
-        handle.seek(index_start)
-        raw = handle.read(8 * num_days)
-        if len(raw) < 8 * num_days:
-            raise ArchiveError("v2 day index truncated")
-        offsets = list(struct.unpack(f"<{num_days}Q", raw))
-    return offsets, footer_start
 
 
 #: Manifest keys recomputed by every writer; everything else is carried

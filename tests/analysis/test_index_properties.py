@@ -37,7 +37,6 @@ from tests.analysis.test_merge_properties import (
     roa_tables,
 )
 from tests.fixtures import legacy_checkpoint_writer as legacy
-from tests.fixtures.eix1_encoder import eix1_bytes
 
 
 def build_index(detections, roa_table=None, with_verdicts=False):
@@ -229,53 +228,6 @@ class TestRoundtrip:
                 loaded.query(prefix).to_dict()
                 == index.query(prefix).to_dict()
             )
-
-
-class TestEix1StaysReadable:
-    """EIX1 is read-only now: a study's EIX1 bytes (written by the
-    frozen test encoder) and its EIX2 bytes load to the same answers."""
-
-    @given(
-        detection_streams(),
-        roa_tables(),
-        prefixes,
-        st.integers(-5, 30),
-        st.integers(0, 30),
-    )
-    def test_eix1_and_eix2_files_answer_alike(
-        self, detections, table, probe, start_offset, span
-    ):
-        _, _, index = build_index(
-            detections, roa_table=table, with_verdicts=True
-        )
-        with tempfile.TemporaryDirectory() as directory:
-            eix1_path = Path(directory) / "eix1.idx"
-            eix1_path.write_bytes(eix1_bytes(index))
-            eix1 = EpisodeIndex.load(eix1_path)
-            eix2 = EpisodeIndex.load(index.save(Path(directory) / "eix2.idx"))
-        assert (
-            len(eix2),
-            eix2.days_indexed,
-            eix2.last_day,
-            list(eix2.prefixes()),
-        ) == (
-            len(eix1),
-            eix1.days_indexed,
-            eix1.last_day,
-            list(eix1.prefixes()),
-        )
-        start = START + datetime.timedelta(days=start_offset)
-        end = start + datetime.timedelta(days=span)
-        for prefix in [*eix1.prefixes(), probe]:
-            for window in ({}, {"day": start}, {"window": (start, end)}):
-                assert _answer(eix2, prefix, window) == _answer(
-                    eix1, prefix, window
-                )
-
-
-def _answer(index: EpisodeIndex, prefix: Prefix, window: dict):
-    answer = index.query(prefix, **window)
-    return None if answer is None else answer.to_dict()
 
 
 class TestRederived:

@@ -113,36 +113,33 @@ class TestPartitioning:
     def test_memory_source_not_partitionable(self):
         assert partition_tasks(MemorySource([]), workers=4) is None
 
-    def test_v2_archive_partitions_into_byte_ranges(
+    def test_v2_archive_partitions_like_its_v1_twin(
         self, archive, tmp_path
     ):
-        from repro.scenario.archive import convert_archive, read_day_index
+        from repro.scenario.archive import convert_archive
 
         converted = tmp_path / "v2"
         convert_archive(archive, converted, format="v2")
+        twin = partition_tasks(archive, workers=2)
         tasks = partition_tasks(converted, workers=2)
-        offsets, frames_end = read_day_index(converted)
-        bounds = offsets + [frames_end]
-        spans = [args[1:] for _fn, args in tasks]
-        assert spans[0][0] == bounds[0]
-        assert spans[-1][1] == frames_end
-        for (_, previous_stop), (next_start, _) in zip(spans, spans[1:]):
-            assert next_start == previous_stop
+        assert [fn for fn, _args in tasks] == [fn for fn, _args in twin]
+        assert [args[1:] for _fn, args in tasks] == [
+            args[1:] for _fn, args in twin
+        ]
 
-    def test_v2_manifest_day_count_lie_raises_cleanly(self, tmp_path):
-        import json as jsonlib
-
+    @pytest.mark.parametrize("format", ("v1", "v2"))
+    def test_manifest_day_count_lie_raises_cleanly(self, tmp_path, format):
         from repro.scenario.archive import ArchiveError, ArchiveWriter
 
         directory = tmp_path / "lying"
-        writer = ArchiveWriter(directory, format="v2")
+        writer = ArchiveWriter(directory, format=format)
         writer.finalize({"calendar_start": "1997-11-08"})
         manifest_path = directory / "manifest.json"
-        manifest = jsonlib.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text())
         manifest["num_days"] = 3
-        manifest_path.write_text(jsonlib.dumps(manifest))
+        manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ArchiveError, match="manifest says"):
-            partition_tasks(str(directory), workers=2)
+            list(iter_detections(str(directory), workers=2))
 
     def test_mrt_source_partitioned_by_file(self, tmp_path):
         from repro.api.sources import MrtFilesSource

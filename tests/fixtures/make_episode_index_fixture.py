@@ -1,24 +1,22 @@
-"""Regenerate the committed episode-index golden fixtures.
+"""Regenerate the committed EIX2 episode-index golden fixture.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/fixtures/make_episode_index_fixture.py
 
 Builds one index from a small hand-crafted detection stream (with an
-ROA table and the verdict engine's view) and writes it twice:
+ROA table and the verdict engine's view) and writes it to
+``episode_index/golden_eix2.idx`` through :meth:`EpisodeIndex.save`,
+the EIX2 format ``repro`` writes today.  ``episode_index/golden.idx``
+is a real file in the first format, EIX1, which ``repro`` no longer
+reads; it stays committed as written so the refusal tests load it, and
+this script leaves it alone.
 
-- ``episode_index/golden_eix2.idx`` through :meth:`EpisodeIndex.save`,
-  the EIX2 format ``repro`` writes today;
-- ``episode_index/golden.idx`` through the frozen EIX1 encoder in
-  ``eix1_encoder.py``, which reproduces the committed EIX1 file byte
-  for byte (``repro`` itself only reads EIX1 now).
-
-It prints each file's digest and the per-query answer digests that
-``tests/analysis/test_index_golden.py`` pins; both files must give the
-same answers.  Only regenerate for an *intentional*, documented index
-format change — bumping ``repro.analysis.index._VERSION`` — and keep
-old index files loading (or failing with a clear :class:`ArchiveError`)
-when you do.
+It prints the file's digest and the per-query answer digests that
+``tests/analysis/test_index_golden.py`` pins.  Only regenerate for an
+*intentional*, documented index format change — bumping
+``repro.analysis.index._VERSION`` — and keep old index files loading
+(or failing with a clear :class:`ArchiveError`) when you do.
 """
 
 import datetime
@@ -26,7 +24,6 @@ import hashlib
 import json
 from pathlib import Path
 
-from eix1_encoder import eix1_bytes
 from repro.analysis.index import EpisodeIndex
 from repro.analysis.pipeline import StudyPipeline
 from repro.core.detector import DailyConflict, DayDetection
@@ -96,34 +93,24 @@ def answer_digest(index: EpisodeIndex, prefix_text: str, **kw) -> str:
 
 def main() -> None:
     index = build()
-    directory = FIXTURES / "episode_index"
-    directory.mkdir(exist_ok=True)
-    (directory / "golden.idx").write_bytes(eix1_bytes(index))
-    index.save(directory / "golden_eix2.idx")
-    for name in ("golden.idx", "golden_eix2.idx"):
-        path = directory / name
-        raw = path.read_bytes()
-        print(f"wrote {path} ({len(raw)} bytes)")
-        print("file sha256:", hashlib.sha256(raw).hexdigest())
-        loaded = EpisodeIndex.load(path)
-        print("q(10.0.0.0/8):", answer_digest(loaded, "10.0.0.0/8"))
-        print(
-            "q(192.0.2.0/24 @1998-01-02):",
-            answer_digest(
-                loaded, "192.0.2.0/24", day=datetime.date(1998, 1, 2)
-            ),
-        )
-        print(
-            "q(172.16.0.0/12 1998-01-01:1998-01-03):",
-            answer_digest(
-                loaded,
-                "172.16.0.0/12",
-                window=(
-                    datetime.date(1998, 1, 1),
-                    datetime.date(1998, 1, 3),
-                ),
-            ),
-        )
+    path = index.save(FIXTURES / "episode_index" / "golden_eix2.idx")
+    raw = path.read_bytes()
+    print(f"wrote {path} ({len(raw)} bytes)")
+    print("file sha256:", hashlib.sha256(raw).hexdigest())
+    loaded = EpisodeIndex.load(path)
+    print("q(10.0.0.0/8):", answer_digest(loaded, "10.0.0.0/8"))
+    print(
+        "q(192.0.2.0/24 @1998-01-02):",
+        answer_digest(loaded, "192.0.2.0/24", day=datetime.date(1998, 1, 2)),
+    )
+    print(
+        "q(172.16.0.0/12 1998-01-01:1998-01-03):",
+        answer_digest(
+            loaded,
+            "172.16.0.0/12",
+            window=(datetime.date(1998, 1, 1), datetime.date(1998, 1, 3)),
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ import pytest
 
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import (
-    ArchiveError,
     ArchiveReader,
     ArchiveWriter,
     DayRecord,
@@ -14,7 +13,6 @@ from repro.scenario.archive import (
     MAGIC_V2,
     PeerRow,
     convert_archive,
-    read_day_index,
 )
 
 
@@ -180,30 +178,12 @@ class TestWriterReaderV2:
 
     def test_day_index_brackets_every_frame(self, tmp_path):
         days = build_archive(tmp_path / "v2", "v2")
-        offsets, frames_end = read_day_index(tmp_path / "v2")
-        assert len(offsets) == len(days)
-        assert offsets[0] == 4  # right after the magic
-        assert sorted(offsets) == offsets
-        assert frames_end > offsets[-1]
         reader = ArchiveReader(tmp_path / "v2")
-        assert reader.day_offsets() == tuple(offsets)
-        bounds = offsets + [frames_end]
-        for start, stop, expected in (
-            (1, 3, days[1:3]),
-            (0, 1, days[:1]),
-        ):
-            batches = reader.iter_day_columns_at(bounds[start], bounds[stop])
-            assert [columns.to_record() for columns in batches] == expected
-
-    def test_byte_iteration_rejected_on_v1(self, tmp_path):
-        build_archive(tmp_path / "v1", "v1")
-        reader = ArchiveReader(tmp_path / "v1")
-        with pytest.raises(ArchiveError, match="v2"):
-            reader.iter_day_columns_at(0, 100)
-        with pytest.raises(ArchiveError, match="v2"):
-            reader.day_offsets()
-        with pytest.raises(ArchiveError, match="v2"):
-            read_day_index(tmp_path / "v1")
+        for start, stop in ((1, 3), (0, 1), (2, None), (0, None)):
+            batches = reader.iter_day_columns(start, stop)
+            assert [columns.to_record() for columns in batches] == (
+                days[start:stop]
+            )
 
     def test_empty_archive_roundtrips(self, tmp_path):
         writer = ArchiveWriter(tmp_path / "v2", format="v2")
@@ -211,7 +191,6 @@ class TestWriterReaderV2:
         reader = ArchiveReader(tmp_path / "v2")
         assert reader.format == "v2"
         assert list(reader.iter_days()) == []
-        assert read_day_index(tmp_path / "v2")[0] == []
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
