@@ -8,8 +8,10 @@ Two benches share this module:
   cost scales roughly linearly.
 - ``test_columnar_vs_object_day_scan`` re-encodes the session archive
   in both day-store formats and races the columnar scan against the
-  reference ``detect_day`` over object day records, twice per format:
-  the raw decode→detect scan and the full serial ``analyze`` fold.
+  object-row reference ``detect_day`` over day records
+  (``tests/core/object_scan.py``, importable through the ``pythonpath``
+  setting in ``pyproject.toml``), twice per format: the raw
+  decode→detect scan and the full serial ``analyze`` fold.
   The two paths must produce equal detections and equal
   :class:`StudyResults` before any number is reported.  Everything
   lands in ``BENCH_detect.json`` (override with
@@ -28,7 +30,7 @@ import pytest
 
 from repro.analysis.sources import detections_from_archive
 from repro.api import MoasService
-from repro.core.detector import detect_day, detect_snapshot
+from repro.core.detector import detect_snapshot
 from repro.netbase.aspath import ASPath
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import PeerId, RibSnapshot, Route
@@ -38,6 +40,7 @@ from repro.scenario.archive import (
     reencode_archive,
 )
 from repro.util.rng import RngStreams
+from tests.core.object_scan import detect_day
 
 MIN_SCAN_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_DETECT_SPEEDUP", "3")

@@ -20,7 +20,6 @@
 from repro.core.classifier import ConflictClass, classify_conflict, classify_pair
 from repro.core.detector import (
     DailyConflict,
-    detect_day,
     detect_day_columns,
     detect_snapshot,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "classify_conflict",
     "classify_pair",
     "DailyConflict",
-    "detect_day",
     "detect_day_columns",
     "detect_snapshot",
     "ConflictEpisode",

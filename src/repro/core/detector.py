@@ -8,18 +8,16 @@ paper saw ~12 such prefixes and left them out entirely, since an AS_SET
 tail makes the true origin ambiguous.
 
 Two input forms are supported: full :class:`~repro.netbase.rib.RibSnapshot`
-tables (e.g. parsed from MRT archives) and the sparse CDS day records,
-which carry per-peer origins for event-touched prefixes and imply the
+tables (e.g. parsed from MRT archives) and the sparse CDS days, which
+carry per-peer origins for event-touched prefixes and imply the
 registry owner for the rest.
 
 CDS days are scanned by :func:`detect_day_columns` over
-:class:`~repro.scenario.archive.DayColumns` batches — the one
-production scan, which works run-wise on whole-day arrays and only
-materializes per-row structures for prefixes that actually conflict.
-:func:`detect_day` over object :class:`~repro.scenario.archive.DayRecord`
-rows is the reference implementation: the property suites and the
-detect benchmark compare the columnar scan against it, and it is the
-path for the rare day whose rows repeat a prefix id across runs.
+:class:`~repro.scenario.archive.DayColumns` batches — the one CDS scan,
+which works run-wise on whole-day arrays and only materializes per-row
+structures for prefixes that actually conflict.  The property suites
+and the detect benchmark compare it against an object-row reference
+scan, ``tests/core/object_scan.py``.
 """
 
 from __future__ import annotations
@@ -31,12 +29,7 @@ from dataclasses import dataclass
 
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import RibSnapshot
-from repro.scenario.archive import (
-    ArchiveReader,
-    DayColumns,
-    DayRecord,
-    PeerRow,
-)
+from repro.scenario.archive import ArchiveReader, DayColumns
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
@@ -139,61 +132,6 @@ def detect_snapshot(snapshot: RibSnapshot) -> DayDetection:
     )
 
 
-def detect_day(record: DayRecord, reader: ArchiveReader) -> DayDetection:
-    """Scan one CDS day record.
-
-    Prefixes without rows have a single origin (their registry owner)
-    by archive semantics; rows carry each peer's chosen origin for
-    event-touched prefixes, so the origin-set test runs on rows grouped
-    by prefix.  Registry entries flagged as AS_SET-terminated are
-    excluded and counted — the flag records that the prefix's
-    announcements end in an AS set, i.e. the same "any route ends in an
-    AS set" rule :func:`detect_snapshot` applies to full tables.
-
-    The hot loop touches only event-touched prefixes: exclusion counts
-    come from a precomputed cumulative profile of the registry, and the
-    distinct-origin test runs on plain row arrays, materializing path
-    sets only for actual conflicts.
-    """
-    alive = record.alive_count
-    by_prefix: dict[int, list[PeerRow]] = {}
-    for row in record.rows:
-        if row.prefix_id >= alive:
-            continue
-        rows = by_prefix.get(row.prefix_id)
-        if rows is None:
-            by_prefix[row.prefix_id] = rows = []
-        rows.append(row)
-
-    registry = reader.registry
-    conflicts: list[DailyConflict] = []
-    for prefix_id, rows in by_prefix.items():
-        entry = registry[prefix_id]
-        if entry.as_set_tail:
-            continue  # already counted via the cumulative profile
-        first_origin = rows[0].origin
-        for row in rows:
-            if row.origin != first_origin:
-                break
-        else:
-            continue  # single origin: not a conflict
-        origin_paths: dict[int, set[tuple[int, ...]]] = {}
-        for row in rows:
-            bucket = origin_paths.get(row.origin)
-            if bucket is None:
-                origin_paths[row.origin] = bucket = set()
-            bucket.add(reader.path(row.path_id))
-        conflicts.append(_conflict(entry.prefix, origin_paths))
-    return DayDetection(
-        day=record.day,
-        conflicts=tuple(
-            sorted(conflicts, key=lambda c: c.prefix.sort_key())
-        ),
-        prefixes_scanned=alive,
-        as_set_excluded=reader.as_set_profile()[alive],
-    )
-
-
 #: Per-reader caches of whole-group scan outcomes, used by the segment
 #: scan.  An interned row group's conflicts are a pure function of its
 #: rows and the reader's registry masks, independent of which day
@@ -210,14 +148,13 @@ _GROUP_OUTCOMES: "weakref.WeakKeyDictionary[ArchiveReader, dict]" = (
 def detect_day_columns(
     columns: DayColumns, reader: ArchiveReader
 ) -> DayDetection:
-    """Scan one columnar day batch; equivalent to :func:`detect_day`.
+    """Scan one columnar day batch.
 
-    The whole-day array formulation of the same methodology: run
-    boundaries over the prefix-id column partition the rows per prefix,
-    ``run_single`` (a run-wise min==max over origins, computed at
-    decode time) discards the single-origin majority without touching
-    rows, AS_SET exclusion is an O(1) index into a precomputed
-    registry mask, and only runs that actually conflict
+    Run boundaries over the prefix-id column partition the rows per
+    prefix, ``run_single`` (a run-wise min==max over origins, computed
+    at decode time) discards the single-origin majority without
+    touching rows, AS_SET exclusion is an O(1) index into a
+    precomputed registry mask, and only runs that actually conflict
     materialize origin->path sets — with each interned row group's
     scan outcome (usually "no conflicts") cached per reader, so a
     group that recurs across days is scanned exactly once.  On a v2
@@ -226,34 +163,24 @@ def detect_day_columns(
     flat columns (v1 stores, eagerly built or already-materialized
     batches) go through the same loop as one uncached segment.
 
-    Output is identical to ``detect_day(columns.to_record(), ...)`` for
-    every input; the rare day whose rows are not grouped by prefix
-    (duplicate prefix ids across non-adjacent runs — legal in both
-    formats, never produced by our writer) falls back to the object
-    path wholesale to keep that guarantee.
+    A prefix must be one run for its origin set to be whole.  The rare
+    day whose rows repeat a prefix id across non-adjacent runs (legal
+    in both formats, never produced by our writer) is scanned once
+    more as :meth:`~repro.scenario.archive.DayColumns.regrouped`: the
+    same rows stably sorted by prefix id, one flat uncached segment.
     """
     alive = columns.alive_count
     segments = columns.segments
     if segments is None:
-        segments = [
-            (
-                None,
-                (
-                    columns.prefix_ids,
-                    columns.peer_asns,
-                    columns.origins,
-                    columns.path_ids,
-                ),
-                (columns.run_starts, columns.run_pids, columns.run_single),
-            )
-        ]
+        segments = _flat_segment(columns)
     pairs = _scan_segments(segments, reader, alive)
     if pairs is None:
         # A prefix's rows span non-adjacent runs; the run-wise scan
         # would see partial origin sets (two individually single-origin
-        # runs of one prefix can still conflict jointly).  Take the
-        # object path.
-        return detect_day(columns.to_record(), reader)
+        # runs of one prefix can still conflict jointly).
+        pairs = _scan_segments(
+            _flat_segment(columns.regrouped()), reader, alive
+        )
     pairs.sort(key=_PAIR_KEY)
     return DayDetection(
         day=columns.day,
@@ -261,6 +188,22 @@ def detect_day_columns(
         prefixes_scanned=alive,
         as_set_excluded=reader.as_set_profile()[alive],
     )
+
+
+def _flat_segment(columns: DayColumns) -> list[tuple]:
+    """A batch's flat columns as one segment with no group identity."""
+    return [
+        (
+            None,
+            (
+                columns.prefix_ids,
+                columns.peer_asns,
+                columns.origins,
+                columns.path_ids,
+            ),
+            (columns.run_starts, columns.run_pids, columns.run_single),
+        )
+    ]
 
 
 #: Sort key of a (prefix sort key, conflict) scan pair.
@@ -279,7 +222,8 @@ def _scan_segments(
     scanned once and thereafter costs one dict hit.  A segment whose
     ``group_id`` is ``None`` (flat columns) is scanned every time.
     Returns ``(prefix sort key, conflict)`` pairs, unsorted, or
-    ``None`` when a prefix id repeats across runs (object fallback).
+    ``None`` when a prefix id repeats across runs (the caller then
+    regroups the day).
     """
     total_runs = 0
     pids: set[int] = set()

@@ -6,12 +6,6 @@ explicitly discusses), a binary radix trie for prefix lookups, and the
 routing-table structures every other layer exchanges.
 """
 
-from repro.netbase.aggregation import (
-    AggregateRoute,
-    aggregate,
-    find_aggregable_pairs,
-    uncovered_specifics,
-)
 from repro.netbase.asn import (
     AS_TRANS,
     PRIVATE_AS_MAX,
@@ -28,10 +22,6 @@ from repro.netbase.rpki import Roa, RoaTable, ValidationState
 from repro.netbase.trie import PrefixTrie
 
 __all__ = [
-    "AggregateRoute",
-    "aggregate",
-    "find_aggregable_pairs",
-    "uncovered_specifics",
     "AS_TRANS",
     "PRIVATE_AS_MAX",
     "PRIVATE_AS_MIN",

@@ -53,7 +53,7 @@ import struct
 import sys
 import zlib
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -109,101 +109,21 @@ class PeerRow:
     path_id: int
 
 
+@dataclass(frozen=True, slots=True)
 class DayRecord:
     """Everything the collector archived for one observed day.
 
-    Behaves like the frozen dataclass it used to be (keyword
-    construction, value equality, hashing, repr), but ``rows`` can be
-    supplied lazily via ``rows_factory``: the reader passes a thunk and
-    the per-row :class:`PeerRow` tuple only materializes if someone
-    actually touches ``.rows`` — columnar consumers never pay for it.
+    The object form of a day, one :class:`PeerRow` per row: what
+    :meth:`ArchiveWriter.write_day` takes and
+    :meth:`ArchiveReader.iter_days` yields.  Detection reads the same
+    day as :class:`DayColumns` instead.
     """
 
-    __slots__ = (
-        "day",
-        "day_index",
-        "alive_count",
-        "active_peers",
-        "_rows",
-        "_rows_factory",
-    )
-
-    def __init__(
-        self,
-        *,
-        day: datetime.date,
-        day_index: int,
-        alive_count: int,  # prefixes with id < alive_count are announced
-        active_peers: tuple[int, ...],
-        rows: tuple[PeerRow, ...] | None = None,
-        rows_factory: Callable[[], tuple[PeerRow, ...]] | None = None,
-    ) -> None:
-        if rows is None and rows_factory is None:
-            rows = ()
-        self.day = day
-        self.day_index = day_index
-        self.alive_count = alive_count
-        self.active_peers = active_peers
-        self._rows = rows
-        self._rows_factory = rows_factory
-
-    @property
-    def rows(self) -> tuple[PeerRow, ...]:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = tuple(self._rows_factory())
-            self._rows_factory = None
-        return rows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DayRecord):
-            return NotImplemented
-        return (
-            self.day == other.day
-            and self.day_index == other.day_index
-            and self.alive_count == other.alive_count
-            and self.active_peers == other.active_peers
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.day,
-                self.day_index,
-                self.alive_count,
-                self.active_peers,
-                self.rows,
-            )
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"DayRecord(day={self.day!r}, day_index={self.day_index!r}, "
-            f"alive_count={self.alive_count!r}, "
-            f"active_peers={self.active_peers!r}, rows={self.rows!r})"
-        )
-
-    def __getstate__(self) -> tuple:
-        # Materialize before pickling: a lazy factory closes over the
-        # reader's mmap state, which must not cross process boundaries.
-        return (
-            self.day,
-            self.day_index,
-            self.alive_count,
-            self.active_peers,
-            self.rows,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        (
-            self.day,
-            self.day_index,
-            self.alive_count,
-            self.active_peers,
-            self._rows,
-        ) = state
-        self._rows_factory = None
+    day: datetime.date
+    day_index: int
+    alive_count: int  # prefixes with id < alive_count are announced
+    active_peers: tuple[int, ...]
+    rows: tuple[PeerRow, ...]
 
 
 class DayColumns:
@@ -399,6 +319,40 @@ class DayColumns:
                 len(segment[2][1]) for segment in self._segments
             )
         return len(self._run_pids)
+
+    def regrouped(self) -> DayColumns:
+        """This day with its rows stably sorted by prefix id.
+
+        Each prefix's rows form one run, in their archive order.  The
+        result holds flat columns and no segments, so it carries no
+        group identity.  The detector scans a day this way when its
+        rows repeat a prefix id across runs.
+        """
+        prefix_ids = self.prefix_ids
+        order = sorted(range(len(prefix_ids)), key=prefix_ids.__getitem__)
+        prefix_ids, peer_asns, origins, path_ids = (
+            array("I", map(column.__getitem__, order))
+            for column in (
+                prefix_ids,
+                self.peer_asns,
+                self.origins,
+                self.path_ids,
+            )
+        )
+        run_starts, run_pids, run_single = _run_index(prefix_ids, origins)
+        return DayColumns(
+            day=self.day,
+            day_index=self.day_index,
+            alive_count=self.alive_count,
+            active_peers=self.active_peers,
+            prefix_ids=prefix_ids,
+            peer_asns=peer_asns,
+            origins=origins,
+            path_ids=path_ids,
+            run_starts=run_starts,
+            run_pids=run_pids,
+            run_single=run_single,
+        )
 
     def to_record(self) -> DayRecord:
         """Materialize the equivalent object-API :class:`DayRecord`."""
@@ -1061,18 +1015,12 @@ class _V2DayStore:
 
     def decode_frame(self, ordinal: int) -> DayRecord:
         day_index, alive, peerset_id, group_ids = self._parse_frame(ordinal)
-        if not group_ids:
-            rows_factory = None
-            rows: tuple[PeerRow, ...] | None = ()
-        elif len(group_ids) == 1:
-            rows = None
-            group_id = group_ids[0]
-            rows_factory = lambda: self._group_rows_of(group_id)  # noqa: E731
+        if len(group_ids) == 1:
+            rows = self._group_rows_of(group_ids[0])
         else:
-            rows = None
-            rows_factory = lambda: tuple(  # noqa: E731
+            rows = tuple(
                 itertools.chain.from_iterable(
-                    self._group_rows_of(group_id) for group_id in group_ids
+                    map(self._group_rows_of, group_ids)
                 )
             )
         return DayRecord(
@@ -1081,7 +1029,6 @@ class _V2DayStore:
             alive_count=alive,
             active_peers=self._peersets[peerset_id],
             rows=rows,
-            rows_factory=rows_factory,
         )
 
     def decode_frame_columns(self, ordinal: int) -> DayColumns:
@@ -1365,9 +1312,8 @@ class ArchiveReader:
                     day_index=day_index,
                     alive_count=alive,
                     active_peers=peers,
-                    rows_factory=lambda raw=rows_raw: tuple(
-                        PeerRow(*fields)
-                        for fields in _ROW.iter_unpack(raw)
+                    rows=tuple(
+                        itertools.starmap(PeerRow, _ROW.iter_unpack(rows_raw))
                     ),
                 )
 
@@ -1415,16 +1361,6 @@ class ArchiveReader:
     def has_incidents(self) -> bool:
         """True when the archive carries injected-incident labels."""
         return (self.directory / "incidents.json").is_file()
-
-    def has_episode_index(self) -> bool:
-        """True when the archive carries an episode query index.
-
-        The index (``episodes.idx``, see :mod:`repro.analysis.index`)
-        is a by-product of ``repro analyze --index``; it answers
-        ``repro query`` and the serve daemon's history route without
-        re-folding the study.
-        """
-        return (self.directory / "episodes.idx").is_file()
 
     def incident_labels(self) -> list[dict]:
         """Injected-incident ground truth rows (see ``write_incidents``).

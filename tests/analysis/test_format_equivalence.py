@@ -21,11 +21,11 @@ from repro.analysis.pipeline import StudyPipeline
 from repro.api.renderers import render
 from repro.api.service import MoasService
 from repro.api.sources import ArchiveSource
-from repro.core.detector import detect_day
 from repro.scenario.archive import ArchiveReader, convert_archive
 from repro.scenario.incidents import IncidentScript
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
+from tests.core.object_scan import detect_day
 from tests.fixtures import legacy_checkpoint_writer as legacy
 
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "4"))
@@ -122,7 +122,7 @@ class TestScanPathEquivalence:
     """The object-row reference scan agrees with the columnar golden.
 
     ``golden_results`` comes from the production (columnar) scan; the
-    reference :func:`~repro.core.detector.detect_day` over
+    reference :func:`~tests.core.object_scan.detect_day` over
     ``iter_days()``, folded serially, must reproduce it exactly on both
     formats.
     """

@@ -9,12 +9,13 @@ from repro.analysis.sources import (
     detections_from_archive,
     detections_from_mrt_files,
 )
-from repro.core.detector import detect_day, detect_snapshot
+from repro.core.detector import detect_snapshot
 from repro.mrt.reader import read_rib_snapshot
 from repro.scenario.archive import ArchiveReader
 from repro.scenario.calibration import PAPER
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import StudyCalendar
+from tests.core.object_scan import detect_day
 
 CALENDAR = StudyCalendar(
     datetime.date(1998, 3, 20), datetime.date(1998, 4, 30)

@@ -3,12 +3,12 @@
 For any randomly generated world — empty days, single-peer days,
 AS_SET-flagged registries, conflicting origins, both archive formats —
 the columnar decode must reproduce the object rows exactly and
-:func:`detect_day_columns` must agree with :func:`detect_day`, whether
-it scans v2 segments or flat columns.  Unsorted same-prefix rows (which
-v2 interns as duplicate-pid groups) must take the object fallback and
-still agree.  The study-level twin of this guarantee (StudyResults
-across worker counts) lives in
-``tests/analysis/test_format_equivalence.py``.
+:func:`detect_day_columns` must agree with the object-row reference
+:func:`~tests.core.object_scan.detect_day`, whether it scans v2
+segments or flat columns.  Unsorted same-prefix rows (which v2 interns
+as duplicate-pid groups) must be regrouped and still agree.  The
+study-level twin of this guarantee (StudyResults across worker counts)
+lives in ``tests/analysis/test_format_equivalence.py``.
 """
 
 import datetime
@@ -16,11 +16,7 @@ import datetime
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.detector import (
-    _GROUP_OUTCOMES,
-    detect_day,
-    detect_day_columns,
-)
+from repro.core.detector import _GROUP_OUTCOMES, detect_day_columns
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import (
     ArchiveReader,
@@ -31,6 +27,7 @@ from repro.scenario.archive import (
     MAX_PATH_LENGTH,
     PeerRow,
 )
+from tests.core.object_scan import detect_day
 
 START = datetime.date(1997, 11, 8)
 PEERS = (701, 1239, 3561, 64511)
@@ -54,7 +51,7 @@ def days_strategy(*, sort_rows: bool):
 
     ``sort_rows=True`` groups same-prefix rows into runs like the
     collector writes them; ``False`` leaves event order, which v2
-    interns as duplicate-pid groups — the object-fallback trigger.
+    interns as duplicate-pid groups — the regrouping trigger.
     """
     row = st.tuples(
         st.integers(min_value=0, max_value=NUM_PREFIXES - 1),  # prefix id
@@ -200,13 +197,14 @@ def test_columnar_detect_equals_object(
 def test_unsorted_rows_fall_back_and_agree(
     tmp_path_factory, path_pool, day_specs
 ):
-    """Duplicate-pid days take the object fallback, invisibly.
+    """Duplicate-pid days are regrouped, invisibly.
 
     Event-ordered rows repeat prefix ids across runs; the columnar scan
-    must detect that and defer to :func:`detect_day` rather than
-    produce split conflicts.
+    must detect that and scan the day again as
+    :meth:`~repro.scenario.archive.DayColumns.regrouped` rather than
+    produce split conflicts, and agree with :func:`detect_day`.
     """
-    base = tmp_path_factory.mktemp("prop-fallback")
+    base = tmp_path_factory.mktemp("prop-regrouped")
     for format in ("v1", "v2"):
         records = build(base / format, format, path_pool, day_specs)
         reader = ArchiveReader(base / format)

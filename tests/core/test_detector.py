@@ -1,10 +1,12 @@
 """Tests for MOAS detection over snapshots and CDS day records."""
 
 import datetime
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
-from repro.core.detector import detect_day, detect_day_columns, detect_snapshot
+from repro.core.detector import detect_day_columns, detect_snapshot
 from repro.netbase.aspath import ASPath
 from repro.netbase.prefix import Prefix
 from repro.netbase.rib import PeerId, RibSnapshot, Route
@@ -15,6 +17,7 @@ from repro.scenario.archive import (
     FLAG_AS_SET_TAIL,
     PeerRow,
 )
+from tests.core.object_scan import detect_day
 
 DAY = datetime.date(2001, 4, 6)
 PEER_A = PeerId(asn=701)
@@ -178,6 +181,129 @@ class TestDetectDay:
         conflict = detection.conflicts[0]
         assert conflict.paths_of(42) == ((701, 42),)
         assert conflict.paths_of(43) == ((1239, 43),)
+
+
+@pytest.mark.parametrize("format", ["v1", "v2"])
+class TestDetectDayColumns:
+    """The production scan on hand-written days of both formats.
+
+    Each day is also held to the object-row reference; the ``split``
+    cases repeat a prefix id across non-adjacent runs, so the scan must
+    regroup the day to see the prefix's whole origin set.
+    """
+
+    def _day(self, tmp_path, format, rows, *, alive=2, flags=0):
+        """``rows`` are ``(prefix id, peer, origin)``; prefix 0 is
+        10.0.0.0/8 (owner 42, ``flags``), 1 is 192.0.2.0/24 (owner 99).
+        Each row's path is ``(peer, origin)``."""
+        writer = ArchiveWriter(tmp_path / "archive", format=format)
+        writer.register_prefix(Prefix.parse("10.0.0.0/8"), 42, 0, flags=flags)
+        writer.register_prefix(Prefix.parse("192.0.2.0/24"), 99, 0)
+        record = DayRecord(
+            day=DAY,
+            day_index=0,
+            alive_count=alive,
+            active_peers=(701, 1239),
+            rows=tuple(
+                PeerRow(pid, peer, origin, writer.intern_path((peer, origin)))
+                for pid, peer, origin in rows
+            ),
+        )
+        writer.write_day(record)
+        writer.finalize({"calendar_start": DAY.isoformat()})
+        reader = ArchiveReader(tmp_path / "archive")
+        (columns,) = reader.iter_day_columns()
+        # The day keeps the written row order: one run per stretch.
+        assert columns.num_runs == len(list(groupby(rows, itemgetter(0))))
+        detection = detect_day_columns(columns, reader)
+        assert detection == detect_day(record, reader)
+        return detection
+
+    def test_divergent_rows_detected(self, tmp_path, format):
+        detection = self._day(
+            tmp_path, format, [(0, 701, 42), (0, 1239, 43)]
+        )
+        assert detection.num_conflicts == 1
+        assert detection.conflicts[0].origins == {42, 43}
+        assert detection.prefixes_scanned == 2
+
+    def test_agreeing_rows_not_a_conflict(self, tmp_path, format):
+        detection = self._day(
+            tmp_path, format, [(0, 701, 42), (0, 1239, 42)]
+        )
+        assert detection.num_conflicts == 0
+
+    def test_as_set_flagged_prefix_excluded(self, tmp_path, format):
+        detection = self._day(
+            tmp_path,
+            format,
+            [(0, 701, 42), (0, 1239, 43)],
+            flags=FLAG_AS_SET_TAIL,
+        )
+        assert detection.num_conflicts == 0
+        assert detection.as_set_excluded == 1
+
+    def test_paths_resolved_from_table(self, tmp_path, format):
+        detection = self._day(
+            tmp_path, format, [(0, 701, 42), (0, 1239, 43)]
+        )
+        conflict = detection.conflicts[0]
+        assert conflict.paths_of(42) == ((701, 42),)
+        assert conflict.paths_of(43) == ((1239, 43),)
+
+    def test_split_single_origin_runs_conflict_jointly(
+        self, tmp_path, format
+    ):
+        # Each run of prefix 0 carries one origin; together they are two.
+        detection = self._day(
+            tmp_path, format, [(0, 701, 42), (1, 701, 99), (0, 1239, 43)]
+        )
+        assert [str(c.prefix) for c in detection.conflicts] == ["10.0.0.0/8"]
+        conflict = detection.conflicts[0]
+        assert conflict.origins == {42, 43}
+        assert conflict.paths_of(42) == ((701, 42),)
+        assert conflict.paths_of(43) == ((1239, 43),)
+
+    def test_split_day_reports_every_conflict_in_prefix_order(
+        self, tmp_path, format
+    ):
+        detection = self._day(
+            tmp_path,
+            format,
+            [(1, 701, 99), (0, 701, 42), (1, 1239, 98), (0, 1239, 43)],
+        )
+        assert [str(c.prefix) for c in detection.conflicts] == [
+            "10.0.0.0/8",
+            "192.0.2.0/24",
+        ]
+        assert [c.origins for c in detection.conflicts] == [
+            {42, 43},
+            {98, 99},
+        ]
+
+    def test_split_runs_of_an_as_set_prefix_stay_excluded(
+        self, tmp_path, format
+    ):
+        detection = self._day(
+            tmp_path,
+            format,
+            [(0, 701, 42), (1, 701, 99), (0, 1239, 43)],
+            flags=FLAG_AS_SET_TAIL,
+        )
+        assert detection.num_conflicts == 0
+        assert detection.as_set_excluded == 1
+
+    def test_split_runs_of_a_prefix_not_alive_are_ignored(
+        self, tmp_path, format
+    ):
+        detection = self._day(
+            tmp_path,
+            format,
+            [(1, 701, 99), (0, 701, 42), (1, 1239, 98)],
+            alive=1,
+        )
+        assert detection.num_conflicts == 0
+        assert detection.prefixes_scanned == 1
 
 
 class TestEquivalence:

@@ -8,10 +8,14 @@ stored covers shortest first.  Drawn registries mix repeated prefixes,
 ``/0`` rows, AS_SET and exchange-point rows, equal ``created_day``
 values and nested covers of foreign owners; both must give equal tags in
 equal order, since the order is the order of registry-only verdicts.
+The named cases below pin the Section VI-E shapes themselves: mass
+de-aggregation, a faulty aggregate over several foreign blocks, and the
+registrations that are neither.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -113,3 +117,74 @@ def test_closest_of_nested_foreign_covers():
         Prefix.parse("10.1.0.0/16"): TAG_FOREIGN_AGGREGATE,
         Prefix.parse("11.0.0.0/8"): TAG_FOREIGN_SUBPREFIX,
     }
+
+
+def test_mass_deaggregation_tags_every_fragment():
+    """The AS 7007 shape: a newcomer's more-specifics carve an old block."""
+    cover = Prefix.parse("24.0.0.0/8")
+    fragments = [Prefix.parse(f"24.{index}.0.0/16") for index in range(10)]
+    registry = [RegistryEntry(cover, 42, 0, 0)] + [
+        RegistryEntry(fragment, 7007, 5, 0) for fragment in fragments
+    ]
+    tags = _structural_tags(registry)
+    assert list(tags.items()) == list(reference_tags(registry).items())
+    assert tags == dict.fromkeys(fragments, TAG_FOREIGN_SUBPREFIX)
+
+
+def test_owner_splitting_its_own_block_is_not_tagged():
+    registry = [
+        RegistryEntry(Prefix.parse("24.0.0.0/8"), 42, 0, 0),
+        RegistryEntry(Prefix.parse("24.8.0.0/16"), 42, 5, 0),
+        RegistryEntry(Prefix.parse("24.8.1.0/24"), 42, 9, 0),
+    ]
+    assert _structural_tags(registry) == {}
+
+
+def test_new_cover_over_several_foreign_specifics_is_tagged_once():
+    """Faulty aggregation: one aggregate tag, whatever it covers."""
+    registry = [
+        RegistryEntry(Prefix.parse("24.1.0.0/16"), 7, 0, 0),
+        RegistryEntry(Prefix.parse("24.2.0.0/16"), 8, 0, 0),
+        RegistryEntry(Prefix.parse("24.3.0.0/16"), 9, 0, 0),
+        RegistryEntry(Prefix.parse("24.0.0.0/8"), 666, 5, 0),
+    ]
+    assert _structural_tags(registry) == {
+        Prefix.parse("24.0.0.0/8"): TAG_FOREIGN_AGGREGATE
+    }
+
+
+def test_neither_side_is_younger_when_created_the_same_day():
+    registry = [
+        RegistryEntry(Prefix.parse("24.0.0.0/8"), 42, 3, 0),
+        RegistryEntry(Prefix.parse("24.8.0.0/16"), 7007, 3, 0),
+    ]
+    assert _structural_tags(registry) == {}
+
+
+def test_siblings_and_uncovered_prefixes_are_not_tagged():
+    """Adjacent blocks do not cover each other, and a prefix with no
+    registered cover has nothing to be foreign to."""
+    registry = [
+        RegistryEntry(Prefix.parse("10.0.0.0/9"), 1, 0, 0),
+        RegistryEntry(Prefix.parse("10.128.0.0/9"), 2, 5, 0),
+        RegistryEntry(Prefix.parse("192.0.2.0/24"), 3, 9, 0),
+    ]
+    assert _structural_tags(registry) == {}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [FLAG_AS_SET_TAIL, FLAG_EXCHANGE_POINT],
+    ids=["as-set-tail", "exchange-point"],
+)
+def test_flagged_cover_is_passed_over(flags):
+    """A skipped registration is no cover: the next one out decides."""
+    inner = Prefix.parse("24.8.0.0/16")
+    registry = [
+        RegistryEntry(Prefix.parse("24.0.0.0/8"), 42, 0, 0),
+        RegistryEntry(Prefix.parse("24.0.0.0/12"), 7007, 0, flags),
+        RegistryEntry(inner, 7007, 5, 0),
+    ]
+    tags = _structural_tags(registry)
+    assert list(tags.items()) == list(reference_tags(registry).items())
+    assert tags == {inner: TAG_FOREIGN_SUBPREFIX}

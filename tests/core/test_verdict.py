@@ -304,6 +304,22 @@ class TestStructuralShapes:
         assert TAG_FOREIGN_AGGREGATE in aggregate.tags
         assert aggregate.kind == "faulty_aggregation"
 
+    def test_mass_deaggregation_is_one_verdict_per_fragment(self):
+        """The AS 7007 signature with no same-prefix conflict at all."""
+        fragments = [Prefix.parse(f"24.{index}.0.0/16") for index in range(10)]
+        registry = [RegistryEntry(Prefix.parse("24.0.0.0/8"), 42, 0, 0)] + [
+            RegistryEntry(fragment, 7007, 40, 0) for fragment in fragments
+        ]
+        engine = VerdictEngine()
+        engine.feed_day(detection(0, conflict("10.0.0.0/8", 1, 2)))
+        verdicts = engine.finalize(registry=registry)
+        assert list(verdicts) == [Prefix.parse("10.0.0.0/8"), *fragments]
+        for fragment in fragments:
+            verdict = verdicts[fragment]
+            assert verdict.kind == "subprefix_hijack"
+            assert verdict.days_observed == 0
+            assert verdict.perpetrators == {7007}
+
     def test_own_subprefix_not_flagged(self):
         registry = [
             RegistryEntry(Prefix.parse("20.0.0.0/8"), 7, 0, 0),

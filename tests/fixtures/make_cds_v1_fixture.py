@@ -18,7 +18,7 @@ the cases a v1 reader and the detector must keep answering alike:
 - the third day has no rows, and its day index skips one (1 -> 3);
 - on the fourth day ``172.16.0.0/12``'s rows come in two runs split by
   another prefix's, each single-origin, so the prefix conflicts only
-  across its runs (the detector's object-path case).
+  across its runs (the day the detector regroups).
 
 ``tests/scenario/test_archive_v1_golden.py`` pins each file's sha256
 and what every day decodes and detects to.  v1 archives stay readable

@@ -1,13 +1,20 @@
 """Tests for the CDS archive format (day-store v1 and v2)."""
 
+import dataclasses
 import datetime
+import operator
+import pickle
+from itertools import groupby
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import (
     ArchiveReader,
     ArchiveWriter,
+    DayColumns,
     DayRecord,
     FLAG_AS_SET_TAIL,
     MAGIC_V2,
@@ -200,6 +207,147 @@ class TestWriterReaderV2:
         writer = ArchiveWriter(tmp_path / "archive", format="v2")
         with pytest.raises(ValueError, match="path"):
             writer.intern_path(tuple(range(300)))
+
+
+class TestRegrouped:
+    """``DayColumns.regrouped``: the detector's scan of a day whose rows
+    repeat a prefix id across runs."""
+
+    @pytest.mark.parametrize("format", ["v1", "v2"])
+    def test_one_run_per_prefix_in_archive_order(self, tmp_path, format):
+        writer_rows = [
+            (1, 1239, 43, 1),
+            (0, 3561, 42, 0),
+            (1, 701, 43, 0),
+            (0, 701, 42, 0),
+            (0, 1239, 44, 1),
+        ]
+        (record,) = build_archive(
+            tmp_path / format,
+            format,
+            [make_record(0, 2, [PeerRow(*row) for row in writer_rows])],
+        )
+        (columns,) = ArchiveReader(tmp_path / format).iter_day_columns()
+        assert (columns.segments is not None) == (format == "v2")
+        assert columns.num_runs == 4  # prefix ids 1, 0, 1, 0
+
+        regrouped = columns.regrouped()
+
+        assert regrouped.segments is None
+        assert list(regrouped.run_pids) == [0, 1]
+        assert list(regrouped.run_starts) == [0, 3]
+        assert list(regrouped.run_single) == [0, 1]
+        rows = list(columns_rows(regrouped))
+        assert sorted(rows) == sorted(writer_rows)
+        for prefix_id in (0, 1):
+            assert [row for row in rows if row[0] == prefix_id] == [
+                row for row in writer_rows if row[0] == prefix_id
+            ]
+        header = operator.attrgetter(
+            "day", "day_index", "alive_count", "active_peers"
+        )
+        assert header(regrouped) == header(record)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 4),  # prefix id
+                st.sampled_from([701, 1239, 3561]),  # peer
+                st.integers(42, 44),  # origin
+                st.integers(0, 1),  # path id
+            ),
+            max_size=24,
+        )
+    )
+    def test_stable_sort_by_prefix_id(self, tmp_path_factory, rows):
+        for format in ("v1", "v2"):
+            directory = tmp_path_factory.mktemp(f"regrouped-{format}")
+            writer = ArchiveWriter(directory, format=format)
+            for index in range(5):
+                writer.register_prefix(
+                    Prefix.parse(f"10.{index}.0.0/16"), 42, 0
+                )
+            writer.intern_path((701, 42))
+            writer.intern_path((1239, 43))
+            writer.write_day(
+                make_record(0, 5, [PeerRow(*row) for row in rows])
+            )
+            writer.finalize({"calendar_start": "1997-11-08"})
+            (columns,) = ArchiveReader(directory).iter_day_columns()
+
+            regrouped = columns.regrouped()
+
+            assert regrouped.segments is None
+            assert list(columns_rows(regrouped)) == sorted(
+                rows, key=operator.itemgetter(0)
+            )
+            runs = [
+                [row[2] for row in run]
+                for _pid, run in groupby(
+                    columns_rows(regrouped), operator.itemgetter(0)
+                )
+            ]
+            assert list(regrouped.run_pids) == sorted({row[0] for row in rows})
+            assert list(regrouped.run_starts) == [
+                sum(map(len, runs[:run])) for run in range(len(runs))
+            ]
+            assert list(regrouped.run_single) == [
+                len(set(origins)) == 1 for origins in runs
+            ]
+
+    @pytest.mark.parametrize("format", ["v1", "v2"])
+    def test_empty_day_has_no_runs(self, tmp_path, format):
+        build_archive(tmp_path / format, format)
+        *_, empty = ArchiveReader(tmp_path / format).iter_day_columns()
+
+        regrouped = empty.regrouped()
+
+        assert regrouped.segments is None
+        assert (regrouped.num_rows, regrouped.num_runs) == (0, 0)
+        assert regrouped.day_index == empty.day_index == 3
+
+
+def columns_rows(columns: DayColumns):
+    """A columnar day's ``(prefix id, peer, origin, path id)`` rows."""
+    return zip(
+        columns.prefix_ids,
+        columns.peer_asns,
+        columns.origins,
+        columns.path_ids,
+    )
+
+
+@pytest.mark.parametrize("format", ["v1", "v2"])
+class TestDayRecord:
+    """A decoded day is a plain frozen, slotted dataclass holding its
+    rows: it compares, hashes and pickles by value."""
+
+    def test_frozen_and_slotted(self, tmp_path, format):
+        build_archive(tmp_path / format, format)
+        record = next(ArchiveReader(tmp_path / format).iter_days())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.rows = ()
+        assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip(self, tmp_path, format):
+        written = build_archive(tmp_path / format, format)
+        decoded = list(ArchiveReader(tmp_path / format).iter_days())
+
+        restored = pickle.loads(pickle.dumps(decoded))
+
+        assert restored == decoded == written
+        assert list(map(hash, restored)) == list(map(hash, written))
+
+
+def test_decoded_days_hash_equal_across_formats(tmp_path):
+    build_archive(tmp_path / "v1", "v1")
+    build_archive(tmp_path / "v2", "v2")
+    days = [
+        *ArchiveReader(tmp_path / "v1").iter_days(),
+        *ArchiveReader(tmp_path / "v2").iter_days(),
+    ]
+    assert len(days) == 6
+    assert len(set(days)) == 3
 
 
 class TestConvert:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sources import detections_from_archive
-from repro.core.detector import DailyConflict, DayDetection, detect_day
+from repro.core.detector import DailyConflict, DayDetection
 from repro.netbase.prefix import Prefix
 from repro.scenario.archive import (
     ArchiveReader,
@@ -24,6 +24,7 @@ from repro.scenario.archive import (
     PeerRow,
     convert_archive,
 )
+from tests.core.object_scan import detect_day
 from tests.fixtures.make_cds_v1_fixture import write
 
 GOLDEN = Path(__file__).parent.parent / "fixtures" / "cds_v1"
