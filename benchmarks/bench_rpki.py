@@ -22,6 +22,15 @@ two promises:
   ``REPRO_BENCH_MIN_SPEEDUP=0`` escape hatch pattern, for noisy
   runners).
 
+Beside the gates it records the ROA layer, without a bound: the
+``RoaTable.load`` time of the world's ``roas.json``, the bytes of a
+checkpoint of the RPKI session and of the rows file it names, the time
+of the first save to a new directory and of a later one, and the
+resume time from the rows file and with the table given.  It asserts
+that a session resumed from the checkpoint file alone has the
+uninterrupted session's ``rpki_episode_states``, so the version-4
+rows file is exercised on a world whose ROAs carry windows.
+
 The measured payload lands in ``BENCH_rpki.json`` (override with
 ``REPRO_BENCH_RPKI_OUT``) so CI publishes the trajectory run over run.
 """
@@ -32,7 +41,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.api.service import MoasService
+from repro.api.service import MoasService, roa_rows_path
+from repro.netbase.rpki import RoaTable
 from repro.scenario.incidents import IncidentKind, IncidentScript
 from repro.scenario.rpki import RpkiConfig
 from repro.scenario.world import ScenarioConfig, simulate_study
@@ -86,6 +96,17 @@ def _interleaved_best(
     return best[plain], best[rpki]
 
 
+def _best_of(runs: int, action) -> tuple[float, object]:
+    """Best wall clock of ``runs`` calls of ``action``, and its last
+    result."""
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = action()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
 def test_rpki_validation_quality_and_overhead(tmp_path_factory):
     directory = tmp_path_factory.mktemp("bench-rpki") / "archive"
     config = ScenarioConfig(
@@ -124,9 +145,7 @@ def test_rpki_validation_quality_and_overhead(tmp_path_factory):
     # The table is loaded once up front (as one `repro analyze --rpki`
     # run does); the gate measures the steady-state validation cost on
     # the feed path, not JSON parsing.
-    from repro.netbase.rpki import RoaTable
-
-    table = RoaTable.load(directory)
+    load_seconds, table = _best_of(5, lambda: RoaTable.load(directory))
 
     def analyze_plain():
         service = MoasService()
@@ -144,6 +163,21 @@ def test_rpki_validation_quality_and_overhead(tmp_path_factory):
     )
     overhead = (rpki_seconds - plain_seconds) / plain_seconds
 
+    # -- the ROA layer of a checkpoint: recorded, not gated ---------------
+    live = MoasService(roa_table=table)
+    live.feed(directory)
+    checkpoint = tmp_path_factory.mktemp("bench-rpki-checkpoint") / "study.ckpt"
+    first_save_seconds, _ = _best_of(1, lambda: live.save_checkpoint(checkpoint))
+    save_seconds, _ = _best_of(5, lambda: live.save_checkpoint(checkpoint))
+    from_rows_seconds, resumed = _best_of(
+        5, lambda: MoasService.load_checkpoint(checkpoint)
+    )
+    with_table_seconds, _ = _best_of(
+        5, lambda: MoasService.load_checkpoint(checkpoint, roa_table=directory)
+    )
+    resumed_states = resumed.results().rpki_episode_states
+    live_states = live.results().rpki_episode_states
+
     payload = {
         "scale": RPKI_SCALE,
         "days": CALENDAR.num_days,
@@ -159,6 +193,14 @@ def test_rpki_validation_quality_and_overhead(tmp_path_factory):
         "plain_seconds": round(plain_seconds, 4),
         "rpki_seconds": round(rpki_seconds, 4),
         "overhead": round(overhead, 4),
+        "roa_load_seconds": round(load_seconds, 4),
+        "checkpoint_bytes": checkpoint.stat().st_size,
+        "rows_file_bytes": roa_rows_path(checkpoint, table.digest).stat().st_size,
+        "first_save_seconds": round(first_save_seconds, 4),
+        "save_seconds": round(save_seconds, 4),
+        "resume_from_rows_seconds": round(from_rows_seconds, 4),
+        "resume_with_table_seconds": round(with_table_seconds, 4),
+        "resumed_rpki_states_equal": resumed_states == live_states,
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2))
     print(
@@ -169,6 +211,10 @@ def test_rpki_validation_quality_and_overhead(tmp_path_factory):
         f"payload -> {OUT_PATH}"
     )
 
+    assert resumed_states and resumed_states == live_states, (
+        "a session resumed from the checkpoint and its rows file lost "
+        "the uninterrupted session's RPKI rollups"
+    )
     assert gated, "canned suite lost its invalid-detectable incidents"
     assert invalid_rate >= MIN_INVALID, (
         f"invalid-state detection {invalid_rate:.2f} regressed below "

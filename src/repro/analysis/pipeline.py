@@ -209,7 +209,12 @@ class StudyState:
         self._tracker = EpisodeTracker(roa_table=roa_table)
         #: Conflicts per fed day, in the tracker's fed-day order.
         self._daily_counts: list[int] = []
+        #: year -> prefix length -> conflict-days of that length.
         self._length_sums: dict[int, Counter[int]] = {}
+        #: prefix length -> the prefixes of that length in
+        #: :attr:`_conflict_origins` (nonzero counts only), which each
+        #: fed day adds to its year's :attr:`_length_sums` bucket.
+        self._live_lengths: dict[int, int] = {}
         self._classification: list[
             tuple[datetime.date, dict[ConflictClass, int]]
         ] = []
@@ -300,12 +305,10 @@ class StudyState:
             self._as_set_excluded_max, detection.as_set_excluded
         )
 
-        bucket = self._length_sums.setdefault(day.year, Counter())
-        for conflict in conflicts:
-            bucket[conflict.prefix.length] += 1
         transitions = []
         current = self._conflict_origins
         slots = self._slots
+        live = self._live_lengths
         for conflict in changed:
             prefix = conflict.prefix
             old = current.get(prefix)
@@ -313,6 +316,7 @@ class StudyState:
                 new = current[prefix] = frozenset(conflict.origins)
                 slots[prefix] = self._next_slot
                 self._next_slot += 1
+                live[prefix.length] = live.get(prefix.length, 0) + 1
                 transitions.append((prefix, _NO_ORIGINS, new))
             elif old != conflict.origins:
                 new = current[prefix] = frozenset(conflict.origins)
@@ -324,8 +328,18 @@ class StudyState:
             # held the prefix.
             if slot is not None:
                 gone.append((slot, prefix))
+                length = prefix.length
+                if live[length] == 1:
+                    del live[length]
+                else:
+                    live[length] -= 1
         for _slot, prefix in sorted(gone):
             transitions.append((prefix, current.pop(prefix), _NO_ORIGINS))
+        # The map now holds exactly the day's conflicts, so its live
+        # counts are the day's per-length tally.
+        bucket = self._length_sums.setdefault(day.year, Counter())
+        for length, live_count in live.items():
+            bucket[length] += live_count
 
         window_start, window_end = pipeline.classification_window
         if window_start <= day <= window_end:
@@ -595,11 +609,19 @@ class StudyState:
 
     @classmethod
     def from_state(
-        cls, state: dict, *, pipeline: StudyPipeline | None = None
+        cls,
+        state: dict,
+        *,
+        pipeline: StudyPipeline | None = None,
+        roa_table: RoaTable | None = None,
     ) -> "StudyState":
-        """Rebuild mid-study streaming state from :meth:`state_dict`."""
+        """Rebuild mid-study streaming state from :meth:`state_dict`,
+        validating against ``roa_table``, the table the state names
+        (see :meth:`EpisodeTracker.from_state`)."""
         restored = cls(pipeline)
-        restored._tracker = EpisodeTracker.from_state(state["tracker"])
+        restored._tracker = EpisodeTracker.from_state(
+            state["tracker"], roa_table=roa_table
+        )
         restored._daily_counts = list(state["daily_counts"])
         if len(restored._daily_counts) != restored._tracker.total_days:
             raise ValueError(
@@ -648,6 +670,9 @@ class StudyState:
             for slot, prefix in enumerate(restored._conflict_origins)
         }
         restored._next_slot = len(restored._slots)
+        live = restored._live_lengths
+        for prefix in restored._conflict_origins:
+            live[prefix.length] = live.get(prefix.length, 0) + 1
         return restored
 
 

@@ -21,14 +21,19 @@ from repro.scenario.archive import ArchiveReader
 
 
 def detections_from_archive(archive_dir: Path | str) -> Iterator[DayDetection]:
-    """Stream daily detections from a CDS archive directory.
+    """Stream daily detections from a CDS archive directory (see
+    :func:`detections_from_reader`)."""
+    yield from detections_from_reader(ArchiveReader(archive_dir))
+
+
+def detections_from_reader(reader: ArchiveReader) -> Iterator[DayDetection]:
+    """Stream daily detections from an open CDS archive reader.
 
     Each day is decoded as a columnar batch and scanned by
     :func:`~repro.core.detector.detect_day_columns`.  The reader is
     closed when the stream ends, including when the consumer stops
     early and the generator is closed.
     """
-    reader = ArchiveReader(archive_dir)
     try:
         for columns in reader.iter_day_columns():
             yield detect_day_columns(columns, reader)

@@ -46,7 +46,8 @@ from pathlib import Path
 from repro.analysis.compare import compare_to_paper, comparison_table
 from repro.analysis.pipeline import StudyResults
 from repro.api.renderers import render
-from repro.api.service import LEGACY_RESUME_NOTE, MoasService, answer_keys
+from repro.api.service import LEGACY_RESUME_NOTE, MoasService
+from repro.api.sources import ArchiveSource
 from repro.scenario.world import ScenarioConfig, simulate_study
 from repro.util.dates import parse_date
 
@@ -300,6 +301,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
         else:
             service = MoasService(workers=args.workers, roa_table=args.rpki)
         resumed = args.resume is not None
+        # A CDS archive also records its generation scale and its
+        # registry, which the feed's reader decodes once; MRT inputs
+        # have neither.
+        archive = (
+            ArchiveSource(args.archive_dir)
+            if (args.archive_dir / "manifest.json").is_file()
+            else None
+        )
         if args.profile:
             from repro.analysis.profiling import profile_feed
 
@@ -307,7 +316,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
                 service, args.archive_dir, skip_seen=resumed
             )
         else:
-            service.feed(args.archive_dir, skip_seen=resumed)
+            service.feed(
+                archive if archive is not None else args.archive_dir,
+                skip_seen=resumed,
+            )
     except (
         FileNotFoundError,
         ValueError,
@@ -324,13 +336,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
             print(f"repro analyze: {error}", file=sys.stderr)
             return 1
 
-    # The paper-vs-measured table needs the generation scale, which
-    # only CDS archives record; MRT inputs analyze without it.
+    # The paper-vs-measured table needs the generation scale.
     scale = None
-    if (args.archive_dir / "manifest.json").is_file():
-        from repro.api.sources import ArchiveSource
-
-        recorded = ArchiveSource(args.archive_dir).manifest.get("scale")
+    if archive is not None:
+        recorded = archive.manifest.get("scale")
         scale = float(recorded) if recorded else None
     report = write_analysis(results, args.output_dir, scale=scale)
     print(report)
@@ -347,9 +356,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
             # registry; a source without a CDS manifest has no
             # registry and indexes episodes and RPKI only.
             verdicts = None
-            if (args.archive_dir / "manifest.json").is_file():
-                registry, _injected, _organic = answer_keys(args.archive_dir)
-                verdicts = service.verdicts(registry)
+            if archive is not None:
+                verdicts = service.verdicts(archive.registry)
             service.build_index(index_path, verdicts=verdicts)
         except (
             FileNotFoundError,

@@ -17,11 +17,17 @@ identical for every worker count — the engine's core invariant — and
 for both CDS archive day-store formats (v1 and v2; the reader
 auto-detects, see :mod:`repro.scenario.archive`).
 
-A checkpoint is one version-3 file holding one study state, whose
+A checkpoint is one version-4 file holding one study state, whose
 episode records carry the verdict evidence and whose conflict origin
 map drives serve's alerts: a resumed session answers and alerts as an
-uninterrupted one would.  Version-1/2 files and the legacy sharded
-directories earlier releases wrote still load, converted once by
+uninterrupted one would.  The ROA table the state was validating
+against is an input, not state: the checkpoint names it by
+:attr:`~repro.netbase.rpki.RoaTable.digest`, and its rows sit beside
+the file as ``roas-<digest>.json`` (:func:`roa_rows_path`), written
+once and read back, digest-checked, on resume unless the caller passes
+the table.  Version-3 files embedded the rows and still load from
+them.  Version-1/2 files and the legacy sharded directories earlier
+releases wrote still load too, converted once by
 :func:`_checkpoint_state` (:func:`_merge_legacy_shards` folds shard
 states into one); they carry no class votes and no alert map
 (:data:`LEGACY_RESUME_NOTE`).
@@ -40,12 +46,20 @@ from repro.api.renderers import render
 from repro.api.sources import open_source
 from repro.core.detector import DayDetection
 from repro.netbase.prefix import Prefix
+from repro.netbase.rpki import RoaTable
 from repro.util.concurrency import guarded_by
 from repro.util.io import atomic_write_text
 
 #: Checkpoint payload version; bump on incompatible layout changes.
-#: Versions 1 and 2 (:data:`LEGACY_VERSIONS`) are still readable.
-CHECKPOINT_VERSION = 3
+#: Version 4 names the ROA table by digest instead of carrying its
+#: rows; version 3 (:data:`EMBEDDED_ROWS_VERSION`) and versions 1 and 2
+#: (:data:`LEGACY_VERSIONS`) are still readable.
+CHECKPOINT_VERSION = 4
+
+#: The last checkpoint version that embeds its ROA rows.  It loads as
+#: it was written: its records carry class votes and it has an alert
+#: map, so resuming it prints no legacy note.
+EMBEDDED_ROWS_VERSION = 3
 
 #: Checkpoint versions written by earlier releases that still load.
 LEGACY_VERSIONS = (1, 2)
@@ -202,19 +216,21 @@ _CARRIED_FIELDS = (
 )
 
 
-def _checkpoint_state(snapshot) -> tuple[int, dict, dict]:
-    """``(version, pipeline config, version-3 state)`` of a checkpoint
-    payload of any loadable version.
+def _checkpoint_state(snapshot) -> tuple[int, dict, dict, RoaTable | None]:
+    """``(version, pipeline config, version-4 state, embedded table)``
+    of a checkpoint payload of any loadable version.
 
     A version-2 payload's shard states are merged first
-    (:func:`_merge_legacy_shards`).  Shape errors below the top level
-    surface as ``KeyError``/``TypeError``/``AttributeError``, which
-    :meth:`MoasService.resume` turns into a :class:`ValueError`.
+    (:func:`_merge_legacy_shards`).  Versions 1 to 3 carry their ROA
+    rows, which become the embedded table (None for a version-4 payload
+    or one validated against no table).  Shape errors below the top
+    level surface as ``KeyError``/``TypeError``/``AttributeError``,
+    which :meth:`MoasService.resume` turns into a :class:`ValueError`.
     """
     if not isinstance(snapshot, dict):
         raise ValueError("checkpoint is not a JSON object")
     version = snapshot.get("version")
-    if version != CHECKPOINT_VERSION and version not in LEGACY_VERSIONS:
+    if version not in (CHECKPOINT_VERSION, EMBEDDED_ROWS_VERSION, *LEGACY_VERSIONS):
         raise ValueError(
             f"unsupported checkpoint version {version!r}; "
             f"expected {CHECKPOINT_VERSION}"
@@ -224,11 +240,90 @@ def _checkpoint_state(snapshot) -> tuple[int, dict, dict]:
         shards = _typed(snapshot, "shards", list)
         if not shards:
             raise ValueError("checkpoint contains no shard states")
-        return version, pipeline, _legacy_state(_merge_legacy_shards(shards))
-    state = _typed(snapshot, "state", dict)
-    if version == 1:
-        state = _legacy_state(_merge_legacy_shards([state]))
-    return version, pipeline, state
+        state = _legacy_state(_merge_legacy_shards(shards))
+    else:
+        state = _typed(snapshot, "state", dict)
+        if version == 1:
+            state = _legacy_state(_merge_legacy_shards([state]))
+    if version == CHECKPOINT_VERSION:
+        return version, pipeline, state, None
+    return (version, pipeline, *_unembedded(state))
+
+
+def _unembedded(state: dict) -> tuple[dict, RoaTable | None]:
+    """A version-3 state in the version-4 layout, and the ROA table
+    its embedded rows hold: the tracker names that table by digest."""
+    tracker = dict(state["tracker"])
+    rows = tracker.pop("roas")
+    table = RoaTable.from_rows(rows) if rows is not None else None
+    tracker["roa_digest"] = table.digest if table is not None else None
+    return {**state, "tracker": tracker}, table
+
+
+def roa_rows_path(checkpoint: Path | str, digest: str) -> Path:
+    """The rows file of the ROA table of digest ``digest`` beside the
+    checkpoint file ``checkpoint``: ``roas-<digest>.json``, itself a
+    ``roas.json``."""
+    return Path(checkpoint).with_name(f"roas-{digest}.json")
+
+
+def _resume_table(
+    named: str | None,
+    embedded: RoaTable | None,
+    given: RoaTable | None,
+    source,
+    checkpoint: Path | None,
+) -> RoaTable | None:
+    """The ROA table a checkpoint resumes with.
+
+    ``named`` is the digest of the table the checkpoint was validating
+    against (None for none) and ``embedded`` the table a version-1 to 3
+    checkpoint carried.  ``given`` is the table the caller passed, read
+    from ``source`` (the ``--rpki`` option): it must be the named one.
+    Without it, the embedded table, or else the rows file beside the
+    checkpoint file ``checkpoint`` (:func:`roa_rows_path`), whose
+    digest must be the named one.  Every refusal is one
+    :class:`ValueError` line.
+    """
+    if given is not None:
+        if named is None:
+            raise ValueError(
+                "checkpoint was not validating against a ROA table; "
+                "--rpki cannot be turned on mid-study"
+            )
+        if given.digest != named:
+            label = (
+                f"ROA table {given.digest}"
+                if isinstance(source, RoaTable)
+                else f"--rpki {source}"
+            )
+            raise ValueError(
+                f"{label} differs from the ROA table the checkpoint was "
+                f"validating against; a study cannot switch databases "
+                f"mid-stream"
+            )
+        return given
+    if embedded is not None or named is None:
+        return embedded
+    if checkpoint is None:
+        raise ValueError(
+            f"checkpoint was validating against ROA table {named}; "
+            f"resume it with that table"
+        )
+    rows = roa_rows_path(checkpoint, named)
+    remedy = "restore it beside the checkpoint or pass the table with --rpki"
+    if not rows.is_file():
+        raise ValueError(f"checkpoint ROA table {rows} is missing; {remedy}")
+    try:
+        table = RoaTable.load(rows)
+    except ValueError as error:
+        raise ValueError(f"checkpoint ROA table {error}; {remedy}") from None
+    if table.digest != named:
+        raise ValueError(
+            f"checkpoint ROA table {rows} does not hold the table the "
+            f"checkpoint names; {remedy}"
+        )
+    return table
 
 
 def _typed(payload: dict, key: str, kind: type):
@@ -290,8 +385,6 @@ class MoasService:
         # validated per RFC 6811 and results gain the rpki/longevity
         # breakdowns.
         if roa_table is not None:
-            from repro.netbase.rpki import RoaTable
-
             roa_table = RoaTable.load(roa_table)
         self.roa_table = roa_table
         #: Version of the checkpoint the session resumed from (see
@@ -479,7 +572,6 @@ class MoasService:
             evaluate_verdicts,
         )
         from repro.core.verdict import VerdictEngine
-        from repro.netbase.rpki import RoaTable
 
         adapted = open_source(source, **options)
 
@@ -531,21 +623,45 @@ class MoasService:
         return self.checkpoint_version in LEGACY_VERSIONS
 
     @classmethod
-    def resume(cls, snapshot: dict, *, workers: int = 1) -> "MoasService":
+    def resume(
+        cls, snapshot: dict, *, workers: int = 1, roa_table=None
+    ) -> "MoasService":
         """Rebuild a session from a :meth:`snapshot_state` payload.
 
-        Accepts version-3 payloads and the legacy versions 1 and 2,
-        converted once, here (:func:`_checkpoint_state`); a version-2
-        payload holding several shard states is merged.  A payload of
-        the wrong shape raises :class:`ValueError` naming the key.  The
-        worker count is an execution-resource choice, not study state,
-        so it is never part of the checkpoint — pass ``workers`` to
-        continue in parallel.
+        Accepts version-4 and version-3 payloads and the legacy
+        versions 1 and 2, converted once, here
+        (:func:`_checkpoint_state`); a version-2 payload holding several
+        shard states is merged.  A payload of the wrong shape raises
+        :class:`ValueError` naming the key.  The worker count is an
+        execution-resource choice, not study state, so it is never part
+        of the checkpoint — pass ``workers`` to continue in parallel.
+
+        A version-4 payload names the ROA table it was validating
+        against by digest, so a session that had one resumes only with
+        ``roa_table``, that same table (anything
+        :meth:`RoaTable.load` accepts); earlier versions carry their
+        rows.  A different table, or one given to a session that had
+        none, is refused with a :class:`ValueError`.
         """
+        return cls._restore(snapshot, workers, roa_table, None)
+
+    @classmethod
+    def _restore(
+        cls, snapshot, workers: int, source, checkpoint: Path | None
+    ) -> "MoasService":
+        """:meth:`resume`, taking a version-4 payload's ROA table from
+        the rows file beside ``checkpoint`` when no ``source`` is given
+        (see :func:`_resume_table`)."""
+        given = RoaTable.load(source) if source is not None else None
         try:
-            version, config, state = _checkpoint_state(snapshot)
+            version, config, state, embedded = _checkpoint_state(snapshot)
             pipeline = StudyPipeline.from_config_dict(config)
-            restored = StudyState.from_state(state, pipeline=pipeline)
+            table = _resume_table(
+                state["tracker"]["roa_digest"], embedded, given, source, checkpoint
+            )
+            restored = StudyState.from_state(
+                state, pipeline=pipeline, roa_table=table
+            )
         except KeyError as missing:
             raise ValueError(f"checkpoint is missing key {missing}") from None
         except (AttributeError, TypeError) as error:
@@ -559,9 +675,12 @@ class MoasService:
     def save_checkpoint(self, path: Path | str) -> Path:
         """Write the session checkpoint to the file ``path``.
 
-        Crash-safe: the file goes down via temp-file + ``os.replace``,
+        A session validating against a ROA table first writes the
+        table's rows beside it (:func:`roa_rows_path`), unless that
+        file already exists: the checkpoint names the table by digest.
+        Crash-safe: each file goes down via temp-file + ``os.replace``,
         so a crash mid-write leaves the previous checkpoint intact,
-        never a truncated JSON file.  Returns the path written.
+        never a truncated JSON file.  Returns the checkpoint's path.
         """
         path = Path(path)
         if path.is_dir():
@@ -571,6 +690,11 @@ class MoasService:
                 f"another path"
             )
         path.parent.mkdir(parents=True, exist_ok=True)
+        table = self.roa_table
+        if table is not None:
+            rows = roa_rows_path(path, table.digest)
+            if not rows.exists():
+                atomic_write_text(rows, table.to_json())
         atomic_write_text(path, json.dumps(self.snapshot_state()))
         return path
 
@@ -589,7 +713,10 @@ class MoasService:
         ``roa_table`` (anything :meth:`RoaTable.load` accepts) asks
         that the study go on validating against that database: a
         checkpoint that was validating against none, or against a
-        different one, is refused with a :class:`ValueError`.
+        different one, is refused with a :class:`ValueError`.  Without
+        it, a version-4 checkpoint's table comes from the rows file
+        beside it (:func:`roa_rows_path`), and a missing or edited
+        rows file is refused the same way.
         """
         path = Path(path)
         if path.is_dir():
@@ -619,19 +746,4 @@ class MoasService:
                 ) from None
         else:
             snapshot = json.loads(path.read_text())
-        service = cls.resume(snapshot, workers=workers)
-        if roa_table is not None:
-            from repro.netbase.rpki import RoaTable
-
-            if service.roa_table is None:
-                raise ValueError(
-                    "checkpoint was not validating against a ROA "
-                    "table; --rpki cannot be turned on mid-study"
-                )
-            if RoaTable.load(roa_table) != service.roa_table:
-                raise ValueError(
-                    f"--rpki {roa_table} differs from the ROA table the "
-                    f"checkpoint was validating against; a study cannot "
-                    f"switch databases mid-stream"
-                )
-        return service
+        return cls._restore(snapshot, workers, roa_table, path)

@@ -71,6 +71,7 @@ class ArchiveSource:
 
     def __init__(self, directory: Path | str) -> None:
         self.directory = Path(directory)
+        self._registry: list | None = None
 
     @classmethod
     def from_spec(cls, rest: str, **options) -> "ArchiveSource":
@@ -90,11 +91,25 @@ class ArchiveSource:
         with open(Path(self.directory) / "manifest.json") as handle:
             return json.load(handle)
 
+    @property
+    def registry(self) -> list:
+        """The archive's prefix registry, decoded once per source: the
+        one the reader of a :meth:`detections` stream decoded, else read
+        on the first ask (a parallel feed opens no reader here)."""
+        if self._registry is None:
+            from repro.scenario.archive import read_registry
+
+            self._registry = read_registry(self.directory)
+        return self._registry
+
     def detections(self) -> Iterator[DayDetection]:
         """Stream detections straight off the archive's day chunks."""
-        from repro.analysis.sources import detections_from_archive
+        from repro.analysis.sources import detections_from_reader
+        from repro.scenario.archive import ArchiveReader
 
-        return detections_from_archive(self.directory)
+        reader = ArchiveReader(self.directory)
+        self._registry = reader.registry
+        yield from detections_from_reader(reader)
 
 
 @register_source("mrt")

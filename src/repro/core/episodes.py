@@ -292,14 +292,15 @@ class EpisodeTracker:
         Prefixes are stored as ``[network, length]`` integer pairs so the
         payload survives a JSON round trip exactly; a record's votes
         follow :data:`CLASS_SLOTS` and its rollup is a
-        :class:`ValidationState` value or null.
+        :class:`ValidationState` value or null.  The ROA table is an
+        input, not state: the payload names it by
+        :attr:`RoaTable.digest` (null without one), and
+        :meth:`from_state` must be handed that table.
         """
         return {
             "days": [day.isoformat() for day in self._days],
-            "roas": (
-                [roa.to_dict() for roa in self.roa_table]
-                if self.roa_table is not None
-                else None
+            "roa_digest": (
+                self.roa_table.digest if self.roa_table is not None else None
             ),
             "prefixes": [
                 [
@@ -318,12 +319,19 @@ class EpisodeTracker:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "EpisodeTracker":
-        """Rebuild a tracker from a :meth:`state_dict` payload."""
-        roas = state["roas"]
-        tracker = cls(
-            roa_table=RoaTable.from_rows(roas) if roas is not None else None
-        )
+    def from_state(
+        cls, state: dict, *, roa_table: RoaTable | None = None
+    ) -> "EpisodeTracker":
+        """Rebuild a tracker from a :meth:`state_dict` payload, which
+        must name ``roa_table`` (or no table, for ``None``)."""
+        named = state["roa_digest"]
+        given = roa_table.digest if roa_table is not None else None
+        if given != named:
+            raise ValueError(
+                f"the state was validating against ROA table "
+                f"{named or 'none'}, not {given or 'none'}"
+            )
+        tracker = cls(roa_table=roa_table)
         tracker._days = [
             datetime.date.fromisoformat(day) for day in state["days"]
         ]

@@ -59,17 +59,7 @@ class Prefix:
     @classmethod
     def parse(cls, text: str) -> "Prefix":
         """Parse ``a.b.c.d/len``; a bare address parses as a /32."""
-        match = _DOTTED_QUAD.match(text.strip())
-        if not match:
-            raise ValueError(f"not an IPv4 prefix: {text!r}")
-        octets = [int(match.group(index)) for index in range(1, 5)]
-        if any(octet > 255 for octet in octets):
-            raise ValueError(f"octet out of range in {text!r}")
-        length = int(match.group(5)) if match.group(5) is not None else 32
-        network = (
-            (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
-        )
-        return cls(network, length)
+        return cls(*parse_network(text))
 
     @classmethod
     def from_octets(cls, octets: bytes, length: int) -> "Prefix":
@@ -193,7 +183,7 @@ class Prefix:
         return cached
 
     def __str__(self) -> str:
-        return f"{_format_address(self._network)}/{self._length}"
+        return format_network(self._network, self._length)
 
     def __repr__(self) -> str:
         return f"Prefix.parse({str(self)!r})"
@@ -201,6 +191,36 @@ class Prefix:
     def sort_key(self) -> tuple[int, int]:
         """Stable ``(network, length)`` key for external sorting."""
         return (self._network, self._length)
+
+
+def parse_network(text: str) -> tuple[int, int]:
+    """``(network, length)`` of ``a.b.c.d/len`` text, a bare address
+    being a /32: exactly what :meth:`Prefix.parse` accepts, refused
+    with its messages, without building a :class:`Prefix`."""
+    match = _DOTTED_QUAD.match(text.strip())
+    if not match:
+        raise ValueError(f"not an IPv4 prefix: {text!r}")
+    first, second, third, fourth, length = match.groups()
+    first, second, third, fourth = (
+        int(first), int(second), int(third), int(fourth)
+    )
+    if first > 255 or second > 255 or third > 255 or fourth > 255:
+        raise ValueError(f"octet out of range in {text!r}")
+    length = int(length) if length is not None else _MAX_LENGTH
+    if length > _MAX_LENGTH:
+        raise ValueError(f"prefix length {length} outside 0..32")
+    network = (first << 24) | (second << 16) | (third << 8) | fourth
+    if network & (_ADDRESS_MASK >> length):
+        raise ValueError(
+            f"host bits set in {_format_address(network)}/{length}"
+        )
+    return network, length
+
+
+def format_network(network: int, length: int) -> str:
+    """The ``a.b.c.d/len`` text of a ``(network, length)`` pair, as
+    ``str(Prefix(network, length))`` spells it."""
+    return f"{_format_address(network)}/{length}"
 
 
 def _format_address(value: int) -> str:

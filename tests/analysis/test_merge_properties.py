@@ -59,8 +59,9 @@ origin_sets = st.frozensets(st.integers(1, 70000), min_size=2, max_size=5)
 
 
 @st.composite
-def detection_streams(draw):
-    """A chronological stream of synthetic daily detections."""
+def detection_streams(draw, start=START):
+    """A chronological stream of synthetic daily detections from
+    ``start``; a day may have no conflict."""
     num_days = draw(st.integers(1, 12))
     detections = []
     for index in range(num_days):
@@ -75,7 +76,7 @@ def detection_streams(draw):
         )
         detections.append(
             DayDetection(
-                day=START + datetime.timedelta(days=index),
+                day=start + datetime.timedelta(days=index),
                 conflicts=conflicts,
                 prefixes_scanned=len(conflicts) + 3,
                 as_set_excluded=draw(st.integers(0, 2)),
@@ -361,9 +362,81 @@ class TestMergeAlgebraRegistry:
     def test_study_state_survives_json_roundtrip(self, detections, table):
         state = feed_state(detections, roa_table=table)
         payload = json.loads(json.dumps(state.state_dict()))
-        clone = StudyState.from_state(payload)
+        clone = StudyState.from_state(payload, roa_table=table)
         assert clone.results() == state.results()
         assert clone.state_dict() == state.state_dict()
+
+
+def per_conflict_tally(detections) -> dict:
+    """The per-year prefix-length tally counted one conflict-day at a
+    time, in the checkpoint's string-keyed layout: every day creates
+    its year's bucket, and only the lengths seen get a key."""
+    sums: dict[str, dict[str, int]] = {}
+    for detection in detections:
+        bucket = sums.setdefault(str(detection.day.year), {})
+        for conflict in detection.conflicts:
+            key = str(conflict.prefix.length)
+            bucket[key] = bucket.get(key, 0) + 1
+    return sums
+
+
+def v3_payload(state: StudyState) -> dict:
+    """``state`` as a version-3 checkpoint payload, which embedded the
+    ROA rows where version 4 names the table by digest."""
+    payload = state.state_dict()
+    tracker = {
+        key: value for key, value in payload["tracker"].items() if key != "roa_digest"
+    }
+    table = state.roa_table
+    tracker["roas"] = (
+        [roa.to_dict() for roa in table] if table is not None else None
+    )
+    return {
+        "version": 3,
+        "pipeline": state.pipeline.config_dict(),
+        "state": {**payload, "tracker": tracker},
+    }
+
+
+#: Late December: a stream from here may cross into the next year.
+YEAR_END = datetime.date(1998, 12, 26)
+
+
+class TestLiveLengthTally:
+    """The per-length tally the fold keeps from the live conflict map
+    equals the per-conflict-day tally, over streams with zero-conflict
+    days that cross a year boundary, also after a resume from a
+    version-3 or a legacy checkpoint in the middle of a year."""
+
+    @given(
+        detection_streams(start=YEAR_END),
+        roa_tables(),
+        st.integers(0, 12),
+        st.sampled_from(["none", "v3", "legacy"]),
+    )
+    def test_live_tally_equals_the_per_conflict_tally(
+        self, detections, table, split, resume
+    ):
+        head, tail = detections[:split], detections[split:]
+        if resume == "v3":
+            service = MoasService.resume(
+                v3_payload(feed_state(head, roa_table=table))
+            )
+            assert service.checkpoint_version == 3
+        elif resume == "legacy":
+            service = MoasService.resume(
+                legacy.shard_payload(head, 2, "hash", roa_table=table)
+            )
+            assert service.resumed_legacy
+        else:
+            service = MoasService(roa_table=table)
+            service.feed(head)
+        service.feed(tail)
+        expected = per_conflict_tally(detections)
+        assert service.snapshot_state()["state"]["length_sums"] == expected
+        assert service.results().length_distribution == (
+            feed_state(detections).results().length_distribution
+        )
 
 
 class TestLegacyShardMerge:

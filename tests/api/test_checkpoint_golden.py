@@ -9,20 +9,24 @@ holding the hand-crafted detection stream of
   shards);
 - ``checkpoint_v2_rpki/``: a version-2 sharded directory validated
   against a three-row ROA table (three ``range`` shards, one empty);
-- ``checkpoint_v3.json``: the version-3 payload the program writes,
-  from the same stream with AS paths and the same ROA table, so its
-  records carry class votes and RPKI rollups and its alert map is not
-  empty.
+- ``checkpoint_v3.json``: a version-3 payload, from the same stream
+  with AS paths and the same ROA table, so its records carry class
+  votes and RPKI rollups and its alert map is not empty; it embeds the
+  ROA rows;
+- ``checkpoint_v4.json``: the version-4 payload the program writes, of
+  the same session, which names its ROA table by digest, and beside it
+  ``roas-<digest>.json``, that table's rows file.
 
-The version-1 file and the directories are frozen output of writers
-earlier releases had; the program only reads them now, converting them
-to one version-3 state (merging shards) once at load.  They carry no
-class votes and no alert map, and ``TestLegacyResumeReport`` pins what
-a resume from them reports.  Loading each must keep producing byte-for-byte the same
-study results, pinned here as digests, and the fixture files are
-pinned by sha256, so checkpoint compatibility can never silently
-break: a load failure means old checkpoints stopped parsing, a digest
-mismatch means they parse into different science.
+The version-1 and version-3 files and the directories are frozen
+output of writers earlier releases had; the program only reads them
+now, converting them to one version-4 state (merging shards) once at
+load.  The version-1/2 ones carry no class votes and no alert map, and
+``TestLegacyResumeReport`` pins what a resume from them reports.
+Loading each must keep producing byte-for-byte the same study results,
+pinned here as digests, and the fixture files are pinned by sha256, so
+checkpoint compatibility can never silently break: a load failure means
+old checkpoints stopped parsing, a digest mismatch means they parse
+into different science.
 
 ``legacy_checkpoint_writer.py`` models the removed writer.  It must
 reproduce both directories byte for byte; the suite then writes the
@@ -32,7 +36,9 @@ to the pinned digests.
 A checkpoint is input from outside the program, so the legacy merge
 also validates it.  The ``TestLegacyShardValidation`` cases break a
 copy of a golden one way each and expect a ``ValueError`` naming the
-problem, and a one-line ``repro analyze --resume`` error.
+problem, and a one-line ``repro analyze --resume`` error;
+``TestRowsFileRefusals`` does the same for a version-4 checkpoint whose
+rows file is missing or edited.
 """
 
 import dataclasses
@@ -46,7 +52,12 @@ import pytest
 from repro.api.cli import main
 from repro.api.renderers import render
 from repro.api.serve import ServeApp
-from repro.api.service import CHECKPOINT_VERSION, MoasService
+from repro.api.service import (
+    CHECKPOINT_VERSION,
+    LEGACY_RESUME_NOTE,
+    MoasService,
+    roa_rows_path,
+)
 from repro.core.detector import DailyConflict
 from repro.netbase.rpki import RoaTable
 from tests.fixtures import legacy_checkpoint_writer as legacy
@@ -55,7 +66,7 @@ from tests.fixtures.make_checkpoint_fixtures import (
     detections,
     detections_with_paths,
     next_day,
-    v3_session,
+    path_session,
 )
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -73,17 +84,19 @@ RPKI_DIGEST = (
     "d805a853be8e43bb94dd8afaf38506971abd1d1ce56f1779c93492716dcbe102"
 )
 
-#: :data:`RPKI_FIGURES` over ``checkpoint_v3.json``: the paths change no
-#: figure (figure 6's window lies after the stream), so the digest is
-#: the path-free stream's.
+#: :data:`RPKI_FIGURES` over ``checkpoint_v3.json`` and
+#: ``checkpoint_v4.json``: the paths change no figure (figure 6's window
+#: lies after the stream), so the digest is the path-free stream's.
 V3_DIGEST = RPKI_DIGEST
 
-#: sha256 over ``checkpoint_v3.json``'s verdicts (:func:`verdicts_digest`).
+#: sha256 over the verdicts of ``checkpoint_v3.json`` and
+#: ``checkpoint_v4.json`` (:func:`verdicts_digest`).
 V3_VERDICTS_DIGEST = (
     "f6fcd376f9082413feeb36e4a3d75a8221ab30fec4253ef28981b76db47bce5c"
 )
 
-#: The alerts :func:`next_day` raises after resuming ``checkpoint_v3.json``.
+#: The alerts :func:`next_day` raises after resuming
+#: ``checkpoint_v3.json`` or ``checkpoint_v4.json``.
 V3_NEXT_DAY_ALERTS = [
     {
         "timestamp": 884044800,
@@ -101,6 +114,12 @@ V3_NEXT_DAY_ALERTS = [
         ("192.0.2.0/24", "moas_ended", [22], [20, 22], 20),
     )
 ]
+
+#: The rows file ``checkpoint_v4.json`` names: the digest of the
+#: :data:`RPKI_ROAS` table.
+ROWS_FILE = (
+    "roas-890dafe85b4620428aeb0992127914bdb13f23ada5f2ea653439f6479f83a2cf.json"
+)
 
 #: sha256 of every committed checkpoint golden file.
 FIXTURE_SHA256 = {
@@ -130,6 +149,12 @@ FIXTURE_SHA256 = {
     ),
     "checkpoint_v3.json": (
         "434f7fbad3aad1fb045651b2af08049f544d44f78c16c260f4e9c9bb425ad27c"
+    ),
+    "checkpoint_v4.json": (
+        "a3785ed9f3b162c3af8f254f28b204002945bb864ca799bf1c71f1f0ba1af1aa"
+    ),
+    ROWS_FILE: (
+        "3bb127be784225e7cedb5c3b534704b4cb728e935b65a615320a5a78a8898c50"
     ),
 }
 
@@ -171,7 +196,7 @@ def next_day_alerts(service: MoasService) -> list[dict]:
 def test_fixture_files_are_pinned():
     committed = {
         str(path.relative_to(FIXTURES))
-        for pattern in ("checkpoint_v*.json", "checkpoint_v2*/*")
+        for pattern in ("checkpoint_v*.json", "checkpoint_v2*/*", "roas-*.json")
         for path in FIXTURES.glob(pattern)
     }
     assert committed == set(FIXTURE_SHA256)
@@ -580,20 +605,35 @@ class TestLegacyShardValidation:
 
 
 class TestV3Golden:
-    """The version-3 golden: what the live writer checkpoints."""
+    """The frozen version-3 golden, which embeds its ROA rows."""
 
     PATH = FIXTURES / "checkpoint_v3.json"
 
     def test_loads_to_pinned_results_and_verdicts(self):
         service = MoasService.load_checkpoint(self.PATH)
-        assert service.checkpoint_version == CHECKPOINT_VERSION == 3
+        assert service.checkpoint_version == 3
         assert not service.resumed_legacy
         assert service.days_fed == 5
         assert results_digest(service.results(), RPKI_FIGURES) == V3_DIGEST
         assert verdicts_digest(service.verdicts()) == V3_VERDICTS_DIGEST
 
+    def test_resume_prints_no_legacy_note(self, tmp_path, capsys):
+        code = main(
+            [
+                "analyze",
+                str(tmp_path / "archive"),
+                str(tmp_path / "out"),
+                "--resume",
+                str(self.PATH),
+            ]
+        )
+        assert code == 1  # no archive to continue on
+        err = capsys.readouterr().err
+        assert LEGACY_RESUME_NOTE not in err
+        assert len(err.splitlines()) == 1
+
     def test_resume_answers_like_the_live_session(self):
-        live = v3_session()
+        live = path_session()
         loaded = MoasService.load_checkpoint(self.PATH)
         assert loaded.snapshot_state() == live.snapshot_state()
         assert loaded.verdicts() == live.verdicts()
@@ -629,6 +669,70 @@ class TestV3Golden:
         loaded = MoasService.load_checkpoint(self.PATH)
         assert verdicts_digest(straight.verdicts()) == V3_VERDICTS_DIGEST
         assert loaded.results() == straight.results()
+
+
+class TestV4Golden:
+    """The version-4 golden: what the live writer checkpoints, the ROA
+    table named by digest and its rows in the file beside it."""
+
+    PATH = FIXTURES / "checkpoint_v4.json"
+
+    def test_loads_to_pinned_results_verdicts_and_alerts(self):
+        service = MoasService.load_checkpoint(self.PATH)
+        assert service.checkpoint_version == CHECKPOINT_VERSION == 4
+        assert not service.resumed_legacy
+        assert service.days_fed == 5
+        assert service.roa_table == RoaTable.from_rows(RPKI_ROAS)
+        assert results_digest(service.results(), RPKI_FIGURES) == V3_DIGEST
+        assert verdicts_digest(service.verdicts()) == V3_VERDICTS_DIGEST
+        assert next_day_alerts(service) == V3_NEXT_DAY_ALERTS
+
+    def test_names_its_table_and_embeds_no_rows(self):
+        payload = json.loads(self.PATH.read_text())
+        tracker = payload["state"]["tracker"]
+        assert "roas" not in tracker
+        digest = RoaTable.from_rows(RPKI_ROAS).digest
+        assert tracker["roa_digest"] == digest
+        assert roa_rows_path(self.PATH, digest) == FIXTURES / ROWS_FILE
+        # The rows file is itself a roas.json.
+        assert RoaTable.load(FIXTURES / ROWS_FILE) == RoaTable.from_rows(
+            RPKI_ROAS
+        )
+
+    def test_equals_the_v3_golden_and_the_live_session(self):
+        v4 = MoasService.load_checkpoint(self.PATH)
+        v3 = MoasService.load_checkpoint(TestV3Golden.PATH)
+        live = path_session()
+        assert v4.snapshot_state() == v3.snapshot_state() == live.snapshot_state()
+        assert v4.verdicts() == live.verdicts()
+
+    def test_resume_with_the_table_needs_no_rows_file(self, tmp_path):
+        checkpoint = tmp_path / "study.ckpt"
+        shutil.copyfile(self.PATH, checkpoint)
+        table = RoaTable.from_rows(RPKI_ROAS)
+        resumed = MoasService.load_checkpoint(checkpoint, roa_table=table)
+        assert resumed.roa_table is table
+        assert next_day_alerts(resumed) == V3_NEXT_DAY_ALERTS
+
+    def test_save_writes_the_rows_file_once(self, tmp_path, monkeypatch):
+        service = MoasService.load_checkpoint(self.PATH)
+        checkpoint = service.save_checkpoint(tmp_path / "study.ckpt")
+        assert checkpoint.read_bytes() == self.PATH.read_bytes()
+        rows = tmp_path / ROWS_FILE
+        assert rows.read_bytes() == (FIXTURES / ROWS_FILE).read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            ROWS_FILE,
+            "study.ckpt",
+        ]
+        # A later save leaves the existing rows file alone.
+        rows.write_text("kept")
+        monkeypatch.setattr(
+            RoaTable,
+            "to_json",
+            lambda self: pytest.fail("the rows file was written again"),
+        )
+        service.save_checkpoint(checkpoint)
+        assert rows.read_text() == "kept"
 
 
 #: ``(fixture, figures, digest)`` of each legacy golden.
@@ -699,6 +803,12 @@ class TestLegacyResumeReport:
 def malformed_payloads() -> dict:
     """Checkpoint payloads of the wrong shape, by test id."""
     v3 = json.loads((FIXTURES / "checkpoint_v3.json").read_text())
+    v4 = json.loads((FIXTURES / "checkpoint_v4.json").read_text())
+    tracker = {
+        key: value
+        for key, value in v4["state"]["tracker"].items()
+        if key != "roa_digest"
+    }
     return {
         "no-pipeline": {"version": 2},
         "not-an-object": [],
@@ -706,6 +816,10 @@ def malformed_payloads() -> dict:
         "v3-without-state": {"version": 3, "pipeline": v3["pipeline"]},
         "mistyped-state": {**v3, "state": []},
         "mistyped-tracker": {**v3, "state": {**v3["state"], "tracker": 7}},
+        "v4-without-digest": {
+            **v4, "state": {**v4["state"], "tracker": tracker}
+        },
+        "v4-mistyped-tracker": {**v4, "state": {**v4["state"], "tracker": []}},
     }
 
 
@@ -764,8 +878,15 @@ class TestServeRpkiResume:
                 "validating against; a study cannot switch databases "
                 "mid-stream",
             ),
+            (
+                "checkpoint_v4.json",
+                RPKI_ROAS[:2],
+                "differs from the ROA table the checkpoint was "
+                "validating against; a study cannot switch databases "
+                "mid-stream",
+            ),
         ],
-        ids=["table-less", "different-table"],
+        ids=["table-less", "different-table", "v4-different-table"],
     )
     def test_serve_and_analyze_refuse_alike(
         self, fixture, rows, message, tmp_path, capsys
@@ -786,11 +907,14 @@ class TestServeRpkiResume:
             lines[command] = err[0].removeprefix(f"repro {command}: ")
         assert lines["serve"] == lines["analyze"]
 
-    def test_an_equal_table_resumes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "fixture", ["checkpoint_v3.json", "checkpoint_v4.json"]
+    )
+    def test_an_equal_table_resumes(self, fixture, tmp_path):
         from repro.api.serve import ServeConfig, ServeDaemon
 
         checkpoint = tmp_path / "study.ckpt"
-        shutil.copyfile(FIXTURES / "checkpoint_v3.json", checkpoint)
+        shutil.copyfile(FIXTURES / fixture, checkpoint)
         daemon = ServeDaemon(
             ServeConfig(
                 archive=tmp_path / "archive",
@@ -804,3 +928,74 @@ class TestServeRpkiResume:
         status = json.loads(daemon.app.handle("GET", "/v1/status").body)
         assert status["rpki"] is True
         assert status["days_fed"] == 5
+
+
+class TestRowsFileRefusals:
+    """A version-4 checkpoint resumed without ``--rpki`` reads its ROA
+    table from the rows file beside it, digest-checked: a missing or
+    edited rows file is one line naming the file and ``--rpki``, from
+    ``repro analyze`` and ``repro serve`` alike."""
+
+    def copy(self, tmp_path) -> Path:
+        checkpoint = tmp_path / "study.ckpt"
+        shutil.copyfile(FIXTURES / "checkpoint_v4.json", checkpoint)
+        shutil.copyfile(FIXTURES / ROWS_FILE, tmp_path / ROWS_FILE)
+        return checkpoint
+
+    def assert_refused(self, checkpoint, capsys):
+        rows = checkpoint.parent / ROWS_FILE
+        with pytest.raises(ValueError, match="--rpki"):
+            MoasService.load_checkpoint(checkpoint)
+        archive = str(checkpoint.parent / "archive")
+        lines = {}
+        for command, argv in (
+            ("serve", ["serve", archive, "--port", "0", "--checkpoint"]),
+            ("analyze", ["analyze", archive, str(checkpoint.parent / "out"), "--resume"]),
+        ):
+            assert main([*argv, str(checkpoint)]) == 1
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1
+            assert str(rows) in err[0] and "--rpki" in err[0]
+            assert "Traceback" not in captured.err + captured.out
+            lines[command] = err[0].removeprefix(f"repro {command}: ")
+        assert lines["serve"] == lines["analyze"]
+
+    def test_copied_with_its_rows_file_resumes(self, tmp_path):
+        service = MoasService.load_checkpoint(self.copy(tmp_path))
+        assert results_digest(service.results(), RPKI_FIGURES) == V3_DIGEST
+
+    def test_missing_rows_file(self, tmp_path, capsys):
+        checkpoint = self.copy(tmp_path)
+        (tmp_path / ROWS_FILE).unlink()
+        self.assert_refused(checkpoint, capsys)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [RPKI_ROAS[:2], [*RPKI_ROAS, {**RPKI_ROAS[0], "origin": 8}], []],
+        ids=["row-dropped", "row-added", "emptied"],
+    )
+    def test_edited_rows_file(self, rows, tmp_path, capsys):
+        checkpoint = self.copy(tmp_path)
+        (tmp_path / ROWS_FILE).write_text(RoaTable.from_rows(rows).to_json())
+        self.assert_refused(checkpoint, capsys)
+
+    @pytest.mark.parametrize(
+        "text", ["", "[", '{"roas": []}', '[{"prefix": 10}]'],
+        ids=["empty", "truncated", "not-an-array", "malformed-row"],
+    )
+    def test_corrupt_rows_file(self, text, tmp_path, capsys):
+        checkpoint = self.copy(tmp_path)
+        (tmp_path / ROWS_FILE).write_text(text)
+        self.assert_refused(checkpoint, capsys)
+
+    def test_resume_of_a_payload_needs_its_table(self):
+        payload = json.loads((FIXTURES / "checkpoint_v4.json").read_text())
+        table = RoaTable.from_rows(RPKI_ROAS)
+        with pytest.raises(ValueError, match=table.digest):
+            MoasService.resume(payload)
+        with pytest.raises(ValueError, match="differs from the ROA table"):
+            MoasService.resume(payload, roa_table=RoaTable.from_rows(RPKI_ROAS[:2]))
+        resumed = MoasService.resume(payload, roa_table=table)
+        assert resumed.roa_table is table
+        assert verdicts_digest(resumed.verdicts()) == V3_VERDICTS_DIGEST

@@ -3,6 +3,7 @@
 import datetime
 import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -340,6 +341,52 @@ class TestServeCli:
         assert len(err) == 1
         assert "is a directory" in err[0]
         assert f"--resume {legacy} --checkpoint FILE" in err[0]
+
+
+#: One-row ROA files that once crashed the loader or were read
+#: truncated (8.9 as max length 8, ``true`` as origin AS 1).
+BAD_ROA_ROWS = {
+    "prefix-number": {"prefix": 10, "max_length": 8, "origin": 7},
+    "max-length-null": {
+        "prefix": "10.0.0.0/8", "max_length": None, "origin": 7
+    },
+    "valid-from-number": {
+        "prefix": "10.0.0.0/8",
+        "max_length": 8,
+        "origin": 7,
+        "valid_from": 20000101,
+    },
+    "fraction-and-boolean": {
+        "prefix": "10.0.0.0/8", "max_length": 8.9, "origin": True
+    },
+}
+
+
+class TestMalformedRoaRows:
+    """Each command that reads a ROA file refuses a malformed row with
+    one line naming the file, the row and the field."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_ROA_ROWS))
+    @pytest.mark.parametrize("command", ["analyze", "evaluate", "serve"])
+    def test_one_error_line(self, command, name, cli_archive, tmp_path, capsys):
+        archive = tmp_path / "archive"
+        shutil.copytree(cli_archive, archive)
+        roas = archive / "roas.json"
+        roas.write_text(json.dumps([BAD_ROA_ROWS[name]]))
+        argv = {
+            "analyze": [
+                "analyze", str(archive), str(tmp_path / "out"), "--rpki", str(archive)
+            ],
+            # evaluate and serve read the archive's own roas.json.
+            "evaluate": ["evaluate", str(archive)],
+            "serve": ["serve", str(archive), "--port", "0"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro {command}: {roas}: ROA row 0 ")
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestParallelFlags:

@@ -85,7 +85,7 @@ def reads_archive(request, tmp_path_factory):
             archive_format=request.param,
             incidents=incident_script(),
             # Few ROAs, many of them stale or misissued: every RPKI
-            # state occurs, and restoring the table each day is cheap.
+            # state occurs.
             rpki=RpkiConfig(
                 coverage=0.1, stale_fraction=0.3, misissue_fraction=0.2
             ),
@@ -96,8 +96,11 @@ def reads_archive(request, tmp_path_factory):
 
 def cold_state(app: ServeApp):
     """Memo-free results and verdicts of the app's session, restored
-    from its checkpoint payload (which carries no memo)."""
-    service = MoasService.resume(app.service.snapshot_state())
+    from its checkpoint payload (which carries no memo) and its ROA
+    table (an input the payload names by digest)."""
+    service = MoasService.resume(
+        app.service.snapshot_state(), roa_table=app.service.roa_table
+    )
     return service.results(), service.verdicts(app._registry)
 
 

@@ -8,7 +8,8 @@ uninterrupted app's status, body and ``X-Repro-Days``, both at day N
 and once the stream is done, and raise the same alerts, in the same
 order, from day N+1 on.  A daemon-level example stops a
 ``BackgroundServer`` mid-ingestion and restarts it on its shutdown
-checkpoint.
+checkpoint without ``--rpki``: the ROA table comes back from the rows
+file the checkpoint names.
 
 Example counts come from the hypothesis profile (``dev`` for tier-1,
 ``ci`` for the dedicated property leg).
@@ -25,8 +26,9 @@ from hypothesis import given, strategies as st
 
 from repro.api.renderers import available_renderings
 from repro.api.serve import BackgroundServer, ServeApp, ServeConfig
-from repro.api.service import MoasService
+from repro.api.service import MoasService, roa_rows_path
 from repro.api.sources import open_source
+from repro.netbase.rpki import RoaTable
 from repro.scenario.incidents import IncidentScript
 from repro.scenario.rpki import RpkiConfig
 from repro.scenario.world import ScenarioConfig, simulate_study
@@ -179,10 +181,20 @@ def test_daemon_restarted_on_its_shutdown_checkpoint(
         wait_for_days(url, len(detections) // 3)
     finally:
         server.stop()
-    stopped_at = MoasService.load_checkpoint(config.checkpoint).days_fed
+    stopped = MoasService.load_checkpoint(config.checkpoint)
+    stopped_at = stopped.days_fed
     assert 0 < stopped_at < len(detections)
+    # The table was the archive's; its rows sit beside the checkpoint.
+    table = RoaTable.load(archive)
+    assert stopped.roa_table == table
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        roa_rows_path(config.checkpoint, table.digest).name,
+        "serve.ckpt",
+    ]
+    assert config.rpki is None
     with BackgroundServer(config) as url:
         status = wait_for_ingest(url)
+        assert status["rpki"] is True
         assert status["days_fed"] == len(detections)
         assert status["ingest"]["days_ingested"] == (
             len(detections) - stopped_at

@@ -134,22 +134,13 @@ def shared_shapes():
 
 def cold_app(app: ServeApp, make) -> ServeApp:
     """An app over the session restored from ``app``'s checkpoint
-    payload, which carries no kept derivation.
-
-    The ROA table is an immutable input, not derived state: the
-    payload is taken with the table detached from the tracker, so its
-    rows are neither written nor parsed again, and the restored
-    session is handed the same table.
-    """
-    tracker = app.service._state._tracker
-    table, tracker.roa_table = tracker.roa_table, None
-    try:
-        payload = app.service.snapshot_state()
-    finally:
-        tracker.roa_table = table
-    service = MoasService.resume(payload)
-    service.roa_table = service._state._tracker.roa_table = table
-    return make(service)
+    payload, which carries no kept derivation, and its ROA table, an
+    immutable input the payload names by digest."""
+    return make(
+        MoasService.resume(
+            app.service.snapshot_state(), roa_table=app.service.roa_table
+        )
+    )
 
 
 def targets(data, app: ServeApp, cold: ServeApp) -> list[str]:

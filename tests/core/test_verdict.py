@@ -86,10 +86,8 @@ class ReferenceFold:
     def state_dict(self) -> dict:
         return {
             "days": [day.isoformat() for day in self.days],
-            "roas": (
-                [roa.to_dict() for roa in self.roa_table]
-                if self.roa_table is not None
-                else None
+            "roa_digest": (
+                self.roa_table.digest if self.roa_table is not None else None
             ),
             "prefixes": [
                 [
@@ -112,7 +110,9 @@ class ReferenceFold:
         }
 
     def finalize(self, registry=None):
-        tracker = EpisodeTracker.from_state(self.state_dict())
+        tracker = EpisodeTracker.from_state(
+            self.state_dict(), roa_table=self.roa_table
+        )
         return VerdictEngine(tracker=tracker).finalize(registry=registry)
 
 
@@ -120,7 +120,8 @@ def roundtrip(engine: VerdictEngine) -> VerdictEngine:
     """``engine`` over its tracker taken through a JSON checkpoint."""
     return VerdictEngine(
         tracker=EpisodeTracker.from_state(
-            json.loads(json.dumps(engine.tracker.state_dict()))
+            json.loads(json.dumps(engine.tracker.state_dict())),
+            roa_table=engine.tracker.roa_table,
         )
     )
 

@@ -1,25 +1,29 @@
-"""Regenerate the committed version-3 checkpoint golden fixture.
+"""Regenerate the committed version-4 checkpoint golden fixture.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/fixtures/make_checkpoint_fixtures.py
 
-Writes ``checkpoint_v3.json`` with the live checkpoint writer
+Writes ``checkpoint_v4.json`` with the live checkpoint writer
 (``MoasService.save_checkpoint``) from :func:`detections_with_paths`,
-validated against :data:`RPKI_ROAS`, then prints the digests and the
-next day's alerts that ``tests/api/test_checkpoint_golden.py`` pins.
-Its conflicts carry AS paths, so the episode records hold class votes,
-and its last day leaves a non-empty alert map.
+validated against :data:`RPKI_ROAS`, and beside it the table's rows
+file ``roas-<digest>.json`` the checkpoint names, then prints the
+digests and the next day's alerts that
+``tests/api/test_checkpoint_golden.py`` pins.  Its conflicts carry AS
+paths, so the episode records hold class votes, and its last day
+leaves a non-empty alert map.
 
-Every other checkpoint golden beside it is frozen: ``checkpoint_v1.json``
-(a version-1 single-state payload) and the sharded directories
-``checkpoint_v2/`` and ``checkpoint_v2_rpki/`` are output of writers
-earlier releases had.  The program can no longer write them, only read
-them.  All three hold the path-free stream of :func:`detections`; the
-RPKI directory carries the three-row ROA table and three ``range``
-shards, one of them empty.  Never regenerate or edit them.
+Every other checkpoint golden beside it is frozen: ``checkpoint_v3.json``
+(the same session as a version-3 payload, which embedded the ROA rows),
+``checkpoint_v1.json`` (a version-1 single-state payload) and the
+sharded directories ``checkpoint_v2/`` and ``checkpoint_v2_rpki/`` are
+output of writers earlier releases had.  The program can no longer
+write them, only read them.  The version-1 and version-2 goldens hold
+the path-free stream of :func:`detections`; the RPKI directory carries
+the three-row ROA table and three ``range`` shards, one of them empty.
+Never regenerate or edit them.
 
-Only regenerate ``checkpoint_v3.json`` for an *intentional*, documented
+Only regenerate ``checkpoint_v4.json`` for an *intentional*, documented
 checkpoint format change — and when you do, keep the old fixtures
 loading too (that is the compatibility promise the golden test
 enforces).
@@ -47,8 +51,8 @@ _DAYS = {
     4: {"10.0.0.0/8": (7, 9), "192.0.2.0/24": (20, 22)},
 }
 
-#: The ROA table ``checkpoint_v2_rpki/`` and ``checkpoint_v3.json``
-#: validate against.
+#: The ROA table ``checkpoint_v2_rpki/``, ``checkpoint_v3.json`` and
+#: ``checkpoint_v4.json`` validate against.
 RPKI_ROAS = (
     {"prefix": "10.0.0.0/8", "max_length": 8, "origin": 7},
     {"prefix": "172.16.0.0/12", "max_length": 12, "origin": 30},
@@ -100,12 +104,14 @@ def detections() -> list[DayDetection]:
 
 
 def detections_with_paths() -> list[DayDetection]:
-    """The same stream with one AS path per origin (``checkpoint_v3``)."""
+    """The same stream with one AS path per origin (``checkpoint_v3``
+    and ``checkpoint_v4``)."""
     return _stream(with_paths=True)
 
 
 def next_day() -> DayDetection:
-    """The day after the stream, whose alerts the v3 golden pins."""
+    """The day after the stream, whose alerts the v3 and v4 goldens
+    pin."""
     return DayDetection(
         day=START + datetime.timedelta(days=5),
         conflicts=(
@@ -123,16 +129,17 @@ def next_day() -> DayDetection:
     )
 
 
-def v3_session() -> MoasService:
-    """The session ``checkpoint_v3.json`` checkpoints."""
+def path_session() -> MoasService:
+    """The session ``checkpoint_v3.json`` and ``checkpoint_v4.json``
+    checkpoint."""
     service = MoasService(roa_table=RoaTable.from_rows(RPKI_ROAS))
     service.feed(detections_with_paths())
     return service
 
 
 def main() -> None:
-    service = v3_session()
-    service.save_checkpoint(FIXTURES / "checkpoint_v3.json")
+    service = path_session()
+    service.save_checkpoint(FIXTURES / "checkpoint_v4.json")
 
     from test_checkpoint_golden import (  # noqa: E402
         RPKI_FIGURES,

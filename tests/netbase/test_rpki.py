@@ -4,11 +4,16 @@
 :class:`RoaTable` (covering order included) to a scan of all its ROAs,
 over drawn tables whose windows open and expire on drawn days, with
 the queries repeated in drawn order so the table's memos answer most
-of them.  Example counts come from the hypothesis profile (``dev`` for
-tier-1, ``ci`` for the dedicated property leg).
+of them.  :class:`TestLoaderParity` holds the integer-row loader
+(:meth:`RoaTable.from_rows`) to the object-at-a-time reference in
+``tests/netbase/roa_rows.py`` over drawn ``roas.json`` rows, and
+:class:`TestMalformedRows` to refusing every drawn malformed row with a
+:class:`ValueError` naming it.  Example counts come from the hypothesis
+profile (``dev`` for tier-1, ``ci`` for the dedicated property leg).
 """
 
 import datetime
+import hashlib
 import json
 
 import pytest
@@ -21,6 +26,7 @@ from repro.netbase.rpki import (
     ValidationState,
     worst_state,
 )
+from tests.netbase.roa_rows import roa_from_dict
 
 
 def roa(text: str, origin: int, max_length: int | None = None, **windows):
@@ -53,6 +59,11 @@ class TestRoa:
         with pytest.raises(ValueError, match="origin"):
             roa("10.0.0.0/16", -1)
 
+    def test_origin_beyond_32_bits_rejected(self):
+        with pytest.raises(ValueError, match="exceeds 32 bits"):
+            roa("10.0.0.0/16", 2**32)
+        assert roa("10.0.0.0/16", 2**32 - 1).origin == 2**32 - 1
+
     def test_active_on(self):
         bounded = roa(
             "10.0.0.0/16",
@@ -71,13 +82,13 @@ class TestRoa:
         original = roa(
             "10.0.0.0/16", 7, 18, valid_from=datetime.date(2000, 1, 1)
         )
-        assert Roa.from_dict(original.to_dict()) == original
+        assert list(RoaTable.from_rows([original.to_dict()])) == [original]
 
-    def test_from_dict_rejects_malformed_rows(self):
-        with pytest.raises(ValueError, match="missing"):
-            Roa.from_dict({"prefix": "10.0.0.0/16"})
-        with pytest.raises(ValueError, match="JSON object"):
-            Roa.from_dict(["10.0.0.0/16", 7])
+    def test_from_rows_rejects_malformed_rows(self):
+        with pytest.raises(ValueError, match="row 0 is missing max_length, origin"):
+            RoaTable.from_rows([{"prefix": "10.0.0.0/16"}])
+        with pytest.raises(ValueError, match="row 0 must be a JSON object"):
+            RoaTable.from_rows([["10.0.0.0/16", 7]])
 
 
 class TestValidation:
@@ -176,8 +187,34 @@ class TestRoaTable:
         second = RoaTable([roa("192.0.2.0/24", 9), roa("10.0.0.0/16", 7)])
         assert first == second
         assert hash(first) == hash(second)
-        assert first.key == second.key
+        assert list(first) == list(second) == [
+            roa("10.0.0.0/16", 7),
+            roa("192.0.2.0/24", 9),
+        ]
+        assert first.digest == second.digest
         assert len(first) == 2
+
+    def test_digest_pins_every_field_of_every_row(self):
+        base = roa("10.0.0.0/16", 7, 18, valid_from=datetime.date(2000, 1, 1))
+        variants = [
+            roa("10.0.0.0/16", 7, 18),
+            roa("10.0.0.0/16", 8, 18, valid_from=base.valid_from),
+            roa("10.0.0.0/16", 7, 19, valid_from=base.valid_from),
+            roa("10.0.0.0/15", 7, 18, valid_from=base.valid_from),
+            roa("10.0.0.0/16", 7, 18, valid_from=datetime.date(2000, 1, 2)),
+            roa(
+                "10.0.0.0/16", 7, 18,
+                valid_from=base.valid_from,
+                valid_until=datetime.date(2001, 1, 1),
+            ),
+        ]
+        digests = {RoaTable([base]).digest}
+        digests.update(RoaTable([variant]).digest for variant in variants)
+        assert len(digests) == len(variants) + 1
+        assert all(len(digest) == 64 for digest in digests)
+        assert RoaTable().digest == hashlib.sha256(b"").hexdigest()
+        # A duplicate row is a row.
+        assert RoaTable([base, base]).digest != RoaTable([base]).digest
 
     def test_json_round_trip(self):
         table = RoaTable(
@@ -206,6 +243,18 @@ class TestRoaTable:
             RoaTable.load(tmp_path)  # directory without roas.json
         with pytest.raises(FileNotFoundError, match="no ROA file"):
             RoaTable.load(tmp_path / "missing.json")
+
+    def test_load_names_the_file_of_a_malformed_row(self, tmp_path):
+        path = tmp_path / "roas.json"
+        path.write_text(json.dumps([{"prefix": "10.0.0.0/8"}]))
+        with pytest.raises(ValueError) as caught:
+            RoaTable.load(path)
+        assert str(caught.value) == (
+            f"{path}: ROA row 0 is missing max_length, origin"
+        )
+        path.write_text("[")
+        with pytest.raises(ValueError, match=f"^{path}: "):
+            RoaTable.load(path)
 
 
 DAY0 = datetime.date(2000, 1, 1)
@@ -314,3 +363,220 @@ class TestAgainstBruteForce:
                 day = DAY0 + datetime.timedelta(offset)
                 if day >= threshold:
                     assert scanned_rollup(rows, prefix, origins, day) is state
+
+
+def _address(network: int) -> list[int]:
+    return [(network >> shift) & 0xFF for shift in (24, 16, 8, 0)]
+
+
+@st.composite
+def prefix_texts(draw):
+    """``(text, length)``: a valid prefix of any length /0 to /32 as a
+    ``roas.json`` writer may spell it, its octets maybe zero-padded,
+    the text maybe padded with whitespace and a /32 maybe bare."""
+    length = draw(st.integers(0, 32))
+    network = draw(st.integers(0, 2**32 - 1)) & (
+        0xFFFFFFFF ^ (0xFFFFFFFF >> length)
+    )
+    octet = st.sampled_from(["{}", "{:02d}", "{:03d}"])
+    address = ".".join(
+        draw(octet).format(value) for value in _address(network)
+    )
+    bare = length == 32 and draw(st.booleans())
+    text = address if bare else f"{address}/{length}"
+    padding = st.sampled_from(["", " ", "\t", "\n", "  "])
+    return draw(padding) + text + draw(padding), length
+
+
+dates = st.dates(datetime.date(1990, 1, 1), datetime.date(2030, 12, 31))
+
+
+@st.composite
+def roa_json_rows(draw):
+    """One well-formed ``roas.json`` row; a null window may be spelled
+    as an absent key."""
+    text, length = draw(prefix_texts())
+    valid_from = draw(st.one_of(st.none(), dates))
+    valid_until = draw(st.one_of(st.none(), dates))
+    if valid_from is not None and valid_until is not None:
+        valid_from, valid_until = sorted((valid_from, valid_until))
+    row = {
+        "prefix": text,
+        "max_length": draw(st.integers(length, 32)),
+        "origin": draw(
+            st.one_of(st.integers(0, 70000), st.integers(0, 2**32 - 1))
+        ),
+    }
+    for key, value in (("valid_from", valid_from), ("valid_until", valid_until)):
+        if value is not None:
+            row[key] = value.isoformat()
+        elif draw(st.booleans()):
+            row[key] = None
+    return row
+
+
+@st.composite
+def roa_row_lists(draw):
+    """Drawn rows with drawn duplicates, in a drawn order."""
+    rows = draw(st.lists(roa_json_rows(), max_size=12))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return draw(st.permutations(rows))
+
+
+def canonical_key(roa: Roa) -> tuple:
+    """The canonical order tables kept their :class:`Roa` objects in."""
+    return (
+        roa.prefix.sort_key(),
+        roa.max_length,
+        roa.origin,
+        roa.valid_from or datetime.date.min,
+        roa.valid_until or datetime.date.max,
+    )
+
+
+class TestLoaderParity:
+    """The integer-row loader builds the table the object-at-a-time
+    reference builds, whatever the spelling, duplicates and order of
+    the rows."""
+
+    @given(roa_row_lists(), st.randoms(use_true_random=False))
+    def test_from_rows_equals_the_reference(self, rows, rng):
+        table = RoaTable.from_rows(rows)
+        roas = [roa_from_dict(row) for row in rows]
+        reference = RoaTable(roas)
+        assert table == reference
+        assert len(table) == len(rows)
+        assert list(table) == list(reference) == sorted(roas, key=canonical_key)
+        assert table.to_json() == reference.to_json()
+        assert table.digest == reference.digest
+        assert RoaTable.from_json(table.to_json()) == table
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert RoaTable.from_rows(shuffled).digest == table.digest
+
+
+def _set(key, value):
+    return lambda row: {**row, key: value}
+
+
+def _drop(key):
+    return lambda row: {name: row[name] for name in row if name != key}
+
+
+#: Each way a ``roas.json`` row can be malformed, as a function of a
+#: well-formed row.
+MALFORMED = {
+    "prefix-number": _set("prefix", 10),
+    "prefix-null": _set("prefix", None),
+    "prefix-array": _set("prefix", ["10.0.0.0", 8]),
+    "max-length-null": _set("max_length", None),
+    "max-length-fraction": _set("max_length", 8.9),
+    "max-length-true": _set("max_length", True),
+    "max-length-string": _set("max_length", "24"),
+    "max-length-beyond-32": _set("max_length", 33),
+    "max-length-below-length": lambda row: {
+        **row, "prefix": "10.0.0.0/16", "max_length": 8
+    },
+    "origin-true": _set("origin", True),
+    "origin-fraction": _set("origin", 7.5),
+    "origin-negative": _set("origin", -1),
+    "origin-beyond-32-bits": _set("origin", 2**32),
+    "valid-from-number": _set("valid_from", 20000101),
+    "valid-from-array": _set("valid_from", ["2000-01-01"]),
+    "valid-from-bad-date": _set("valid_from", "2000-02-30"),
+    "valid-until-bad-date": _set("valid_until", "soon"),
+    "window-reversed": lambda row: {
+        **row, "valid_from": "2000-01-02", "valid_until": "2000-01-01"
+    },
+    "missing-prefix": _drop("prefix"),
+    "missing-max-length": _drop("max_length"),
+    "missing-origin": _drop("origin"),
+    "row-array": lambda row: [row["prefix"], row["max_length"], row["origin"]],
+    "row-string": lambda row: row["prefix"],
+    "row-null": lambda row: None,
+    "row-number": lambda row: 7,
+    "host-bits": _set("prefix", "10.0.0.1/8"),
+}
+
+#: Prefix texts :meth:`Prefix.parse` refuses.
+BAD_PREFIXES = (
+    "256.0.0.0/8",
+    "10.0.300.0/24",
+    "1.2.3/8",
+    "1.2.3.4.5/8",
+    "a.b.c.d/8",
+    "10.0.0.0/",
+    "10.0.0.0/33",
+    "10.0.0.0/100",
+    "10.0.0.0/8/8",
+    "-1.0.0.0/8",
+    "1.2.3.4 /8",
+    "0x0a.0.0.0/8",
+    "",
+)
+
+
+class TestMalformedRows:
+    """A malformed row among well-formed ones raises :class:`ValueError`,
+    and nothing else, naming the row's position."""
+
+    def assert_refused(self, rows, position):
+        with pytest.raises(Exception) as caught:
+            RoaTable.from_rows(rows)
+        assert type(caught.value) is ValueError
+        assert str(caught.value).startswith(f"ROA row {position}")
+
+    @given(
+        st.lists(roa_json_rows(), max_size=6),
+        roa_json_rows(),
+        st.sampled_from(sorted(MALFORMED)),
+        st.data(),
+    )
+    def test_malformed_row_is_refused(self, rows, base, name, data):
+        position = data.draw(st.integers(0, len(rows)), label="position")
+        rows.insert(position, MALFORMED[name](base))
+        self.assert_refused(rows, position)
+
+    @given(
+        st.lists(roa_json_rows(), max_size=6),
+        roa_json_rows(),
+        st.sampled_from(BAD_PREFIXES),
+        st.data(),
+    )
+    def test_bad_prefix_text_is_refused(self, rows, base, text, data):
+        position = data.draw(st.integers(0, len(rows)), label="position")
+        rows.insert(position, {**base, "prefix": text})
+        self.assert_refused(rows, position)
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("prefix-number", "prefix: expected a string, got number"),
+            ("max-length-null", "max_length: expected an integer, got null"),
+            ("valid-from-number", "valid_from: expected null or an ISO date, got number"),
+            ("max-length-fraction", "max_length: expected an integer, got number"),
+            ("origin-true", "origin: expected an integer, got boolean"),
+            ("origin-negative", "origin: ROA origin -1 is negative"),
+            ("host-bits", "prefix: host bits set in 10.0.0.1/8"),
+            (
+                "max-length-below-length",
+                "max_length: ROA max_length 8 outside 16..32 for 10.0.0.0/16",
+            ),
+            (
+                "window-reversed",
+                "valid_until: ROA window ends 2000-01-01 before it starts "
+                "2000-01-02",
+            ),
+        ],
+    )
+    def test_messages_name_the_row_and_field(self, name, message):
+        good = {"prefix": "10.0.0.0/8", "max_length": 8, "origin": 7}
+        with pytest.raises(ValueError) as caught:
+            RoaTable.from_rows([good, MALFORMED[name](good)])
+        assert str(caught.value) == f"ROA row 1 {message}"
+
+    @pytest.mark.parametrize("document", [{}, {"roas": []}, "[]", 7, None, True])
+    def test_non_array_document_is_refused(self, document):
+        with pytest.raises(ValueError, match="JSON array"):
+            RoaTable.from_json(json.dumps(document))
